@@ -6,10 +6,9 @@ confront datasets with them under three-valued logic, then summarize,
 aggregate, and diff the outcomes across dataset versions.
 """
 
-from .cli import ingest_csv
 from .diffs import chart_data, compare_cells, compare_validations
 from .engine import Validation, check_that, confront, eval_expr, eval_fd
-from .frame import Column, DataFrame, from_dict
+from .frame import Column, DataFrame, from_dict, ingest_csv
 from .results import (
     aggregate_results,
     all_pass,

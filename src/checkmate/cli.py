@@ -12,14 +12,15 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import diffs, results, rule_io
 from .diffs import StatusTable
 from .engine import Validation, confront
 from .errors import CheckmateError, CycleError, DataError, RuleIOError, RuleSetError
-from .frame import Column, DataFrame
-from .rules import RuleSet
+from .frame import ingest_csv
+from .rules import RuleSet, parse_option
 
 RULES_PATH_ENV = "CHECKMATE_RULES_PATH"
 
@@ -27,111 +28,15 @@ PALETTE = {"pass": "#2e7d32", "fail": "#c62828", "na": "#9e9e9e"}
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
-# ---------------------------------------------------------------------------
-
-_BOOL_TOKENS = {"true": True, "TRUE": True, "false": False, "FALSE": False}
-
-
-def _parse_number(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def ingest_csv(path: str) -> DataFrame:
-    """Read an RFC-4180 CSV with a header row, inferring column types.
-
-    A column is boolean when every non-empty cell is true/false (either case),
-    number when every non-empty cell parses as a decimal, text otherwise.
-    Empty cells and the literal NA are missing.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                rows.append(row)
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err}") from err
-
-    columns = []
-    for j, name in enumerate(header):
-        raw = [row[j] for row in rows]
-        present = [c for c in raw if c not in ("", "NA")]
-        if present and all(c in _BOOL_TOKENS for c in present):
-            ctype = "boolean"
-            convert = _BOOL_TOKENS.__getitem__
-            filler = False
-        elif present and all(_parse_number(c) is not None for c in present):
-            ctype = "number"
-            convert = float
-            filler = 0.0
-        else:
-            ctype = "text"
-            convert = str
-            filler = ""
-        missing = [c in ("", "NA") for c in raw]
-        values = [filler if m else convert(c) for c, m in zip(raw, missing)]
-        columns.append(Column(name, ctype, values, missing))
-    return DataFrame(columns)
-
-
-def emit_csv_frame(df: DataFrame, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(df.names)
-    for i in range(df.n):
-        row = []
-        for col in df.columns:
-            cell = None if col.missing[i] else col.values[i]
-            row.append(_cell_text(cell, col.type))
-        writer.writerow(row)
-
-
-def _cell_text(cell, ctype: str) -> str:
-    if cell is None:
-        return "NA"
-    if ctype == "boolean":
-        return "TRUE" if cell else "FALSE"
-    if ctype == "number":
-        return str(int(cell)) if cell == int(cell) else repr(cell)
-    return cell
-
-
-# ---------------------------------------------------------------------------
 # Emitters
 # ---------------------------------------------------------------------------
 
 
-def _tri(cell) -> str:
-    if cell is None:
-        return "NA"
-    return "TRUE" if cell else "FALSE"
+_SUMMARY_HEADER = ["name", "items", "passes", "fails", "nNA", "error", "warning", "expression"]
 
 
 def _summary_dicts(v: Validation) -> list[dict]:
-    return [
-        {
-            "name": r.name,
-            "items": r.items,
-            "passes": r.passes,
-            "fails": r.fails,
-            "nNA": r.nNA,
-            "error": r.error,
-            "warning": r.warning,
-            "expression": r.expression,
-        }
-        for r in results.summarize(v)
-    ]
+    return [{h: getattr(r, h) for h in _SUMMARY_HEADER} for r in results.summarize(v)]
 
 
 def _record_dicts(v: Validation) -> list[dict]:
@@ -151,11 +56,11 @@ def _status_dicts(table: StatusTable) -> list[dict]:
     return out
 
 
-def _write_csv(rows: list[dict], header: list[str], out, formatter=None) -> None:
+def _write_csv(rows: list[dict], header: list[str], out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([(formatter or _plain)(row[h]) for h in header])
+        writer.writerow([_plain(row[h]) for h in header])
 
 
 def _plain(value):
@@ -183,15 +88,9 @@ def emit(payload, fmt: str, out) -> None:
             json.dump({"summary": summary, "records": records}, out, indent=2)
             out.write("\n")
         elif fmt == "csv":
-            _write_csv(
-                records, ["id", "name", "value", "expression"], out
-            )
+            _write_csv(records, ["id", "name", "value", "expression"], out)
         else:
-            _write_text_table(
-                summary,
-                ["name", "items", "passes", "fails", "nNA", "error", "warning", "expression"],
-                out,
-            )
+            _write_text_table(summary, _SUMMARY_HEADER, out)
         return
     if isinstance(payload, StatusTable):
         rows = _status_dicts(payload)
@@ -209,14 +108,13 @@ def emit(payload, fmt: str, out) -> None:
 
 def emit_summary(v: Validation, fmt: str, out) -> None:
     summary = _summary_dicts(v)
-    header = ["name", "items", "passes", "fails", "nNA", "error", "warning", "expression"]
     if fmt == "json":
         json.dump({"summary": summary}, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
-        _write_csv(summary, header, out)
+        _write_csv(summary, _SUMMARY_HEADER, out)
     else:
-        _write_text_table(summary, header, out)
+        _write_text_table(summary, _SUMMARY_HEADER, out)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +260,14 @@ def _load_rules(cfg: CliConfig) -> tuple[RuleSet, list[str]]:
     return rule_io.read_rules(_locate_rules(cfg.rules))
 
 
-def _open_out(cfg: CliConfig):
-    if cfg.out:
-        return open(cfg.out, "w", encoding="utf-8")
-    return None
+@contextmanager
+def _output(cfg: CliConfig):
+    """The --out file, or stdout when none is given."""
+    if not cfg.out:
+        yield sys.stdout
+        return
+    with open(cfg.out, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _validation_exit_code(v: Validation, strict: bool) -> int:
@@ -414,22 +316,14 @@ def _run(cfg: CliConfig) -> int:
     if cfg.command == "check":
         v = _confront_single(cfg)
         print(banner(v))
-        sink = _open_out(cfg)
-        try:
-            emit(v, cfg.format, sink or sys.stdout)
-        finally:
-            if sink:
-                sink.close()
+        with _output(cfg) as out:
+            emit(v, cfg.format, out)
         return _validation_exit_code(v, cfg.strict)
 
     if cfg.command == "summary":
         v = _confront_single(cfg)
-        sink = _open_out(cfg)
-        try:
-            emit_summary(v, cfg.format, sink or sys.stdout)
-        finally:
-            if sink:
-                sink.close()
+        with _output(cfg) as out:
+            emit_summary(v, cfg.format, out)
         return _validation_exit_code(v, cfg.strict)
 
     if cfg.command == "lint":
@@ -473,18 +367,14 @@ def _run(cfg: CliConfig) -> int:
     if cfg.command in ("compare", "cells"):
         if len(cfg.data) < 2:
             raise DataError(f"{cfg.command} needs at least two data files")
-        versions = {_version_name(p): ingest_csv(p) for p in cfg.data}
+        versions = _versions(cfg)
         if cfg.command == "compare":
             rs, _ = _load_rules(cfg)
             table = diffs.compare_validations(rs, versions, how=cfg.how)
         else:
             table = diffs.compare_cells(versions, how=cfg.how)
-        sink = _open_out(cfg)
-        try:
-            emit(table, cfg.format, sink or sys.stdout)
-        finally:
-            if sink:
-                sink.close()
+        with _output(cfg) as out:
+            emit(table, cfg.format, out)
         return 0
 
     if cfg.command == "plot":
@@ -494,7 +384,7 @@ def _run(cfg: CliConfig) -> int:
             v = _confront_single(cfg)
             svg = svg_bar_chart(v)
         else:
-            versions = {_version_name(p): ingest_csv(p) for p in cfg.data}
+            versions = _versions(cfg)
             rs, _ = _load_rules(cfg)
             table = diffs.compare_validations(rs, versions, how=cfg.how)
             svg = svg_line_chart(table)
@@ -505,8 +395,9 @@ def _run(cfg: CliConfig) -> int:
     raise DataError(f"unknown command {cfg.command!r}")
 
 
-def _version_name(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
+def _versions(cfg: CliConfig) -> dict:
+    """The data files as dataset versions, each named after its file."""
+    return {os.path.splitext(os.path.basename(p))[0]: ingest_csv(p) for p in cfg.data}
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +410,7 @@ def _parse_option(text: str) -> tuple[str, object]:
         raise DataError(f"--set expects option=value, got {text!r}")
     name, raw = text.split("=", 1)
     name = name.strip()
-    raw = raw.strip()
-    if name in ("lin.eq.eps", "lin.ineq.eps"):
-        return name, float(raw)
-    if name == "na.value":
-        return name, {"NA": "NA", "TRUE": True, "FALSE": False}.get(raw, raw)
-    return name, raw
+    return name, parse_option(name, raw.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -215,6 +215,53 @@ class RuleExpr:
 
 Directive = MacroDef | GroupDef | RuleExpr
 
+# ---------------------------------------------------------------------------
+# Tree walking: one rebuilder per node type serves every pass over the tree
+# ---------------------------------------------------------------------------
+
+
+def _rename(names: list[str], fn) -> list[str]:
+    """Map variable names through ``fn``.
+
+    A functional dependency lists plain names, so a name that ``fn`` turns into
+    anything but an identifier (say, a macro with an expression body) stays.
+    """
+    mapped = [fn(Identifier(name)) for name in names]
+    return [m.name if type(m) is Identifier else name for m, name in zip(mapped, names)]
+
+
+# node type -> copy of the node with ``fn`` applied to each direct child, left to
+# right; leaves are absent. A functional dependency's names count as identifiers.
+_REBUILD = {
+    Paren: lambda e, fn: Paren(fn(e.inner)),
+    Unary: lambda e, fn: Unary(e.op, fn(e.operand)),
+    Binary: lambda e, fn: Binary(e.op, fn(e.lhs), fn(e.rhs)),
+    Call: lambda e, fn: Call(
+        e.fname, [fn(a) for a in e.args], {k: fn(v) for k, v in e.named_args.items()}
+    ),
+    Implication: lambda e, fn: Implication(fn(e.condition), fn(e.consequent)),
+    FuncDep: lambda e, fn: FuncDep(_rename(e.determinant, fn), _rename(e.dependent, fn)),
+}
+
+
+def rebuild(e: Expression, fn) -> Expression:
+    """Copy of a node with ``fn`` applied to each direct child; leaves come back as is."""
+    make = _REBUILD.get(type(e))
+    return make(e, fn) if make else e
+
+
+def children(e: Expression) -> list[Expression]:
+    """Direct sub-expressions of a node, left to right."""
+    found = []
+
+    def keep(child: Expression) -> Expression:
+        found.append(child)
+        return child
+
+    rebuild(e, keep)
+    return found
+
+
 COMPARISON_OPS = {"<", "<=", "==", "!=", ">=", ">", "%in%"}
 
 # precedence levels, loosest to tightest
@@ -305,7 +352,6 @@ class _Parser:
             body = self.parse_expression()
             self.end_of_input()
             if isinstance(body, Call) and body.fname == "var_group":
-                members = []
                 for arg in body.args:
                     if not isinstance(arg, Identifier):
                         raise ParseError("var_group members must be variable names")
@@ -532,27 +578,15 @@ def substitute_macros(e: Expression, macros: dict[str, Expression]) -> Expressio
         return e
 
     def walk(node: Expression, parent_prec: int) -> Expression:
-        if isinstance(node, Identifier) and node.name in macros:
+        if type(node) is Identifier and node.name in macros:
             body = copy.deepcopy(macros[node.name])
             if isinstance(body, (Binary, Implication)) and parent_prec >= node_precedence(body):
                 return Paren(body)
             return body
-        if isinstance(node, Paren):
-            return Paren(walk(node.inner, 0))
-        if isinstance(node, Unary):
-            return Unary(node.op, walk(node.operand, node_precedence(node)))
-        if isinstance(node, Binary):
-            p = node_precedence(node)
-            return Binary(node.op, walk(node.lhs, p), walk(node.rhs, p))
-        if isinstance(node, Call):
-            return Call(
-                node.fname,
-                [walk(a, 0) for a in node.args],
-                {k: walk(v, 0) for k, v in node.named_args.items()},
-            )
-        if isinstance(node, Implication):
-            return Implication(walk(node.condition, 0), walk(node.consequent, 0))
-        return node
+        # only operators pass their binding strength down; any other parent
+        # (parentheses, call arguments, if) already delimits its children
+        p = node_precedence(node) if type(node) in (Unary, Binary) else 0
+        return rebuild(node, lambda child: walk(child, p))
 
     return walk(e, 0)
 
@@ -584,23 +618,11 @@ def _parenthesize(e: Expression) -> Expression:
 
 def rewrite_implication(e: Expression) -> Expression:
     """Turn every ``if (P) Q`` node into ``!(P) | (Q)``."""
-    if isinstance(e, Implication):
+    if type(e) is Implication:
         p = rewrite_implication(e.condition)
         q = rewrite_implication(e.consequent)
         return Binary("|", Unary("!", _parenthesize(p)), _parenthesize(q))
-    if isinstance(e, Paren):
-        return Paren(rewrite_implication(e.inner))
-    if isinstance(e, Unary):
-        return Unary(e.op, rewrite_implication(e.operand))
-    if isinstance(e, Binary):
-        return Binary(e.op, rewrite_implication(e.lhs), rewrite_implication(e.rhs))
-    if isinstance(e, Call):
-        return Call(
-            e.fname,
-            [rewrite_implication(a) for a in e.args],
-            {k: rewrite_implication(v) for k, v in e.named_args.items()},
-        )
-    return e
+    return rebuild(e, rewrite_implication)
 
 
 def _is_constant(e: Expression) -> bool:
@@ -658,34 +680,16 @@ def rewrite_tolerance(e: Expression, eps_eq: float, eps_ineq: float) -> Expressi
 
 def variables(e: Expression) -> list[str]:
     """Names of all identifiers in first-occurrence order."""
-    seen: list[str] = []
+    seen: dict[str, None] = {}
 
     def walk(node: Expression):
-        if isinstance(node, Identifier):
-            if node.name not in seen:
-                seen.append(node.name)
-        elif isinstance(node, Paren):
-            walk(node.inner)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-            for v in node.named_args.values():
-                walk(v)
-        elif isinstance(node, Implication):
-            walk(node.condition)
-            walk(node.consequent)
-        elif isinstance(node, FuncDep):
-            for name in node.determinant + node.dependent:
-                if name not in seen:
-                    seen.append(name)
+        if type(node) is Identifier:
+            seen.setdefault(node.name)
+        for child in children(node):
+            walk(child)
 
     walk(e)
-    return seen
+    return list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +729,8 @@ def render(e: Expression) -> str:
         return ("!" if e.op == "!" else "-") + operand
     if isinstance(e, Binary):
         p = node_precedence(e)
-        left = render(_child(e.lhs, p, tighter=False))
+        # comparisons do not chain, so an equal-level left operand needs parentheses too
+        left = render(_child(e.lhs, p, tighter=e.op in COMPARISON_OPS))
         right = render(_child(e.rhs, p, tighter=e.op != "^"))
         sep = "" if e.op in _TIGHT_OPS else " "
         return f"{left}{sep}{e.op}{sep}{right}"

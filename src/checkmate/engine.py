@@ -16,7 +16,7 @@ from datetime import datetime
 from . import dsl
 from .errors import DataError, EvalError
 from .frame import DataFrame
-from .rules import OptionSet, Rule, RuleSet, new_ruleset
+from .rules import OptionSet, Rule, RuleSet, new_ruleset, select
 
 
 @dataclass
@@ -103,10 +103,7 @@ class Evaluator:
             return {}
         if isinstance(ref, DataFrame):
             return {c.name: c.cells() for c in ref.columns}
-        out = {}
-        for name, value in ref.items():
-            out[name] = value
-        return out
+        return dict(ref)
 
     # -- scope --------------------------------------------------------------
 
@@ -138,31 +135,10 @@ class Evaluator:
     # -- dispatch -----------------------------------------------------------
 
     def eval(self, e: dsl.Expression) -> Value:
-        if isinstance(e, dsl.NumberLit):
-            return _number([e.value])
-        if isinstance(e, dsl.StringLit):
-            return _text([e.value])
-        if isinstance(e, dsl.BoolLit):
-            return _logical([e.value])
-        if isinstance(e, dsl.MissingLit):
-            return _logical([None])
-        if isinstance(e, dsl.Identifier):
-            return self.lookup(e.name)
-        if isinstance(e, dsl.DatasetRef):
-            return Value("frame", frame=self.df)
-        if isinstance(e, dsl.Paren):
-            return self.eval(e.inner)
-        if isinstance(e, dsl.Unary):
-            return self.eval_unary(e)
-        if isinstance(e, dsl.Binary):
-            return self.eval_binary(e)
-        if isinstance(e, dsl.Call):
-            return self.eval_call(e)
-        if isinstance(e, dsl.FuncDep):
-            return _logical(eval_fd(e, self.df))
-        if isinstance(e, dsl.Implication):
-            raise EvalError("implication must be rewritten before evaluation")
-        raise EvalError(f"cannot evaluate {type(e).__name__}")
+        handler = _EVAL.get(type(e))
+        if handler is None:
+            raise EvalError(f"cannot evaluate {type(e).__name__}")
+        return handler(self, e)
 
     def eval_unary(self, e: dsl.Unary) -> Value:
         operand = self.eval(e.operand)
@@ -271,8 +247,7 @@ class Evaluator:
     def _fn_nrow(self, e):
         return _number([float(self._the_frame(e).n)])
 
-    def _fn_number_of_records(self, e):
-        return _number([float(self._the_frame(e).n)])
+    _fn_number_of_records = _fn_nrow
 
     def _fn_ncol(self, e):
         return _number([float(len(self._the_frame(e).columns))])
@@ -285,14 +260,17 @@ class Evaluator:
         self._require(v, "number", "abs")
         return _number([None if c is None else abs(c) for c in v.cells])
 
-    def _logical_reduce(self, e, empty, shortcut):
+    def _reduced_cells(self, e, kind):
+        """Cells of a reduction's one argument, without missing ones under na.rm."""
         (v,) = self._positional(e, 1, allow_named=("na.rm",))
-        self._require(v, "logical", e.fname)
-        cells = v.cells
+        self._require(v, kind, e.fname)
         if self._na_rm(e):
-            cells = [c for c in cells if c is not None]
+            return [c for c in v.cells if c is not None]
+        return v.cells
+
+    def _logical_reduce(self, e, empty, shortcut):
         result = empty
-        for c in cells:
+        for c in self._reduced_cells(e, "logical"):
             if c is shortcut:
                 return _logical([shortcut])
             if c is None:
@@ -305,19 +283,9 @@ class Evaluator:
     def _fn_any(self, e):
         return self._logical_reduce(e, False, True)
 
-    def _numeric_cells(self, e, allow_named=("na.rm",)):
-        (v,) = self._positional(e, 1, allow_named=allow_named)
-        self._require(v, "number", e.fname)
-        cells = v.cells
-        if self._na_rm(e):
-            cells = [c for c in cells if c is not None]
-        return cells
-
     def _numeric_aggregate(self, e, fn):
-        cells = self._numeric_cells(e)
-        if any(c is None for c in cells):
-            return _number([None])
-        if not cells:
+        cells = self._reduced_cells(e, "number")
+        if not cells or any(c is None for c in cells):
             return _number([None])
         return _number([float(fn(cells))])
 
@@ -443,6 +411,26 @@ class Evaluator:
         return Value(kind, cells)
 
 
+def _unrewritten(ev: Evaluator, e: dsl.Implication) -> Value:
+    raise EvalError("implication must be rewritten before evaluation")
+
+
+_EVAL = {
+    dsl.NumberLit: lambda ev, e: _number([e.value]),
+    dsl.StringLit: lambda ev, e: _text([e.value]),
+    dsl.BoolLit: lambda ev, e: _logical([e.value]),
+    dsl.MissingLit: lambda ev, e: _logical([None]),
+    dsl.Identifier: lambda ev, e: ev.lookup(e.name),
+    dsl.DatasetRef: lambda ev, e: Value("frame", frame=ev.df),
+    dsl.Paren: lambda ev, e: ev.eval(e.inner),
+    dsl.Unary: Evaluator.eval_unary,
+    dsl.Binary: Evaluator.eval_binary,
+    dsl.Call: Evaluator.eval_call,
+    dsl.FuncDep: lambda ev, e: _logical(eval_fd(e, ev.df)),
+    dsl.Implication: _unrewritten,
+}
+
+
 def eval_expr(e: dsl.Expression, df: DataFrame, ref=None) -> Value:
     """Evaluate a rewritten expression against a frame."""
     return Evaluator(df, ref).eval(e)
@@ -502,7 +490,6 @@ class Validation:
     outcomes: list[RuleOutcome]
     key_name: str | None = None
     key_values: list[str] | None = None
-    call_text: str = ""
     created: datetime | None = None
     n_records: int = 0
 
@@ -511,21 +498,9 @@ class Validation:
 
     def subset(self, selector) -> "Validation":
         """Select outcomes by 1-based index or by rule name."""
-        by_name = {o.name: o for o in self.outcomes}
-        picked = []
-        for sel in selector:
-            if isinstance(sel, str):
-                if sel not in by_name:
-                    raise DataError(f"unknown rule name {sel!r}")
-                picked.append(by_name[sel])
-            else:
-                if not 1 <= sel <= len(self.outcomes):
-                    raise DataError(f"rule index {sel} out of range")
-                picked.append(self.outcomes[sel - 1])
-        return Validation(
-            picked, self.key_name, self.key_values, self.call_text, self.created,
-            self.n_records,
-        )
+        names = [o.name for o in self.outcomes]
+        picked = select(self.outcomes, names, selector, DataError)
+        return Validation(picked, self.key_name, self.key_values, self.created, self.n_records)
 
 
 def prepare_rule(rule: Rule, opts: OptionSet) -> dsl.Expression:
@@ -585,7 +560,6 @@ def confront(
         outcomes,
         key_name=key,
         key_values=key_values,
-        call_text="confront(...)",
         created=now or datetime.now(),
         n_records=df.n,
     )

@@ -1,7 +1,11 @@
-"""Minimal typed data frame: named equal-length columns with per-cell missingness."""
+"""Minimal typed data frame and its CSV input and output.
+
+A frame holds named equal-length columns with per-cell missingness.
+"""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -56,10 +60,6 @@ class DataFrame:
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
 
-    def cell(self, col: str, row: int):
-        c = self.column(col)
-        return None if c.missing[row] else c.values[row]
-
 
 def _infer_type(cells: list) -> str:
     present = [v for v in cells if v is not None]
@@ -84,3 +84,84 @@ def from_dict(data: dict[str, list], types: dict[str, str] | None = None) -> Dat
         values = [fillers[ctype] if v is None else v for v in cells]
         cols.append(Column(name, ctype, values, missing))
     return DataFrame(cols)
+
+
+# ---------------------------------------------------------------------------
+# CSV input and output
+# ---------------------------------------------------------------------------
+
+_BOOL_TOKENS = {"true": True, "TRUE": True, "false": False, "FALSE": False}
+
+
+def _parse_number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def ingest_csv(path: str) -> DataFrame:
+    """Read an RFC-4180 CSV with a header row, inferring column types.
+
+    A column is boolean when every non-empty cell is true/false (either case),
+    number when every non-empty cell parses as a decimal, text otherwise.
+    Empty cells and the literal NA are missing.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(row)
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err}") from err
+
+    columns = []
+    for j, name in enumerate(header):
+        raw = [row[j] for row in rows]
+        present = [c for c in raw if c not in ("", "NA")]
+        if present and all(c in _BOOL_TOKENS for c in present):
+            ctype = "boolean"
+            convert = _BOOL_TOKENS.__getitem__
+            filler = False
+        elif present and all(_parse_number(c) is not None for c in present):
+            ctype = "number"
+            convert = float
+            filler = 0.0
+        else:
+            ctype = "text"
+            convert = str
+            filler = ""
+        missing = [c in ("", "NA") for c in raw]
+        values = [filler if m else convert(c) for c, m in zip(raw, missing)]
+        columns.append(Column(name, ctype, values, missing))
+    return DataFrame(columns)
+
+
+def emit_csv_frame(df: DataFrame, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(df.names)
+    for i in range(df.n):
+        row = []
+        for col in df.columns:
+            cell = None if col.missing[i] else col.values[i]
+            row.append(_cell_text(cell, col.type))
+        writer.writerow(row)
+
+
+def _cell_text(cell, ctype: str) -> str:
+    if cell is None:
+        return "NA"
+    if ctype == "boolean":
+        return "TRUE" if cell else "FALSE"
+    if ctype == "number":
+        return str(int(cell)) if cell == int(cell) else repr(cell)
+    return cell

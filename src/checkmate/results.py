@@ -28,41 +28,36 @@ class RecordRow:
     expression: str
 
 
+def _tally(cells: list) -> tuple[int, int, int]:
+    """Passes, fails and unverifiable items among tri-state cells."""
+    return cells.count(True), cells.count(False), cells.count(None)
+
+
 def summarize(v: Validation) -> list[SummaryRow]:
     rows = []
     for o in v.outcomes:
         if o.error is not None:
             rows.append(SummaryRow(o.name, 0, 0, 0, 0, True, bool(o.warnings), o.expression))
             continue
-        cells = o.result
         rows.append(
             SummaryRow(
-                o.name,
-                len(cells),
-                sum(1 for c in cells if c is True),
-                sum(1 for c in cells if c is False),
-                sum(1 for c in cells if c is None),
-                False,
-                bool(o.warnings),
-                o.expression,
+                o.name, len(o.result), *_tally(o.result), False, bool(o.warnings), o.expression
             )
         )
     return rows
 
 
-def _all_cells(v: Validation) -> list:
+def _all_cells(v: Validation, na_rm: bool) -> list:
     cells = []
     for o in v.outcomes:
         if o.result is not None:
             cells.extend(o.result)
-    return cells
+    return [c for c in cells if c is not None] if na_rm else cells
 
 
 def all_pass(v: Validation, na_rm: bool = False):
     """Kleene conjunction over every result cell of every rule."""
-    cells = _all_cells(v)
-    if na_rm:
-        cells = [c for c in cells if c is not None]
+    cells = _all_cells(v, na_rm)
     out = True
     for c in cells:
         out = kleene_and(out, c)
@@ -73,9 +68,7 @@ def all_pass(v: Validation, na_rm: bool = False):
 
 def any_fail(v: Validation, na_rm: bool = False):
     """Kleene disjunction of the negated result cells."""
-    cells = _all_cells(v)
-    if na_rm:
-        cells = [c for c in cells if c is not None]
+    cells = _all_cells(v, na_rm)
     out = False
     for c in cells:
         out = kleene_or(out, kleene_not(c))
@@ -145,19 +138,9 @@ class AggregateRow:
 def aggregate_results(v: Validation, by: str = "rule") -> list[AggregateRow]:
     """Pass/fail/NA counts and proportions per rule or per record."""
     if by == "rule":
-        rows = []
-        for o in v.outcomes:
-            if o.result is None:
-                continue
-            rows.append(
-                AggregateRow(
-                    o.name,
-                    sum(1 for c in o.result if c is True),
-                    sum(1 for c in o.result if c is False),
-                    sum(1 for c in o.result if c is None),
-                )
-            )
-        return rows
+        return [
+            AggregateRow(o.name, *_tally(o.result)) for o in v.outcomes if o.result is not None
+        ]
     if by != "record":
         raise DataError(f"unknown aggregation {by!r}")
     n = v.n_records
@@ -167,15 +150,7 @@ def aggregate_results(v: Validation, by: str = "rule") -> list[AggregateRow]:
     rows = []
     for i in range(n):
         key = v.key_values[i] if v.key_values else str(i + 1)
-        cells = [o.result[i] for o in aligned]
-        rows.append(
-            AggregateRow(
-                key,
-                sum(1 for c in cells if c is True),
-                sum(1 for c in cells if c is False),
-                sum(1 for c in cells if c is None),
-            )
-        )
+        rows.append(AggregateRow(key, *_tally([o.result[i] for o in aligned])))
     return rows
 
 

@@ -18,19 +18,35 @@ import yaml
 
 from . import dsl
 from .errors import CycleError, LexError, ParseError, RuleIOError
-from .rules import RuleEntry, RuleSet, build_ruleset
+from .rules import OPTIONS, TIMESTAMP_FORMAT, RuleEntry, RuleSet, build_ruleset
 
 _NAME_PREFIX_RE = re.compile(r"^([A-Za-z][A-Za-z0-9._]*)\s*:(?![=])\s*(.+)$")
 
 _YAML_EXTENSIONS = (".yml", ".yaml")
 
-_OPTION_KEYS = ("na.value", "raise", "lin.eq.eps", "lin.ineq.eps")
+
+def _parse(source: str, where: str) -> dsl.Directive:
+    try:
+        return dsl.parse(source)
+    except (ParseError, LexError) as err:
+        raise RuleIOError(f"{where}: {err}") from err
+
+
+def _parse_created(text: str, where: str) -> datetime:
+    try:
+        return datetime.strptime(text, TIMESTAMP_FORMAT)
+    except ValueError as err:
+        raise RuleIOError(f"{where}: bad 'created' timestamp: {err}") from err
+
+
+def _format_created(created: datetime | None) -> str:
+    return created.strftime(TIMESTAMP_FORMAT) if created else ""
 
 
 def _normalize_options(raw: dict, path: str) -> dict:
     opts = {}
     for key, value in raw.items():
-        if key not in _OPTION_KEYS:
+        if key not in OPTIONS:
             raise RuleIOError(f"{path}: unknown option {key!r}")
         if key == "na.value" and value is None:
             value = "NA"
@@ -58,7 +74,6 @@ class _Loader:
         self.loaded: set[str] = set()
         self.entries: list[RuleEntry] = []
         self.options: dict = {}
-        self.warnings: list[str] = []
 
     def load(self, path: str):
         key = _canonical(path)
@@ -139,13 +154,10 @@ class _Loader:
             m = _NAME_PREFIX_RE.match(stripped)
             if m:
                 name, source = m.group(1), m.group(2)
-            try:
-                dsl.parse(source)
-            except (ParseError, LexError) as err:
-                raise RuleIOError(f"{path}:{lineno + 1}: {err}") from err
             self.entries.append(
                 RuleEntry(
                     source,
+                    _parse(source, f"{path}:{lineno + 1}"),
                     name=name,
                     description="\n".join(comment_block),
                     origin=path,
@@ -177,19 +189,22 @@ class _Loader:
         if data.get("options"):
             self.options.update(_normalize_options(data["options"], path))
         for index, item in enumerate(data.get("rules") or [], start=1):
+            where = f"{path}: rule entry {index}"
             if not isinstance(item, dict):
-                raise RuleIOError(f"{path}: rule entry {index} is not a mapping")
+                raise RuleIOError(f"{where} is not a mapping")
             if "expr" not in item or item["expr"] in (None, ""):
-                raise RuleIOError(f"{path}: rule entry {index} is missing 'expr'")
+                raise RuleIOError(f"{where} is missing 'expr'")
             meta = item.get("meta")
             if not isinstance(meta, dict):
                 meta = None
             created = item.get("created")
             if isinstance(created, str):
-                created = datetime.strptime(created, "%Y-%m-%d %H:%M:%S")
+                created = _parse_created(created, where)
+            source = str(item["expr"]).strip()
             self.entries.append(
                 RuleEntry(
-                    str(item["expr"]).strip(),
+                    source,
+                    _parse(source, where),
                     name=str(item["name"]) if item.get("name") else None,
                     label=str(item.get("label") or ""),
                     description=str(item.get("description") or "").strip(),
@@ -204,15 +219,7 @@ def read_rules(path: str, now: datetime | None = None) -> tuple[RuleSet, list[st
     """Read a rule file (text or YAML), resolving includes depth-first."""
     loader = _Loader(now)
     loader.load(path)
-    rs, warnings = build_ruleset(
-        loader.entries, now=now, local_options=loader.options or None
-    )
-    return rs, loader.warnings + warnings
-
-
-# format-specific aliases; dispatch lives in the loader
-read_rules_text = read_rules
-read_rules_yaml = read_rules
+    return build_ruleset(loader.entries, now=now, local_options=loader.options or None)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ def export_yaml(rs: RuleSet, path: str):
             "name": r.name,
             "label": r.label,
             "description": r.description,
-            "created": r.created.strftime("%Y-%m-%d %H:%M:%S") if r.created else "",
+            "created": _format_created(r.created),
             "origin": r.origin,
             "meta": dict(r.meta),
         }
@@ -260,7 +267,7 @@ def rules_to_table(rs: RuleSet) -> list[dict]:
             "label": r.label,
             "description": r.description,
             "origin": r.origin,
-            "created": r.created.strftime("%Y-%m-%d %H:%M:%S") if r.created else "",
+            "created": _format_created(r.created),
         }
         for r in rs.rules
     ]
@@ -271,18 +278,16 @@ def table_to_rules(rows: list[dict], now: datetime | None = None) -> RuleSet:
     for index, row in enumerate(rows, start=1):
         if "rule" not in row or not row["rule"]:
             raise RuleIOError(f"row {index}: missing 'rule' column")
-        try:
-            dsl.parse(row["rule"])
-        except ParseError as err:
-            raise RuleIOError(f"row {index}: {err}") from err
+        directive = _parse(row["rule"], f"row {index}")
         created = row.get("created")
         if isinstance(created, str) and created:
-            created = datetime.strptime(created, "%Y-%m-%d %H:%M:%S")
+            created = _parse_created(created, f"row {index}")
         else:
             created = None
         entries.append(
             RuleEntry(
                 row["rule"],
+                directive,
                 name=row.get("name") or None,
                 label=row.get("label") or "",
                 description=row.get("description") or "",

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from typing import NamedTuple
 
 from . import dsl
-from .errors import OptionError, RuleSetError
+from .errors import CheckmateError, OptionError, RuleSetError
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
 DEFAULT_META = {"language": "dsl/1", "severity": "error"}
-
-OPTION_NAMES = ("na.value", "raise", "lin.eq.eps", "lin.ineq.eps")
 
 
 @dataclass
@@ -25,42 +25,64 @@ class OptionSet:
     lin_eq_eps: float = 1e-8
     lin_ineq_eps: float = 1e-8
 
-    def copy(self) -> "OptionSet":
-        return replace(self)
+
+def _one_of(*allowed):
+    def check(name: str, value):
+        # types must match too: 1 and 0 are not TRUE and FALSE
+        if not any(type(value) is type(a) and value == a for a in allowed):
+            raise OptionError(f"invalid value for {name}: {value!r}")
+
+    return check
 
 
-_FIELD_BY_OPTION = {
-    "na.value": "na_value",
-    "raise": "raise_",
-    "lin.eq.eps": "lin_eq_eps",
-    "lin.ineq.eps": "lin_ineq_eps",
+def _nonnegative(name: str, value):
+    if not isinstance(value, (int, float)) or value < 0:
+        raise OptionError(f"{name} must be a nonnegative number, got {value!r}")
+
+
+def _number_text(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text  # left for the value check to reject
+
+
+class _Option(NamedTuple):
+    field: str  # OptionSet attribute; also the option's keyword-argument name
+    check: Callable[[str, object], None]  # raises OptionError on a bad value
+    parse: Callable[[str], object]  # command-line text to value
+
+
+_NA_TOKENS = {"NA": "NA", "TRUE": True, "FALSE": False}
+
+# the one table of options, keyed by dotted name
+OPTIONS = {
+    "na.value": _Option("na_value", _one_of("NA", True, False), lambda t: _NA_TOKENS.get(t, t)),
+    "raise": _Option("raise_", _one_of("none", "error", "all"), str),
+    "lin.eq.eps": _Option("lin_eq_eps", _nonnegative, _number_text),
+    "lin.ineq.eps": _Option("lin_ineq_eps", _nonnegative, _number_text),
 }
+
+_OPTION_BY_FIELD = {opt.field: name for name, opt in OPTIONS.items()}
 
 
 def _check_option(name: str, value):
-    if name not in _FIELD_BY_OPTION:
+    if name not in OPTIONS:
         raise OptionError(f"unknown option {name!r}")
-    if name == "na.value":
-        if value not in ("NA", True, False):
-            raise OptionError(f"invalid value for na.value: {value!r}")
-    elif name == "raise":
-        if value not in ("none", "error", "all"):
-            raise OptionError(f"invalid value for raise: {value!r}")
-    else:
-        if not isinstance(value, (int, float)) or value < 0:
-            raise OptionError(f"{name} must be a nonnegative number, got {value!r}")
+    OPTIONS[name].check(name, value)
 
 
-_KEYWORD_TO_OPTION = {
-    "na_value": "na.value",
-    "raise_": "raise",
-    "lin_eq_eps": "lin.eq.eps",
-    "lin_ineq_eps": "lin.ineq.eps",
-}
+def parse_option(name: str, text: str):
+    """Value of an option written as text; unknown names keep the text."""
+    return OPTIONS[name].parse(text) if name in OPTIONS else text
 
 
-def _translate_keywords(pairs: dict) -> dict:
-    return {_KEYWORD_TO_OPTION.get(k, k): v for k, v in pairs.items()}
+def _checked(pairs: dict) -> dict:
+    """Options keyed by dotted name, from dotted names or OptionSet field names."""
+    translated = {_OPTION_BY_FIELD.get(k, k): v for k, v in pairs.items()}
+    for name, value in translated.items():
+        _check_option(name, value)
+    return translated
 
 
 def resolve_options(
@@ -76,7 +98,7 @@ def resolve_options(
             merged[name] = value
     out = OptionSet()
     for name, value in merged.items():
-        setattr(out, _FIELD_BY_OPTION[name], value)
+        setattr(out, OPTIONS[name].field, value)
     return out
 
 
@@ -88,11 +110,9 @@ class _GlobalOptions:
         self._values: dict = {}
 
     def set(self, **pairs):
-        translated = _translate_keywords(pairs)
+        checked = _checked(pairs)
         with self._lock:
-            for name, value in translated.items():
-                _check_option(name, value)
-                self._values[name] = value
+            self._values.update(checked)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -140,6 +160,11 @@ class RuleSet:
     def resolved_options(self, call_opts: dict | None = None) -> OptionSet:
         return resolve_options(global_options.snapshot(), self.local_options, call_opts)
 
+    def with_rules(self, rules: list[Rule]) -> "RuleSet":
+        """New rule set of ``rules`` carrying a copy of this set's local options."""
+        local = dict(self.local_options) if self.local_options is not None else None
+        return RuleSet(rules, local)
+
 
 def _check_unique(names):
     seen = set()
@@ -151,9 +176,10 @@ def _check_unique(names):
 
 @dataclass
 class RuleEntry:
-    """One candidate rule before directive processing and naming."""
+    """One candidate rule, parsed by its producer, before directive processing and naming."""
 
     source: str
+    directive: dsl.Directive
     name: str | None = None
     label: str = ""
     description: str = ""
@@ -182,7 +208,7 @@ def build_ruleset(
     pending: list[tuple[RuleEntry, list[dsl.Expression]]] = []
 
     for index, entry in enumerate(entries, start=1):
-        directive = dsl.parse(entry.source)
+        directive = entry.directive
         kind = dsl.classify(directive)
         if kind == "macro":
             macros[directive.name] = dsl.substitute_macros(directive.body, macros)
@@ -243,27 +269,34 @@ def new_ruleset(
 ) -> tuple[RuleSet, list[str]]:
     """Build a rule set from (name, source) pairs."""
     return build_ruleset(
-        [RuleEntry(source, name=name, origin=origin) for name, source in entries],
+        [
+            RuleEntry(source, dsl.parse(source), name=name, origin=origin)
+            for name, source in entries
+        ],
         now=now,
     )
 
 
-def subset(rs: RuleSet, selector) -> RuleSet:
-    """New rule set with the selected rules; selector is index or name list."""
+def select(items: list, names: list[str], selector, error: type[CheckmateError]) -> list:
+    """Items picked by 1-based index or by name, in selector order."""
+    by_name = dict(zip(names, items))
     picked = []
-    by_name = {r.name: r for r in rs.rules}
     for sel in selector:
         if isinstance(sel, str):
             if sel not in by_name:
-                raise RuleSetError(f"unknown rule name {sel!r}")
+                raise error(f"unknown rule name {sel!r}")
             picked.append(by_name[sel])
         else:
-            if not 1 <= sel <= len(rs.rules):
-                raise RuleSetError(f"rule index {sel} out of range 1..{len(rs.rules)}")
-            picked.append(rs.rules[sel - 1])
-    copies = [replace(r, meta=dict(r.meta)) for r in picked]
-    local = dict(rs.local_options) if rs.local_options is not None else None
-    return RuleSet(copies, local)
+            if not 1 <= sel <= len(items):
+                raise error(f"rule index {sel} out of range 1..{len(items)}")
+            picked.append(items[sel - 1])
+    return picked
+
+
+def subset(rs: RuleSet, selector) -> RuleSet:
+    """New rule set with the selected rules; selector is index or name list."""
+    picked = select(rs.rules, rs.names(), selector, RuleSetError)
+    return rs.with_rules([replace(r, meta=dict(r.meta)) for r in picked])
 
 
 METADATA_FIELDS = ("name", "label", "description", "origin", "created")
@@ -279,12 +312,9 @@ def set_metadata(rs: RuleSet, fieldname: str, values) -> RuleSet:
         )
     if fieldname == "name":
         _check_unique(values)
-    updated = [
-        replace(r, meta=dict(r.meta), **{fieldname: v})
-        for r, v in zip(rs.rules, values)
-    ]
-    local = dict(rs.local_options) if rs.local_options is not None else None
-    return RuleSet(updated, local)
+    return rs.with_rules(
+        [replace(r, meta=dict(r.meta), **{fieldname: v}) for r, v in zip(rs.rules, values)]
+    )
 
 
 def get_metadata(rs: RuleSet, fieldname: str) -> list:
@@ -297,13 +327,7 @@ def meta_put(rs: RuleSet, key: str, values) -> RuleSet:
     values = list(values)
     if len(values) != len(rs.rules):
         raise RuleSetError(f"expected {len(rs.rules)} values, got {len(values)}")
-    updated = []
-    for r, v in zip(rs.rules, values):
-        meta = dict(r.meta)
-        meta[key] = v
-        updated.append(replace(r, meta=meta))
-    local = dict(rs.local_options) if rs.local_options is not None else None
-    return RuleSet(updated, local)
+    return rs.with_rules([replace(r, meta={**r.meta, key: v}) for r, v in zip(rs.rules, values)])
 
 
 def variables_matrix(rs: RuleSet) -> tuple[list[str], list[list[bool]]]:
@@ -330,13 +354,7 @@ def concat(a: RuleSet, b: RuleSet) -> RuleSet:
             name = name + ".1"
         taken.add(name)
         merged.append(replace(r, name=name, meta=dict(r.meta)))
-    if a.local_options is not None:
-        local = dict(a.local_options)
-    elif b.local_options is not None:
-        local = dict(b.local_options)
-    else:
-        local = None
-    return RuleSet(merged, local)
+    return (a if a.local_options is not None else b).with_rules(merged)
 
 
 def set_options(target: RuleSet | None = None, **pairs) -> RuleSet | None:
@@ -345,9 +363,6 @@ def set_options(target: RuleSet | None = None, **pairs) -> RuleSet | None:
     A rule set that receives local options snapshots the current global state,
     making it immune to later global changes.
     """
-    translated = _translate_keywords(pairs)
-    for name, value in translated.items():
-        _check_option(name, value)
     if target is None:
         global_options.set(**pairs)
         return None
@@ -357,12 +372,7 @@ def set_options(target: RuleSet | None = None, **pairs) -> RuleSet | None:
         # full snapshot of the effective global state, so later global
         # changes cannot reach this rule set
         current = resolve_options(global_options.snapshot())
-        local = {
-            "na.value": current.na_value,
-            "raise": current.raise_,
-            "lin.eq.eps": current.lin_eq_eps,
-            "lin.ineq.eps": current.lin_ineq_eps,
-        }
-    local.update(translated)
+        local = {name: getattr(current, opt.field) for name, opt in OPTIONS.items()}
+    local.update(_checked(pairs))
     target.local_options = local
     return target

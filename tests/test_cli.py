@@ -1,10 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from checkmate import cli
+import checkmate
+from checkmate import cli, frame
 from checkmate.errors import DataError
 
 from conftest import SAMPLE_DATA, SAMPLE_RULES
@@ -55,7 +58,7 @@ class TestIngestCsv:
 
     def test_emit_ingest_round_trip(self, tmp_path, retailers):
         out = io.StringIO()
-        cli.emit_csv_frame(retailers, out)
+        frame.emit_csv_frame(retailers, out)
         p = tmp_path / "copy.csv"
         p.write_text(out.getvalue())
         again = cli.ingest_csv(str(p))
@@ -194,6 +197,19 @@ class TestLintCommand:
     def test_missing_file_exit_three(self, tmp_path, capsys):
         assert cli.main(["lint", "--rules", str(tmp_path / "nope.txt")]) == 3
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("bad.txt", "x > 0\ny >\n", "bad.txt:2"),
+            ("bad.yml", "rules:\n- expr: x > 0\n- expr: x >\n", "bad.yml: rule entry 2"),
+        ],
+    )
+    def test_syntax_error_exit_two_names_location(self, tmp_path, capsys, name, text, where):
+        p = tmp_path / name
+        p.write_text(text)
+        assert cli.main(["lint", "--rules", str(p)]) == 2
+        assert where in capsys.readouterr().err
+
 
 class TestExportCommand:
     def test_yaml(self, tmp_path, capsys):
@@ -303,3 +319,35 @@ class TestUsage:
             cli.main(["check", SAMPLE_DATA, "--rules", SAMPLE_RULES, "--set", "oops"])
             == 3
         )
+
+    def test_bad_set_number(self, capsys):
+        argv = ["check", SAMPLE_DATA, "--rules", SAMPLE_RULES, "--set", "lin.eq.eps=abc"]
+        assert cli.main(argv) == 3
+        assert "error: lin.eq.eps must be a nonnegative number" in capsys.readouterr().err
+
+    def test_bad_created_timestamp_exit_three(self, tmp_path, capsys):
+        rules = tmp_path / "r.yml"
+        rules.write_text("rules:\n- expr: staff >= 0\n  created: yesterday\n")
+        assert cli.main(["check", SAMPLE_DATA, "--rules", str(rules)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "r.yml: rule entry 1" in err
+
+
+SRC = os.path.dirname(os.path.dirname(checkmate.__file__))
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestPackaging:
+    def test_module_entry_point_runs_without_warnings(self):
+        proc = _python("-W", "error::RuntimeWarning", "-m", "checkmate.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_import_leaves_cli_unloaded(self):
+        proc = _python("-c", "import sys, checkmate; print('checkmate.cli' in sys.modules)")
+        assert proc.stdout.strip() == "False", proc.stderr

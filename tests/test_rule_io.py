@@ -204,6 +204,13 @@ class TestYaml:
         with pytest.raises(RuleIOError):
             rule_io.read_rules(str(p))
 
+    def test_bad_created_names_file_and_entry(self, tmp_path):
+        p = tmp_path / "bad.yml"
+        p.write_text("rules:\n- expr: x > 0\n- expr: y > 0\n  created: yesterday\n")
+        with pytest.raises(RuleIOError) as exc:
+            rule_io.read_rules(str(p))
+        assert "bad.yml: rule entry 2" in str(exc.value)
+
     def test_yaml_syntax_error(self, tmp_path):
         p = tmp_path / "bad.yml"
         p.write_text("rules: [unclosed\n")

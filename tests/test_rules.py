@@ -3,6 +3,7 @@ from datetime import datetime
 
 import pytest
 
+from checkmate import confront, from_dict
 from checkmate import rules as rules_mod
 from checkmate.errors import OptionError, ParseError, RuleSetError
 from checkmate.rules import (
@@ -47,6 +48,15 @@ class TestNewRuleset:
         rs, _ = make([(None, "G := var_group(x,y)"), ("rng", "G >= 0")])
         assert rs.names() == ["rng.1", "rng.2"]
         assert [r.source() for r in rs.rules] == ["x >= 0", "y >= 0"]
+
+    def test_group_expansion_inside_functional_dependency(self):
+        rs, _ = make([(None, "G := var_group(a, b)"), ("fd", "G ~ z")])
+        assert rs.names() == ["fd.1", "fd.2"]
+        assert [r.source() for r in rs.rules] == ["a ~ z", "b ~ z"]
+        df = from_dict({"a": [1.0, 1.0, 2.0], "b": [1.0, 2.0, 2.0], "z": [1.0, 2.0, 3.0]})
+        v = confront(df, rs)
+        assert [o.error for o in v.outcomes] == [None, None]
+        assert [o.result for o in v.outcomes] == [[True, False, True], [True, True, False]]
 
     def test_macro_substitution_applies_to_later_rules(self):
         rs, _ = make(
@@ -225,6 +235,12 @@ class TestOptions:
     def test_invalid_value(self):
         with pytest.raises(OptionError):
             set_options(na_value="MAYBE")
+
+    @pytest.mark.parametrize("value", [1, 0, 1.0])
+    def test_na_value_numbers_are_not_logical(self, value):
+        # a number would reach the results as a cell that is neither pass nor fail
+        with pytest.raises(OptionError):
+            set_options(na_value=value)
 
     def test_unknown_option(self):
         with pytest.raises(OptionError):
