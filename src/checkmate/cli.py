@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import diffs, results, rule_io
 from .diffs import StatusTable
@@ -37,13 +39,6 @@ _SUMMARY_HEADER = ["name", "items", "passes", "fails", "nNA", "error", "warning"
 
 def _summary_dicts(v: Validation) -> list[dict]:
     return [{h: getattr(r, h) for h in _SUMMARY_HEADER} for r in results.summarize(v)]
-
-
-def _record_dicts(v: Validation) -> list[dict]:
-    return [
-        {"id": r.id, "name": r.name, "value": r.value, "expression": r.expression}
-        for r in results.to_records(v)
-    ]
 
 
 def _status_dicts(table: StatusTable) -> list[dict]:
@@ -79,18 +74,75 @@ def _write_text_table(rows: list[dict], header: list[str], out) -> None:
         out.write("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
-def emit(payload, fmt: str, out) -> None:
-    """Serialize a Validation or StatusTable as csv, json, or aligned text."""
-    if isinstance(payload, Validation):
-        summary = _summary_dicts(payload)
-        records = _record_dicts(payload)
-        if fmt == "json":
-            json.dump({"summary": summary, "records": records}, out, indent=2)
-            out.write("\n")
-        elif fmt == "csv":
-            _write_csv(records, ["id", "name", "value", "expression"], out)
+def _aligned(v: Validation, cells: list) -> bool:
+    """Whether a rule's items are the records, so each carries its key id."""
+    return v.key_values is not None and len(cells) == v.n_records
+
+
+_JSON_VALUE = {True: "true", False: "false", None: "null"}
+_CSV_VALUE = {True: "TRUE", False: "FALSE", None: "NA"}
+
+
+def _write_json(v: Validation, out) -> None:
+    """Write {"summary": ..., "records": ...} as json.dump(..., indent=2) lays it out.
+
+    The records are streamed rule by rule: a rule's name and expression and
+    each key id are encoded once, so an item costs one table lookup.
+    """
+    head = json.dumps({"summary": _summary_dicts(v)}, indent=2)
+    out.write(head[: -len("\n}")] + ',\n  "records": [')
+    ids = None
+    if v.key_values is not None:
+        ids = ['\n    {\n      "id": ' + json.dumps(k) for k in v.key_values]
+    separator = ""
+    for o in v.outcomes:
+        if not o.result:
+            continue
+        tails = {
+            cell: f',\n      "name": {json.dumps(o.name)},\n      "value": {text},'
+            f'\n      "expression": {json.dumps(o.expression)}\n    }}'
+            for cell, text in _JSON_VALUE.items()
+        }
+        if _aligned(v, o.result):
+            items = map(operator.add, ids, map(tails.__getitem__, o.result))
         else:
-            _write_text_table(summary, _SUMMARY_HEADER, out)
+            unkeyed = {cell: '\n    {\n      "id": null' + t for cell, t in tails.items()}
+            items = map(unkeyed.__getitem__, o.result)
+        out.write(separator)
+        out.write(",".join(items))
+        separator = ","
+    out.write("\n  ]\n}\n" if separator else "]\n}\n")
+
+
+def _write_csv_records(v: Validation, out) -> None:
+    """One (id, name, value, expression) row per rule item, streamed rule by rule."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "name", "value", "expression"])
+    ids = [_plain(k) for k in v.key_values] if v.key_values is not None else None
+    for o in v.outcomes:
+        if o.result is None:
+            continue
+        values = map(_CSV_VALUE.__getitem__, o.result)
+        if _aligned(v, o.result):
+            writer.writerows(zip(ids, repeat(o.name), values, repeat(o.expression)))
+        else:
+            writer.writerows(zip(repeat("NA"), repeat(o.name), values, repeat(o.expression)))
+
+
+def emit(payload, fmt: str, out) -> None:
+    """Serialize a Validation or StatusTable as csv, json, or aligned text.
+
+    For a Validation, text writes the per-rule summary only; json writes the
+    summary and every rule item, csv every rule item, both streamed rule by
+    rule.
+    """
+    if isinstance(payload, Validation):
+        if fmt == "json":
+            _write_json(payload, out)
+        elif fmt == "csv":
+            _write_csv_records(payload, out)
+        else:
+            _write_text_table(_summary_dicts(payload), _SUMMARY_HEADER, out)
         return
     if isinstance(payload, StatusTable):
         rows = _status_dicts(payload)
@@ -260,13 +312,20 @@ def _load_rules(cfg: CliConfig) -> tuple[RuleSet, list[str]]:
     return rule_io.read_rules(_locate_rules(cfg.rules))
 
 
+def _open_out(path: str, **kwargs):
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err}") from err
+
+
 @contextmanager
 def _output(cfg: CliConfig):
     """The --out file, or stdout when none is given."""
     if not cfg.out:
         yield sys.stdout
         return
-    with open(cfg.out, "w", encoding="utf-8") as fh:
+    with _open_out(cfg.out) as fh:
         yield fh
 
 
@@ -351,12 +410,12 @@ def _run(cfg: CliConfig) -> int:
             rule_io.export_yaml(rs, cfg.out)
         elif lower.endswith(".csv"):
             rows = rule_io.rules_to_table(rs)
-            with open(cfg.out, "w", newline="", encoding="utf-8") as fh:
+            with _open_out(cfg.out, newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rule_io.TABLE_COLUMNS), lineterminator="\n")
                 writer.writeheader()
                 writer.writerows(rows)
         else:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with _open_out(cfg.out) as fh:
                 for r in rs.rules:
                     if r.description:
                         for line in r.description.splitlines():
@@ -367,12 +426,10 @@ def _run(cfg: CliConfig) -> int:
     if cfg.command in ("compare", "cells"):
         if len(cfg.data) < 2:
             raise DataError(f"{cfg.command} needs at least two data files")
-        versions = _versions(cfg)
         if cfg.command == "compare":
-            rs, _ = _load_rules(cfg)
-            table = diffs.compare_validations(rs, versions, how=cfg.how)
+            table = _compare_validations(cfg)
         else:
-            table = diffs.compare_cells(versions, how=cfg.how)
+            table = diffs.compare_cells(_versions(cfg), how=cfg.how)
         with _output(cfg) as out:
             emit(table, cfg.format, out)
         return 0
@@ -384,11 +441,8 @@ def _run(cfg: CliConfig) -> int:
             v = _confront_single(cfg)
             svg = svg_bar_chart(v)
         else:
-            versions = _versions(cfg)
-            rs, _ = _load_rules(cfg)
-            table = diffs.compare_validations(rs, versions, how=cfg.how)
-            svg = svg_line_chart(table)
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+            svg = svg_line_chart(_compare_validations(cfg))
+        with _open_out(cfg.out) as fh:
             fh.write(svg + "\n")
         return 0
 
@@ -398,6 +452,12 @@ def _run(cfg: CliConfig) -> int:
 def _versions(cfg: CliConfig) -> dict:
     """The data files as dataset versions, each named after its file."""
     return {os.path.splitext(os.path.basename(p))[0]: ingest_csv(p) for p in cfg.data}
+
+
+def _compare_validations(cfg: CliConfig) -> StatusTable:
+    versions = _versions(cfg)
+    rs, _ = _load_rules(cfg)
+    return diffs.compare_validations(rs, versions, how=cfg.how, opts=cfg.options or None)
 
 
 # ---------------------------------------------------------------------------

@@ -83,15 +83,19 @@ def compare_validations(
     rs: RuleSet,
     versions: dict[str, DataFrame],
     how: str = "sequential",
+    opts: dict | None = None,
 ) -> StatusTable:
-    """Count outcome transitions per version against its reference version."""
+    """Count outcome transitions per version against its reference version.
+
+    ``opts`` are call-level confrontation options, as for ``confront``.
+    """
     if how not in ("sequential", "to_first"):
         raise DataError(f"unknown comparison mode {how!r}")
     _check_versions(versions)
     names = list(versions)
     cell_sets = []
     for name in names:
-        validation = confront(versions[name], rs)
+        validation = confront(versions[name], rs, opts=opts)
         cells = []
         for outcome in validation.outcomes:
             if outcome.error is not None:

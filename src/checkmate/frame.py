@@ -91,13 +91,24 @@ def from_dict(data: dict[str, list], types: dict[str, str] | None = None) -> Dat
 # ---------------------------------------------------------------------------
 
 _BOOL_TOKENS = {"true": True, "TRUE": True, "false": False, "FALSE": False}
+_MISSING_TOKENS = frozenset(("", "NA"))
 
 
-def _parse_number(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return None
+def _column(name: str, raw: list[str]) -> Column:
+    """Classify and convert one column of CSV text in one pass over its cells."""
+    missing = [c in _MISSING_TOKENS for c in raw]
+    if not all(missing):
+        if all(m or c in _BOOL_TOKENS for c, m in zip(raw, missing)):
+            values = [False if m else _BOOL_TOKENS[c] for c, m in zip(raw, missing)]
+            return Column(name, "boolean", values, missing)
+        try:
+            values = [0.0 if m else float(c) for c, m in zip(raw, missing)]
+        except ValueError:
+            pass
+        else:
+            return Column(name, "number", values, missing)
+    values = ["" if m else c for c, m in zip(raw, missing)]
+    return Column(name, "text", values, missing)
 
 
 def ingest_csv(path: str) -> DataFrame:
@@ -124,26 +135,7 @@ def ingest_csv(path: str) -> DataFrame:
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from err
 
-    columns = []
-    for j, name in enumerate(header):
-        raw = [row[j] for row in rows]
-        present = [c for c in raw if c not in ("", "NA")]
-        if present and all(c in _BOOL_TOKENS for c in present):
-            ctype = "boolean"
-            convert = _BOOL_TOKENS.__getitem__
-            filler = False
-        elif present and all(_parse_number(c) is not None for c in present):
-            ctype = "number"
-            convert = float
-            filler = 0.0
-        else:
-            ctype = "text"
-            convert = str
-            filler = ""
-        missing = [c in ("", "NA") for c in raw]
-        values = [filler if m else convert(c) for c, m in zip(raw, missing)]
-        columns.append(Column(name, ctype, values, missing))
-    return DataFrame(columns)
+    return DataFrame([_column(name, [row[j] for row in rows]) for j, name in enumerate(header)])
 
 
 def emit_csv_frame(df: DataFrame, out) -> None:

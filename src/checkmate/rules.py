@@ -73,8 +73,10 @@ def _check_option(name: str, value):
 
 
 def parse_option(name: str, text: str):
-    """Value of an option written as text; unknown names keep the text."""
-    return OPTIONS[name].parse(text) if name in OPTIONS else text
+    """Checked value of an option written as text; raises OptionError."""
+    value = OPTIONS[name].parse(text) if name in OPTIONS else text
+    _check_option(name, value)
+    return value
 
 
 def _checked(pairs: dict) -> dict:

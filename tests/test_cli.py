@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -5,9 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import checkmate
-from checkmate import cli, frame
+from checkmate import cli, frame, from_dict, results
+from checkmate.engine import check_that, confront
 from checkmate.errors import DataError
 
 from conftest import SAMPLE_DATA, SAMPLE_RULES
@@ -40,6 +44,25 @@ class TestIngestCsv:
         df = cli.ingest_csv(path)
         assert df.column("x").type == "text"
         assert df.column("x").values == ["1", "abc"]
+
+    def test_numbers_then_text_in_last_cell_is_text(self, tmp_path):
+        path = self.write(tmp_path, "x,y\n1,a\nNA,b\n2.5,c\nabc,d\n")
+        col = cli.ingest_csv(path).column("x")
+        assert col.type == "text"
+        assert col.values == ["1", "", "2.5", "abc"]
+        assert col.missing == [False, True, False, False]
+
+    def test_booleans_with_missing_stay_boolean(self, tmp_path):
+        path = self.write(tmp_path, "b,n\nTRUE,1\nNA,2\nfalse,3\n,4\n")
+        col = cli.ingest_csv(path).column("b")
+        assert col.type == "boolean"
+        assert col.values == [True, False, False, False]
+        assert col.missing == [False, True, False, True]
+
+    def test_all_missing_column_is_text(self, tmp_path):
+        path = self.write(tmp_path, "x,y\nNA,1\n,2\n")
+        col = cli.ingest_csv(path).column("x")
+        assert (col.type, col.values, col.missing) == ("text", ["", ""], [True, True])
 
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "a,b\n")
@@ -106,6 +129,102 @@ class TestEmit:
         lines = out.getvalue().splitlines()
         assert lines[0] == "name,items,passes,fails,nNA,error,warning,expression"
         assert lines[1].startswith("st,60,54,0,6,FALSE,FALSE,")
+
+
+def _reference_json(v):
+    """The JSON emit as one json.dumps over every record, each a dict."""
+    summary = [{h: getattr(r, h) for h in cli._SUMMARY_HEADER} for r in results.summarize(v)]
+    records = [
+        {"id": r.id, "name": r.name, "value": r.value, "expression": r.expression}
+        for r in results.to_records(v)
+    ]
+    return json.dumps({"summary": summary, "records": records}, indent=2) + "\n"
+
+
+def _reference_csv(v):
+    """The CSV emit as csv.writer over every record."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "name", "value", "expression"])
+    text = {True: "TRUE", False: "FALSE", None: "NA"}
+    for r in results.to_records(v):
+        writer.writerow(["NA" if r.id is None else r.id, r.name, text[r.value], r.expression])
+    return out.getvalue()
+
+
+def _assert_streams_match_reference(v):
+    for fmt, reference in (("json", _reference_json), ("csv", _reference_csv)):
+        out = io.StringIO()
+        cli.emit(v, fmt, out)
+        assert out.getvalue() == reference(v), fmt
+
+
+AWKWARD_KEYS = ['say "hi"', "back\\slash", "a,b", "two\nlines", "caf\u00e9 \u2603", "\t", "NA"]
+
+# record-aligned, dataset-level, aggregate and errored rules, with quotes in the expression
+MIXED_RULES = (
+    "x > 0", "nrow(.) >= 2", "mean(x, na.rm = TRUE) > 0", "y > 0", 'k %in% c("a,b", "\\\\")',
+)
+
+
+class TestStreamedEmit:
+    @pytest.fixture
+    def awkward(self):
+        return from_dict({"k": AWKWARD_KEYS, "x": [1.0, -1.0, None, 2.0, 1.0, -1.0, None]})
+
+    def test_sample_keyed_and_unkeyed(self, retailers, retailer_rules):
+        _assert_streams_match_reference(confront(retailers, retailer_rules, key="id"))
+        _assert_streams_match_reference(confront(retailers, retailer_rules))
+
+    @pytest.mark.parametrize("key", ["k", None])
+    def test_awkward_key_text_and_mixed_rules(self, awkward, key):
+        v = check_that(awkward, *MIXED_RULES, key=key)
+        assert [o.error is not None for o in v.outcomes] == [False, False, False, True, False]
+        _assert_streams_match_reference(v)
+
+    def test_dataset_rule_under_key_has_null_id(self, awkward):
+        v = check_that(awkward, "x > 0", "nrow(.) >= 2", key="k")
+        out = io.StringIO()
+        cli.emit(v, "json", out)
+        records = json.loads(out.getvalue())["records"]
+        assert [r["id"] for r in records] == AWKWARD_KEYS + [None]
+        _assert_streams_match_reference(v)
+
+    def test_numeric_key(self):
+        v = check_that(from_dict({"k": [1.0, 2.5, 30.0], "x": [1.0, None, -1.0]}), "x > 0", key="k")
+        assert v.key_values == ["1.0", "2.5", "30.0"]
+        _assert_streams_match_reference(v)
+
+    def test_every_rule_errored_gives_no_records(self):
+        v = check_that(from_dict({"x": [1.0, 2.0]}), "y > 0", "z > 0")
+        out = io.StringIO()
+        cli.emit(v, "json", out)
+        assert json.loads(out.getvalue())["records"] == []
+        _assert_streams_match_reference(v)
+
+    def test_empty_frame_gives_no_records(self):
+        _assert_streams_match_reference(check_that(from_dict({"x": []}), "x > 0"))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(
+        st.lists(st.text(max_size=6), min_size=1, max_size=6),
+        st.lists(st.sampled_from([1.0, -1.0, None]), min_size=6, max_size=6),
+    )
+    def test_random_key_text(self, keys, xs):
+        df = from_dict({"k": keys, "x": xs[: len(keys)]})
+        for key in ("k", None):
+            _assert_streams_match_reference(check_that(df, *MIXED_RULES, key=key))
+
+    def test_text_builds_no_records(self, monkeypatch, retailers, retailer_rules):
+        v = confront(retailers, retailer_rules, key="id")
+
+        def refuse(_):
+            raise AssertionError("text emit must not build records")
+
+        monkeypatch.setattr(results, "to_records", refuse)
+        out = io.StringIO()
+        cli.emit(v, "text", out)
+        assert len(out.getvalue().splitlines()) == 7
 
 
 class TestCheckCommand:
@@ -305,6 +424,70 @@ class TestPlotCommand:
         )
         assert code == 0
         assert "<polyline" in out.read_text()
+
+
+CHECK = [SAMPLE_DATA, "--rules", SAMPLE_RULES]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", *CHECK],
+        ["summary", *CHECK],
+        ["compare", SAMPLE_DATA, SAMPLE_DATA, "--rules", SAMPLE_RULES],
+        ["cells", SAMPLE_DATA, SAMPLE_DATA],
+        ["plot", *CHECK],
+        ["plot", SAMPLE_DATA, SAMPLE_DATA, "--rules", SAMPLE_RULES],
+        ["export", "--rules", SAMPLE_RULES],
+    ],
+    ids=["check", "summary", "compare", "cells", "plot", "plot-versions", "export"],
+)
+def test_out_into_missing_directory_exit_three(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    assert cli.main([*argv, "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+class TestSetOption:
+    def test_compare_honours_na_value(self, tmp_path, capsys):
+        v1 = tmp_path / "v1.csv"
+        v1.write_text("x\n1\nNA\n")
+        v2 = tmp_path / "v2.csv"
+        v2.write_text("x\n-1\nNA\n")
+        rules = tmp_path / "r.txt"
+        rules.write_text("x > 0\n")
+
+        def counts(*extra):
+            argv = ["compare", str(v1), str(v2), "--rules", str(rules), "--format", "json"]
+            assert cli.main(argv + list(extra)) == 0
+            rows = json.loads(capsys.readouterr().out)["statuses"]
+            return {r["status"]: (r["v1"], r["v2"]) for r in rows}
+
+        plain = counts()
+        forced = counts("--set", "na.value=FALSE")
+        assert plain["unverifiable"] == (1, 1) and plain["violated"] == (0, 1)
+        assert forced["unverifiable"] == (0, 0) and forced["violated"] == (1, 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint", "--rules", SAMPLE_RULES],
+            ["export", "--rules", SAMPLE_RULES, "--out", "unused.yml"],
+            ["cells", SAMPLE_DATA, SAMPLE_DATA],
+        ],
+        ids=["lint", "export", "cells"],
+    )
+    def test_invalid_value_exit_three_everywhere(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--set", "lin.eq.eps=abc"]) == 3
+        assert "error: lin.eq.eps must be a nonnegative number" in capsys.readouterr().err
+        assert not (tmp_path / "unused.yml").exists()
+
+    def test_unknown_option_exit_three(self, capsys):
+        assert cli.main(["lint", "--rules", SAMPLE_RULES, "--set", "no.such=1"]) == 3
+        assert "error: unknown option 'no.such'" in capsys.readouterr().err
 
 
 class TestUsage:
