@@ -306,10 +306,14 @@ def _locate_rules(path: str) -> str:
     raise RuleIOError(f"rules file not found: {path}")
 
 
-def _load_rules(cfg: CliConfig) -> tuple[RuleSet, list[str]]:
+def _load_rules(cfg: CliConfig) -> RuleSet:
+    """The --rules file's rule set; its warnings go to stderr."""
     if not cfg.rules:
         raise DataError("--rules is required for this command")
-    return rule_io.read_rules(_locate_rules(cfg.rules))
+    rs, warnings = rule_io.read_rules(_locate_rules(cfg.rules))
+    for w in warnings:
+        print(w, file=sys.stderr)
+    return rs
 
 
 def _open_out(path: str, **kwargs):
@@ -356,9 +360,7 @@ def _confront_single(cfg: CliConfig) -> Validation:
     if len(cfg.data) != 1:
         raise DataError(f"{cfg.command} needs exactly one data file")
     df = ingest_csv(cfg.data[0])
-    rs, warnings = _load_rules(cfg)
-    for w in warnings:
-        print(w, file=sys.stderr)
+    rs = _load_rules(cfg)
     return confront(df, rs, key=cfg.key, opts=cfg.options or None)
 
 
@@ -400,9 +402,7 @@ def _run(cfg: CliConfig) -> int:
         return 2 if warnings else 0
 
     if cfg.command == "export":
-        rs, warnings = _load_rules(cfg)
-        for w in warnings:
-            print(w, file=sys.stderr)
+        rs = _load_rules(cfg)
         if not cfg.out:
             raise DataError("export needs --out")
         lower = cfg.out.lower()
@@ -456,7 +456,7 @@ def _versions(cfg: CliConfig) -> dict:
 
 def _compare_validations(cfg: CliConfig) -> StatusTable:
     versions = _versions(cfg)
-    rs, _ = _load_rules(cfg)
+    rs = _load_rules(cfg)
     return diffs.compare_validations(rs, versions, how=cfg.how, opts=cfg.options or None)
 
 

@@ -9,7 +9,6 @@ Besides plain rules, two directives are recognized: macro definitions
 
 from __future__ import annotations
 
-import copy
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -17,22 +16,73 @@ from dataclasses import dataclass, field
 from .errors import LexError, ParseError
 
 # ---------------------------------------------------------------------------
+# Operator table: the lexer, the parser and the renderer all read it
+# ---------------------------------------------------------------------------
+
+# precedence levels, loosest to tightest
+PREC_OR = 1
+PREC_AND = 2
+PREC_NOT = 3
+PREC_CMP = 4
+PREC_ADD = 5
+PREC_MUL = 6
+PREC_NEG = 7
+PREC_POW = 8
+PREC_ATOM = 9
+
+LEFT, RIGHT, NONASSOC = "left", "right", "non-associative"
+
+COMPARISON_OPS = {"<", "<=", "==", "!=", ">=", ">", "%in%"}
+
+# binary operator -> (level, associativity)
+_BINARY_PREC = {
+    "|": (PREC_OR, LEFT),
+    "&": (PREC_AND, LEFT),
+    **{op: (PREC_CMP, NONASSOC) for op in sorted(COMPARISON_OPS)},
+    "+": (PREC_ADD, LEFT),
+    "-": (PREC_ADD, LEFT),
+    "*": (PREC_MUL, LEFT),
+    "/": (PREC_MUL, LEFT),
+    "^": (PREC_POW, RIGHT),
+}
+
+# prefix operator -> (Unary.op, level); its operand binds at least as tightly
+_PREFIX = {"!": ("!", PREC_NOT), "-": ("negate", PREC_NEG)}
+_UNARY = {op: (text, prec) for text, (op, prec) in _PREFIX.items()}
+
+# deepest expression tree a rule may have; deeper ones would exhaust the stack
+# of the recursive passes over the tree
+MAX_DEPTH = 150
+
+# ---------------------------------------------------------------------------
 # Tokens
 # ---------------------------------------------------------------------------
 
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9._]*")
-NUMBER_RE = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?")
+# the words that are not identifiers
+_WORD_KINDS = {
+    "if": "keyword", "TRUE": "boolean-literal", "FALSE": "boolean-literal", "NA": "missing-literal"
+}
 
-KEYWORDS = {"if"}
-BOOL_LITERALS = {"TRUE", "FALSE"}
-MISSING_LITERAL = "NA"
+_OPERATOR_TEXTS = sorted({*_BINARY_PREC, *_PREFIX, "~", "=", ":="}, key=lambda op: (-len(op), op))
 
-# longest first so e.g. '<=' wins over '<'
-OPERATORS = [
-    "%in%", ":=", "<=", ">=", "==", "!=", "<", ">", "!",
-    "&", "|", "+", "-", "*", "/", "^", "~", "=",
-]
-PUNCTUATION = ["(", ")", ",", "."]
+# one named group per token kind; operators longest first so '<=' wins over '<'
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in [
+            ("newline", r"\n"),
+            ("space", r"[ \t\r]+|#[^\n]*"),
+            ("number", r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"),
+            ("string", r'"[^"\\]*(?:\\.[^"\\]*)*"' + "|" + r"'[^'\\]*(?:\\.[^'\\]*)*'"),
+            ("unterminated", r"[\"']"),
+            ("word", r"[A-Za-z][A-Za-z0-9._]*"),
+            ("operator", "|".join(map(re.escape, _OPERATOR_TEXTS))),
+            ("punctuation", r"[(),.]"),
+            ("error", r"."),
+        ]
+    ),
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -46,80 +96,25 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Split rule source into tokens. ``#`` starts a comment to end of line."""
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            m = NUMBER_RE.match(source, i)
-            text = m.group(0)
-            tokens.append(Token("number", text, line, col))
-            i += len(text)
-            col += len(text)
-            continue
-        if ch in "\"'":
-            j = i + 1
-            buf = []
-            while j < n and source[j] != ch:
-                if source[j] == "\\" and j + 1 < n:
-                    buf.append(source[j : j + 2])
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", line, col)
-            text = source[i : j + 1]
-            tokens.append(Token("string", text, line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha():
-            m = IDENT_RE.match(source, i)
-            text = m.group(0)
-            if text in KEYWORDS:
-                kind = "keyword"
-            elif text in BOOL_LITERALS:
-                kind = "boolean-literal"
-            elif text == MISSING_LITERAL:
-                kind = "missing-literal"
-            else:
-                kind = "identifier"
-            tokens.append(Token(kind, text, line, col))
-            i += len(text)
-            col += len(text)
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("operator", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            if ch in PUNCTUATION:
-                tokens.append(Token("punctuation", ch, line, col))
-                i += 1
-                col += 1
-            else:
-                raise LexError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, column = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "unterminated":
+            raise LexError("unterminated string literal", line, column)
+        elif kind == "error":
+            raise LexError(f"unexpected character {text!r}", line, column)
+        elif kind != "space":
+            if kind == "word":
+                kind = _WORD_KINDS.get(text, "identifier")
+            tokens.append(Token(kind, text, line, column))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Abstract syntax tree
+# Abstract syntax tree: nodes never change after construction, so trees may
+# share subtrees
 # ---------------------------------------------------------------------------
 
 
@@ -127,88 +122,88 @@ class Expression:
     """Base class for rule-body AST nodes."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumberLit(Expression):
     value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StringLit(Expression):
     value: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoolLit(Expression):
     value: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class MissingLit(Expression):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Identifier(Expression):
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetRef(Expression):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Paren(Expression):
     """Explicit grouping; kept in the tree so rendering is reproducible."""
 
     inner: Expression
 
 
-@dataclass
+@dataclass(frozen=True)
 class Unary(Expression):
     op: str  # '!' or 'negate'
     operand: Expression
 
 
-@dataclass
+@dataclass(frozen=True)
 class Binary(Expression):
     op: str
     lhs: Expression
     rhs: Expression
 
 
-@dataclass
+@dataclass(frozen=True)
 class Call(Expression):
     fname: str
     args: list[Expression] = field(default_factory=list)
     named_args: dict[str, Expression] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Implication(Expression):
     condition: Expression
     consequent: Expression
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuncDep(Expression):
     determinant: list[str]
     dependent: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MacroDef:
     name: str
     body: Expression
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupDef:
     name: str
     members: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleExpr:
     body: Expression
 
@@ -262,60 +257,31 @@ def children(e: Expression) -> list[Expression]:
     return found
 
 
-COMPARISON_OPS = {"<", "<=", "==", "!=", ">=", ">", "%in%"}
-
-# precedence levels, loosest to tightest
-PREC_OR = 1
-PREC_AND = 2
-PREC_NOT = 3
-PREC_CMP = 4
-PREC_ADD = 5
-PREC_MUL = 6
-PREC_NEG = 7
-PREC_POW = 8
-PREC_ATOM = 9
-
-_BINARY_PREC = {
-    "|": PREC_OR,
-    "&": PREC_AND,
-    "<": PREC_CMP,
-    "<=": PREC_CMP,
-    "==": PREC_CMP,
-    "!=": PREC_CMP,
-    ">=": PREC_CMP,
-    ">": PREC_CMP,
-    "%in%": PREC_CMP,
-    "+": PREC_ADD,
-    "-": PREC_ADD,
-    "*": PREC_MUL,
-    "/": PREC_MUL,
-    "^": PREC_POW,
-}
-
-
 def node_precedence(e: Expression) -> int:
     if isinstance(e, Binary):
-        return _BINARY_PREC[e.op]
+        return _BINARY_PREC[e.op][0]
     if isinstance(e, Unary):
-        return PREC_NOT if e.op == "!" else PREC_NEG
+        return _UNARY[e.op][1]
     if isinstance(e, (Implication, FuncDep)):
         return 0
     return PREC_ATOM
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (recursive descent, precedence climbing for operators)
 # ---------------------------------------------------------------------------
+
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = [*tokens, None, None]  # peek(1) may look past the end
         self.pos = 0
+        self.depth = 1  # tree level of the sub-expression being parsed
 
     def peek(self, offset=0) -> Token | None:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -336,33 +302,54 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok.text == text
 
+    def label(self, sep: str) -> str | None:
+        """Consume ``name <sep>`` and return the name; None, consuming nothing, if not there."""
+        tok, nxt = self.peek(), self.peek(1)
+        if tok is None or tok.kind != "identifier" or nxt is None or nxt.text != sep:
+            return None
+        self.pos += 2
+        return tok.text
+
+    def nested(self, parse, *args) -> Expression:
+        """A sub-expression one level down; stops before the stack runs out."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        self.depth += 1
+        e = parse(*args)
+        self.depth -= 1
+        return e
+
+    def shallow(self, e: Expression) -> Expression:
+        """``e``, read in full, once its tree is known to be at most ``MAX_DEPTH`` levels deep."""
+        # every level of a tree takes a token of its own
+        if self.pos <= MAX_DEPTH:
+            return e
+        level = [e]
+        for _ in range(MAX_DEPTH):
+            level = [child for node in level for child in children(node)]
+            if not level:
+                return e
+        raise ParseError(_TOO_DEEP)
+
     # directive level -------------------------------------------------------
 
     def parse_directive(self) -> Directive:
-        tok = self.peek()
-        nxt = self.peek(1)
-        if (
-            tok is not None
-            and tok.kind == "identifier"
-            and nxt is not None
-            and nxt.text == ":="
-        ):
-            name = self.next().text
-            self.next()  # :=
-            body = self.parse_expression()
+        name = self.label(":=")
+        if name is None:
+            body = self.parse_expression(allow_fd=True)
             self.end_of_input()
-            if isinstance(body, Call) and body.fname == "var_group":
-                for arg in body.args:
-                    if not isinstance(arg, Identifier):
-                        raise ParseError("var_group members must be variable names")
-                if body.named_args or not body.args:
-                    raise ParseError("var_group expects one or more variable names")
-                members = [a.name for a in body.args]
-                return GroupDef(name, members)
-            return MacroDef(name, body)
-        body = self.parse_expression(allow_fd=True)
+            return RuleExpr(self.shallow(body))
+        body = self.parse_expression()
         self.end_of_input()
-        return RuleExpr(body)
+        if isinstance(body, Call) and body.fname == "var_group":
+            for arg in body.args:
+                if not isinstance(arg, Identifier):
+                    raise ParseError("var_group members must be variable names")
+            if body.named_args or not body.args:
+                raise ParseError("var_group expects one or more variable names")
+            members = [a.name for a in body.args]
+            return GroupDef(name, members)
+        return MacroDef(name, self.shallow(body))
 
     def end_of_input(self):
         tok = self.peek()
@@ -376,14 +363,14 @@ class _Parser:
         if tok is not None and tok.kind == "keyword" and tok.text == "if":
             self.next()
             self.expect("(")
-            cond = self.parse_expression()
+            cond = self.nested(self.parse_expression)
             self.expect(")")
-            consequent = self.parse_expression()
+            consequent = self.nested(self.parse_expression)
             return Implication(cond, consequent)
-        e = self.parse_or()
+        e = self.parse_binary(PREC_OR)
         if allow_fd and self.at("~"):
             self.next()
-            rhs = self.parse_or()
+            rhs = self.parse_binary(PREC_OR)
             return FuncDep(self._identifier_sum(e), self._identifier_sum(rhs))
         return e
 
@@ -395,67 +382,29 @@ class _Parser:
             return self._identifier_sum(e.lhs) + self._identifier_sum(e.rhs)
         raise ParseError("functional dependency sides must be sums of variable names")
 
-    def parse_or(self) -> Expression:
-        e = self.parse_and()
-        while self.at("|"):
-            self.next()
-            e = Binary("|", e, self.parse_and())
-        return e
-
-    def parse_and(self) -> Expression:
-        e = self.parse_not()
-        while self.at("&"):
-            self.next()
-            e = Binary("&", e, self.parse_not())
-        return e
-
-    def parse_not(self) -> Expression:
-        if self.at("!"):
-            self.next()
-            return Unary("!", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expression:
-        e = self.parse_additive()
+    def parse_binary(self, min_prec: int) -> Expression:
+        """An operand followed by the operators that bind at least as tightly as ``min_prec``."""
         tok = self.peek()
-        if tok is not None and tok.text in COMPARISON_OPS:
-            op = self.next().text
-            rhs = self.parse_additive()
+        prefix = _PREFIX.get(tok.text) if tok is not None else None
+        if prefix is not None and prefix[1] >= min_prec:
+            self.next()
+            e = Unary(prefix[0], self.nested(self.parse_binary, prefix[1]))
+        else:
+            e = self.parse_atom()
+        while (tok := self.peek()) is not None and tok.text in _BINARY_PREC:
+            prec, assoc = _BINARY_PREC[tok.text]
+            if prec < min_prec:
+                break
+            self.next()
+            # the right operand of '^' may be negated: 2^-1
+            rhs = self.nested(self.parse_binary, PREC_NEG if assoc == RIGHT else prec + 1)
+            e = Binary(tok.text, e, rhs)
             again = self.peek()
-            if again is not None and again.text in COMPARISON_OPS:
+            if assoc == NONASSOC and again is not None and again.text in COMPARISON_OPS:
                 raise ParseError(
                     "comparison operators are non-associative", again.line, again.column
                 )
-            return Binary(op, e, rhs)
         return e
-
-    def parse_additive(self) -> Expression:
-        e = self.parse_multiplicative()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            e = Binary(op, e, self.parse_multiplicative())
-        return e
-
-    def parse_multiplicative(self) -> Expression:
-        e = self.parse_unary_minus()
-        while self.at("*") or self.at("/"):
-            op = self.next().text
-            e = Binary(op, e, self.parse_unary_minus())
-        return e
-
-    def parse_unary_minus(self) -> Expression:
-        if self.at("-"):
-            self.next()
-            return Unary("negate", self.parse_unary_minus())
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        if self.at("^"):
-            self.next()
-            # right-associative
-            return Binary("^", base, self.parse_unary_minus())
-        return base
 
     def parse_atom(self) -> Expression:
         tok = self.peek()
@@ -479,7 +428,7 @@ class _Parser:
             return DatasetRef()
         if tok.text == "(":
             self.next()
-            inner = self.parse_expression()
+            inner = self.nested(self.parse_expression)
             self.expect(")")
             return inner if isinstance(inner, Paren) else Paren(inner)
         if tok.kind == "identifier":
@@ -495,21 +444,13 @@ class _Parser:
         named: dict[str, Expression] = {}
         if not self.at(")"):
             while True:
-                tok = self.peek()
-                nxt = self.peek(1)
-                if (
-                    tok is not None
-                    and tok.kind == "identifier"
-                    and nxt is not None
-                    and nxt.text == "="
-                ):
-                    name = self.next().text
-                    self.next()  # =
-                    if name in named:
-                        raise ParseError(f"duplicate named argument {name!r}")
-                    named[name] = self.parse_expression()
+                name = self.label("=")
+                if name is None:
+                    args.append(self.nested(self.parse_expression))
+                elif name in named:
+                    raise ParseError(f"duplicate named argument {name!r}")
                 else:
-                    args.append(self.parse_expression())
+                    named[name] = self.nested(self.parse_expression)
                 if self.at(","):
                     self.next()
                     continue
@@ -519,7 +460,11 @@ class _Parser:
 
 
 def parse(source: str) -> Directive:
-    """Parse a single rule or directive."""
+    """Parse a single rule or directive.
+
+    A rule or macro body nested deeper than ``MAX_DEPTH`` levels (each operand,
+    argument, ``if`` part and parenthesis pair is one level) is a ``ParseError``.
+    """
     tokens = tokenize(source)
     if not tokens:
         raise ParseError("empty rule")
@@ -579,7 +524,7 @@ def substitute_macros(e: Expression, macros: dict[str, Expression]) -> Expressio
 
     def walk(node: Expression, parent_prec: int) -> Expression:
         if type(node) is Identifier and node.name in macros:
-            body = copy.deepcopy(macros[node.name])
+            body = macros[node.name]
             if isinstance(body, (Binary, Implication)) and parent_prec >= node_precedence(body):
                 return Paren(body)
             return body
@@ -708,51 +653,50 @@ def render_number(value: float) -> str:
     return repr(value)
 
 
+def _operand(child: Expression, parent_prec: int, tighter: bool) -> str:
+    """Text of an operand, in parentheses when its operator binds too loosely."""
+    cp = node_precedence(child)
+    if cp < parent_prec or (tighter and cp == parent_prec):
+        return "(" + render(child) + ")"
+    return render(child)
+
+
+def _render_binary(e: Binary) -> str:
+    prec, assoc = _BINARY_PREC[e.op]
+    # an operand at the operator's own level needs parentheses on the side the
+    # operator does not associate towards
+    left = _operand(e.lhs, prec, tighter=assoc != LEFT)
+    right = _operand(e.rhs, prec, tighter=assoc != RIGHT)
+    sep = "" if e.op in _TIGHT_OPS else " "
+    return f"{left}{sep}{e.op}{sep}{right}"
+
+
+def _render_call(e: Call) -> str:
+    parts = [render(a) for a in e.args]
+    parts += [f"{k} = {render(v)}" for k, v in e.named_args.items()]
+    return f"{e.fname}({', '.join(parts)})"
+
+
+# node type -> its canonical text
+_RENDER = {
+    NumberLit: lambda e: render_number(e.value),
+    StringLit: lambda e: '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"',
+    BoolLit: lambda e: "TRUE" if e.value else "FALSE",
+    MissingLit: lambda e: "NA",
+    Identifier: lambda e: e.name,
+    DatasetRef: lambda e: ".",
+    Paren: lambda e: "(" + render(e.inner) + ")",
+    Unary: lambda e: _UNARY[e.op][0] + _operand(e.operand, _UNARY[e.op][1], tighter=False),
+    Binary: _render_binary,
+    Call: _render_call,
+    Implication: lambda e: f"if ({render(e.condition)}) {render(e.consequent)}",
+    FuncDep: lambda e: " + ".join(e.determinant) + " ~ " + " + ".join(e.dependent),
+}
+
+
 def render(e: Expression) -> str:
     """Deterministic canonical text of an expression."""
-    if isinstance(e, NumberLit):
-        return render_number(e.value)
-    if isinstance(e, StringLit):
-        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(e, BoolLit):
-        return "TRUE" if e.value else "FALSE"
-    if isinstance(e, MissingLit):
-        return "NA"
-    if isinstance(e, Identifier):
-        return e.name
-    if isinstance(e, DatasetRef):
-        return "."
-    if isinstance(e, Paren):
-        return "(" + render(e.inner) + ")"
-    if isinstance(e, Unary):
-        operand = render(_child(e.operand, node_precedence(e), tighter=False))
-        return ("!" if e.op == "!" else "-") + operand
-    if isinstance(e, Binary):
-        p = node_precedence(e)
-        # comparisons do not chain, so an equal-level left operand needs parentheses too
-        left = render(_child(e.lhs, p, tighter=e.op in COMPARISON_OPS))
-        right = render(_child(e.rhs, p, tighter=e.op != "^"))
-        sep = "" if e.op in _TIGHT_OPS else " "
-        return f"{left}{sep}{e.op}{sep}{right}"
-    if isinstance(e, Call):
-        parts = [render(a) for a in e.args]
-        parts += [f"{k} = {render(v)}" for k, v in e.named_args.items()]
-        return f"{e.fname}({', '.join(parts)})"
-    if isinstance(e, Implication):
-        return f"if ({render(e.condition)}) {render(e.consequent)}"
-    if isinstance(e, FuncDep):
-        return " + ".join(e.determinant) + " ~ " + " + ".join(e.dependent)
-    raise TypeError(f"cannot render {type(e).__name__}")
-
-
-def _child(child: Expression, parent_prec: int, tighter: bool) -> Expression:
-    """Wrap a child in parentheses when its operator binds too loosely."""
-    cp = node_precedence(child)
-    needs = cp < parent_prec or (tighter and cp == parent_prec)
-    # left operand of a left-associative chain never needs parens at equal level
-    if needs and not isinstance(child, Paren):
-        return Paren(child)
-    return child
+    return _RENDER[type(e)](e)
 
 
 def render_directive(d: Directive) -> str:

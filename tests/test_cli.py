@@ -330,6 +330,30 @@ class TestLintCommand:
         assert where in capsys.readouterr().err
 
 
+class TestRuleTextErrors:
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("café > 0", "unexpected character 'é' (line 1, column 4)"),
+            ("x > ²", "unexpected character '²' (line 1, column 5)"),
+            ("(" * 2000 + "x" + ")" * 2000 + " > 0", "expression nested deeper than 150 levels"),
+            ("!" * 2000 + "x", "expression nested deeper than 150 levels"),
+            ("-" * 2000 + "x > 0", "expression nested deeper than 150 levels"),
+            (" + ".join(["x"] * 3000) + " > 0", "expression nested deeper than 150 levels"),
+        ],
+        ids=["letter", "superscript", "parentheses", "not", "negate", "sum"],
+    )
+    def test_check_exits_three_and_lint_two(self, tmp_path, capsys, rule, message):
+        data = tmp_path / "d.csv"
+        data.write_text("x\n1\n")
+        rules = tmp_path / "r.txt"
+        rules.write_text(rule + "\n", encoding="utf-8")
+        assert cli.main(["check", str(data), "--rules", str(rules)]) == 3
+        assert capsys.readouterr().err == f"error: {rules}:1: {message}\n"
+        assert cli.main(["lint", "--rules", str(rules)]) == 2
+        assert capsys.readouterr().err == f"error: {rules}:1: {message}\n"
+
+
 class TestExportCommand:
     def test_yaml(self, tmp_path, capsys):
         out = tmp_path / "rules.yml"
@@ -397,6 +421,22 @@ class TestCompareCommands:
     def test_compare_needs_two_files(self, two_versions, capsys):
         v1, _, rules = two_versions
         assert cli.main(["compare", v1, "--rules", rules]) == 3
+
+    @pytest.mark.parametrize(
+        "command, versions",
+        [("compare", 2), ("plot", 2), ("plot", 1), ("check", 1), ("summary", 1), ("export", 0)],
+    )
+    def test_rule_file_warnings_reach_stderr(
+        self, two_versions, tmp_path, capsys, command, versions
+    ):
+        *data, rules = two_versions
+        with open(rules, "a") as fh:
+            fh.write("bad: x + 1\n")
+        out = str(tmp_path / "out.txt")
+        cli.main([command, *data[:versions], "--rules", rules, "--out", out])
+        err = capsys.readouterr().err
+        assert "Invalid syntax detected" in err
+        assert "[002] x + 1" in err
 
 
 class TestPlotCommand:

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from checkmate import dsl, from_dict
-from checkmate.engine import eval_expr
+from checkmate.engine import check_that, eval_expr
 from checkmate.errors import LexError, ParseError
 
 
@@ -11,6 +12,10 @@ def body(source):
     d = dsl.parse(source)
     assert isinstance(d, dsl.RuleExpr)
     return d.body
+
+
+a, b, c, x, y = (dsl.Identifier(name) for name in "abcxy")
+B, U, N = dsl.Binary, dsl.Unary, dsl.NumberLit
 
 
 class TestTokenize:
@@ -38,6 +43,15 @@ class TestTokenize:
     def test_positions_are_one_based(self):
         tok = dsl.tokenize("x")[0]
         assert tok.line == 1 and tok.column == 1
+
+    @pytest.mark.parametrize("source, char, column", [("café > 0", "é", 4), ("x > ²", "²", 5)])
+    def test_non_ascii_character_is_a_lex_error(self, source, char, column):
+        with pytest.raises(LexError) as exc:
+            dsl.parse(source)
+        assert str(exc.value) == f"unexpected character {char!r} (line 1, column {column})"
+
+    def test_unicode_decimal_digit_is_a_number(self):
+        assert body("x > ٣").rhs == N(3.0)
 
 
 class TestParse:
@@ -91,6 +105,89 @@ class TestParse:
         e = body("nrow(.) >= 100")
         assert isinstance(e.lhs.args[0], dsl.DatasetRef)
 
+    @pytest.mark.parametrize(
+        "source, tree",
+        [
+            ("-a^b", U("negate", B("^", a, b))),
+            ("a^-b^c", B("^", a, U("negate", B("^", b, c)))),
+            ("2^3^2", B("^", N(2.0), B("^", N(3.0), N(2.0)))),
+            ("!a == b", U("!", B("==", a, b))),
+            ("!!a", U("!", U("!", a))),
+            ("- -a", U("negate", U("negate", a))),
+            ("a - b - c", B("-", B("-", a, b), c)),
+            ("a / b * c", B("*", B("/", a, b), c)),
+            ("a & b | c", B("|", B("&", a, b), c)),
+            ("x %in% c(1) & y", B("&", B("%in%", x, dsl.Call("c", [N(1.0)])), y)),
+            ("if (a) b | c", dsl.Implication(a, B("|", b, c))),
+            ("f(if (a) b)", dsl.Call("f", [dsl.Implication(a, b)])),
+        ],
+    )
+    def test_precedence_and_associativity(self, source, tree):
+        assert body(source) == tree
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("a < b < c", "comparison operators are non-associative (line 1, column 7)"),
+            ("a == !b", "unexpected '!' (line 1, column 6)"),
+            ("a ^ !b", "unexpected '!' (line 1, column 5)"),
+        ],
+    )
+    def test_operator_error_text(self, source, message):
+        with pytest.raises(ParseError) as exc:
+            dsl.parse(source)
+        assert str(exc.value) == message
+
+
+# rule text ``n`` levels deep in each shape that nests; ``v`` is a macro
+DEEP_SHAPES = {
+    "parentheses": lambda n: "v > " + "(" * (n - 2) + "0" + ")" * (n - 2),
+    "calls": lambda n: "abs(" * (n - 2) + "v" + ")" * (n - 2) + " > 0",
+    "sum": lambda n: " + ".join(["v"] * (n - 1)) + " > 0",
+    "not": lambda n: "!" * (n - 3) + "(v > 0)",
+    "if": lambda n: "if (v > 0) " * (n - 2) + "v > 0",
+}
+
+TOO_DEEP = "expression nested deeper than 150 levels"
+
+
+def _frames_down(count, fn):
+    """``fn()``, called ``count`` stack frames below this one."""
+    return fn() if count == 0 else _frames_down(count - 1, fn)
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_deepest_rule_confronts(self, shape):
+        df = from_dict({"x": [1.0, -1.0, None]})
+        rule = DEEP_SHAPES[shape](dsl.MAX_DEPTH)
+        # headroom for a caller that is itself deep in the stack
+        v = _frames_down(100, lambda: check_that(df, "v := x", rule))
+        assert [o.error for o in v.outcomes] == [None]
+        assert v.outcomes[0].result[2] is None
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_one_level_deeper_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError) as exc:
+            dsl.parse(DEEP_SHAPES[shape](dsl.MAX_DEPTH + 1))
+        assert str(exc.value) == TOO_DEEP
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * 2000 + "x" + ")" * 2000,
+            "!" * 2000 + "x",
+            "-" * 2000 + "x > 0",
+            " + ".join(["x"] * 3000) + " > 0",
+            "m := " + " + ".join(["x"] * 3000),
+        ],
+        ids=["parentheses", "not", "negate", "sum", "macro"],
+    )
+    def test_overflow_is_a_parse_error(self, source):
+        with pytest.raises(ParseError) as exc:
+            dsl.parse(source)
+        assert str(exc.value) == TOO_DEEP
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -139,6 +236,13 @@ class TestMacros:
         macros = {"m": body("a + b")}
         e = dsl.substitute_macros(body("m > c"), macros)
         assert dsl.variables(e) == ["a", "b", "c"]
+
+    def test_body_is_shared_and_frozen(self):
+        macros = {"m": body("a + b")}
+        e = dsl.substitute_macros(body("m > c"), macros)
+        assert e.lhs is macros["m"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            macros["m"].op = "-"
 
 
 class TestGroups:
@@ -298,6 +402,12 @@ class TestRender:
         once = dsl.render_directive(dsl.parse(source))
         twice = dsl.render_directive(dsl.parse(once))
         assert once == twice
+
+    def test_left_nested_power_keeps_parentheses(self):
+        e = B("^", B("^", N(2.0), N(3.0)), N(2.0))
+        assert dsl.render(e) == "(2^3)^2"
+        df = from_dict({"x": [0.0]})
+        assert eval_expr(dsl.parse_expression(dsl.render(e)), df).cells == [64.0]
 
     def test_scientific_threshold(self):
         assert dsl.render(dsl.NumberLit(1e-8)) == "1e-08"

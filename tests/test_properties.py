@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from checkmate import dsl, from_dict
@@ -61,6 +61,18 @@ rule_bodies = st.one_of(
 def test_render_parse_render_is_stable(e):
     text = dsl.render(e)
     assert dsl.render(dsl.parse(text).body) == text
+
+
+def _without_parens(e):
+    return _without_parens(e.inner) if type(e) is dsl.Paren else dsl.rebuild(e, _without_parens)
+
+
+@PINNED
+@given(rule_bodies)
+# a left-nested power, which must keep its parentheses: (a^b)^c
+@example(dsl.Binary("^", dsl.Binary("^", *map(dsl.Identifier, "ab")), dsl.Identifier("c")))
+def test_parse_inverts_render(e):
+    assert _without_parens(dsl.parse(dsl.render(e)).body) == _without_parens(e)
 
 
 @PINNED
