@@ -20,7 +20,7 @@ from itertools import repeat
 from . import diffs, results, rule_io
 from .diffs import StatusTable
 from .engine import Validation, confront
-from .errors import CheckmateError, CycleError, DataError, RuleIOError, RuleSetError
+from .errors import CheckmateError, DataError, ParseError, RuleIOError, RuleSetError
 from .frame import ingest_csv
 from .rules import RuleSet, parse_option
 
@@ -393,7 +393,7 @@ def _run(cfg: CliConfig) -> int:
         path = _locate_rules(cfg.rules)
         try:
             rs, warnings = rule_io.read_rules(path)
-        except (CycleError, RuleIOError, RuleSetError) as err:
+        except (ParseError, RuleIOError, RuleSetError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
         for w in warnings:

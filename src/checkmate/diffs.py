@@ -9,7 +9,9 @@ the first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import ne
 
 from .engine import confront
 from .errors import DataError
@@ -55,7 +57,9 @@ class StatusTable:
         return {s: self.counts[s][i] for s in self.statuses}
 
 
-def _check_versions(versions: dict[str, DataFrame]):
+def _check_versions(versions: dict[str, DataFrame], how: str):
+    if how not in ("sequential", "to_first"):
+        raise DataError(f"unknown comparison mode {how!r}")
     if not versions:
         raise DataError("at least one dataset version is required")
     frames = list(versions.values())
@@ -65,18 +69,12 @@ def _check_versions(versions: dict[str, DataFrame]):
             raise DataError("dataset versions differ in shape or column names")
 
 
-def _reference_index(i: int, how: str) -> int:
-    if i == 0:
-        return 0
-    return i - 1 if how == "sequential" else 0
+def _table(statuses: tuple[str, ...], names: list[str], tallies: list[dict], how: str):
+    """The status table of one tally (status -> count) per version."""
+    return StatusTable(statuses, names, {s: [t[s] for t in tallies] for s in statuses}, how)
 
 
-def _status(cell) -> str:
-    if cell is True:
-        return "satisfied"
-    if cell is False:
-        return "violated"
-    return "unverifiable"
+_OUTCOME_STATUS = {True: "satisfied", False: "violated"}
 
 
 def compare_validations(
@@ -89,73 +87,65 @@ def compare_validations(
 
     ``opts`` are call-level confrontation options, as for ``confront``.
     """
-    if how not in ("sequential", "to_first"):
-        raise DataError(f"unknown comparison mode {how!r}")
-    _check_versions(versions)
+    _check_versions(versions, how)
     names = list(versions)
-    cell_sets = []
+    results = []
     for name in names:
         validation = confront(versions[name], rs, opts=opts)
-        cells = []
         for outcome in validation.outcomes:
             if outcome.error is not None:
                 raise DataError(
                     f"rule {outcome.name!r} errored on version {name!r}: {outcome.error}"
                 )
-            cells.extend(outcome.result)
-        cell_sets.append(cells)
-    lengths = {len(c) for c in cell_sets}
-    if len(lengths) > 1:
+        results.append([outcome.result for outcome in validation.outcomes])
+    if len({tuple(map(len, r)) for r in results}) > 1:
         raise DataError("versions produced differing result counts")
 
-    counts = {s: [] for s in VALIDATION_STATUSES}
-    for i, cells in enumerate(cell_sets):
-        ref = cell_sets[_reference_index(i, how)]
-        tally = {s: 0 for s in VALIDATION_STATUSES}
-        for cur, prev in zip(cells, ref):
-            status = _status(cur)
-            tally["validations"] += 1
-            tally[status] += 1
-            if status != "unverifiable":
-                tally["verifiable"] += 1
-            same = status == _status(prev)
-            tally[("still_" if same else "new_") + status] += 1
-        for s in VALIDATION_STATUSES:
-            counts[s].append(tally[s])
-    return StatusTable(VALIDATION_STATUSES, names, counts, how)
+    tallies = []
+    for i, cur in enumerate(results):
+        ref = results[max(i - 1, 0) if how == "sequential" else 0]
+        pairs = Counter()  # (current, reference) outcome pair -> cells; at most 9 pairs
+        for cells, ref_cells in zip(cur, ref):
+            pairs.update(zip(cells, ref_cells))
+        tally = dict.fromkeys(VALIDATION_STATUSES, 0)
+        for (now, before), n in pairs.items():
+            status = _OUTCOME_STATUS.get(now, "unverifiable")
+            tally[status] += n
+            same = status == _OUTCOME_STATUS.get(before, "unverifiable")
+            tally[("still_" if same else "new_") + status] += n
+        tally["verifiable"] = tally["satisfied"] + tally["violated"]
+        tally["validations"] = tally["verifiable"] + tally["unverifiable"]
+        tallies.append(tally)
+    return _table(VALIDATION_STATUSES, names, tallies, how)
 
 
 def compare_cells(versions: dict[str, DataFrame], how: str = "sequential") -> StatusTable:
     """Classify every data cell against its counterpart in the reference version."""
-    if how not in ("sequential", "to_first"):
-        raise DataError(f"unknown comparison mode {how!r}")
-    _check_versions(versions)
+    _check_versions(versions, how)
     names = list(versions)
-    frames = [versions[n] for n in names]
-
-    counts = {s: [] for s in CELL_STATUSES}
+    frames = list(versions.values())
+    tallies = []
     for i, frame in enumerate(frames):
-        ref = frames[_reference_index(i, how)]
-        tally = {s: 0 for s in CELL_STATUSES}
+        ref = frames[max(i - 1, 0) if how == "sequential" else 0]
+        # (missing, missing in reference, value differs) -> number of cells
+        kinds = Counter()
         for col in frame.columns:
             ref_col = ref.column(col.name)
-            for row in range(frame.n):
-                tally["cells"] += 1
-                cur = None if col.missing[row] else col.values[row]
-                prev = None if ref_col.missing[row] else ref_col.values[row]
-                if cur is None:
-                    tally["missing"] += 1
-                    tally["still_missing" if prev is None else "removed"] += 1
-                else:
-                    tally["available"] += 1
-                    if prev is None:
-                        tally["imputed"] += 1
-                    else:
-                        tally["still_available"] += 1
-                        tally["unadapted" if cur == prev else "adapted"] += 1
-        for s in CELL_STATUSES:
-            counts[s].append(tally[s])
-    return StatusTable(CELL_STATUSES, names, counts, how)
+            kinds.update(zip(col.missing, ref_col.missing, map(ne, col.values, ref_col.values)))
+        tally = dict.fromkeys(CELL_STATUSES, 0)
+        for (missing, ref_missing, changed), n in kinds.items():
+            if missing:
+                tally["missing"] += n
+                tally["still_missing" if ref_missing else "removed"] += n
+            elif ref_missing:
+                tally["imputed"] += n
+            else:
+                tally["adapted" if changed else "unadapted"] += n
+        tally["still_available"] = tally["unadapted"] + tally["adapted"]
+        tally["available"] = tally["still_available"] + tally["imputed"]
+        tally["cells"] = tally["available"] + tally["missing"]
+        tallies.append(tally)
+    return _table(CELL_STATUSES, names, tallies, how)
 
 
 def chart_data(table: StatusTable) -> list[tuple[str, str, int]]:

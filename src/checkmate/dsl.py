@@ -257,6 +257,15 @@ def children(e: Expression) -> list[Expression]:
     return found
 
 
+def depth(e: Expression) -> int:
+    """Levels in the tree of ``e``, counted no further than ``MAX_DEPTH + 1``."""
+    level, levels = [e], 0
+    while level and levels <= MAX_DEPTH:
+        levels += 1
+        level = [child for node in level for child in children(node)]
+    return levels
+
+
 def node_precedence(e: Expression) -> int:
     if isinstance(e, Binary):
         return _BINARY_PREC[e.op][0]
@@ -322,14 +331,9 @@ class _Parser:
     def shallow(self, e: Expression) -> Expression:
         """``e``, read in full, once its tree is known to be at most ``MAX_DEPTH`` levels deep."""
         # every level of a tree takes a token of its own
-        if self.pos <= MAX_DEPTH:
-            return e
-        level = [e]
-        for _ in range(MAX_DEPTH):
-            level = [child for node in level for child in children(node)]
-            if not level:
-                return e
-        raise ParseError(_TOO_DEEP)
+        if self.pos > MAX_DEPTH and depth(e) > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        return e
 
     # directive level -------------------------------------------------------
 
@@ -492,7 +496,7 @@ def classify(d: Directive) -> str:
         return "macro"
     if isinstance(d, GroupDef):
         return "group"
-    body = d.body
+    body = d.body.inner if isinstance(d.body, Paren) else d.body
     if isinstance(body, (Implication, FuncDep)):
         return "validating"
     if isinstance(body, Unary) and body.op == "!":
@@ -517,23 +521,26 @@ def substitute_macros(e: Expression, macros: dict[str, Expression]) -> Expressio
     """Replace identifiers that name a macro by the macro body.
 
     Bodies are inserted once, without re-scanning; a binary body is wrapped in
-    parentheses when the surrounding operator binds at least as tightly.
+    parentheses when the surrounding operator binds at least as tightly. A
+    result nested deeper than ``MAX_DEPTH`` levels is a ``ParseError``, raised
+    before that tree is built.
     """
     if not macros:
         return e
 
-    def walk(node: Expression, parent_prec: int) -> Expression:
+    def walk(node: Expression, parent_prec: int, level: int) -> Expression:
         if type(node) is Identifier and node.name in macros:
             body = macros[node.name]
-            if isinstance(body, (Binary, Implication)) and parent_prec >= node_precedence(body):
-                return Paren(body)
-            return body
+            wrap = isinstance(body, (Binary, Implication)) and parent_prec >= node_precedence(body)
+            if level + wrap + depth(body) - 1 > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP)
+            return Paren(body) if wrap else body
         # only operators pass their binding strength down; any other parent
         # (parentheses, call arguments, if) already delimits its children
         p = node_precedence(node) if type(node) in (Unary, Binary) else 0
-        return rebuild(node, lambda child: walk(child, p))
+        return rebuild(node, lambda child: walk(child, p, level + 1))
 
-    return walk(e, 0)
+    return walk(e, 0, 1)
 
 
 def expand_groups(e: Expression, groups: dict[str, list[str]]) -> list[Expression]:

@@ -7,9 +7,12 @@ comparisons propagate missing values.
 
 from __future__ import annotations
 
+import math
+import operator
 import re as _re
 import statistics
 import warnings as _warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -73,21 +76,33 @@ def kleene_not(a):
 # ---------------------------------------------------------------------------
 
 _CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
 }
 
 _ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "^": lambda a, b: a**b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
 }
+
+
+def _as_r(op, a, b):
+    """``op(a, b)`` where Python raises, as R has it: ±inf, NaN, or NA for 0/0."""
+    try:
+        return op(a, b)
+    except ZeroDivisionError:
+        return math.inf if a > 0 else -math.inf if a < 0 else None
+    except OverflowError:  # only ^ overflows; a negative base needs an integer power
+        if a < 0 and b % 1:
+            return math.nan
+        return -math.inf if a < 0 and b % 2 == 1 else math.inf
 
 
 class Evaluator:
@@ -189,15 +204,14 @@ class Evaluator:
             self._require(rhs, "number", e.op)
             op = _ARITH[e.op]
             la, lb = self._broadcast(lhs, rhs)
-            out = []
-            for a, b in zip(la, lb):
-                if a is None or b is None:
-                    out.append(None)
-                else:
-                    try:
-                        out.append(op(a, b))
-                    except ZeroDivisionError:
-                        out.append(float("inf") if a > 0 else float("-inf") if a < 0 else None)
+            try:
+                out = [None if a is None or b is None else op(a, b) for a, b in zip(la, lb)]
+            except (ZeroDivisionError, OverflowError):
+                out = [None if a is None or b is None else _as_r(op, a, b) for a, b in zip(la, lb)]
+            nan = any(map(operator.ne, out, out))  # NaN is the one float unequal to itself
+            if nan or (op is operator.pow and complex in map(type, out)):  # complex only from ^
+                _warnings.warn("NaNs produced", RuntimeWarning)
+                out = [None if c != c or type(c) is complex else c for c in out]
             return _number(out)
         raise EvalError(f"unknown operator {e.op!r}")
 
@@ -324,7 +338,10 @@ class Evaluator:
         if pattern.kind != "text" or len(pattern) != 1 or pattern.cells[0] is None:
             raise EvalError("grepl expects a pattern string as first argument")
         self._require(v, "text", "grepl")
-        rx = _re.compile(pattern.cells[0])
+        try:
+            rx = _re.compile(pattern.cells[0])
+        except _re.error as err:
+            raise EvalError(f"grepl: invalid pattern {pattern.cells[0]!r}: {err}") from err
         return _logical(
             [None if c is None else rx.search(c) is not None for c in v.cells]
         )
@@ -344,22 +361,15 @@ class Evaluator:
             if len(cells) != n:
                 raise EvalError(f"cannot combine vectors of lengths {len(cells)} and {n}")
             cols.append(cells)
-        return [tuple(col[i] for col in cols) for i in range(n)]
+        return list(zip(*cols))
 
     def _fn_duplicated(self, e):
-        rows = self._key_rows(e)
-        seen = set()
-        out = []
-        for row in rows:
-            out.append(row in seen)
-            seen.add(row)
-        return _logical(out)
+        first: dict[tuple, int] = {}  # row -> index of its first occurrence
+        return _logical([first.setdefault(row, i) != i for i, row in enumerate(self._key_rows(e))])
 
     def _fn_is_unique(self, e):
         rows = self._key_rows(e)
-        counts = {}
-        for row in rows:
-            counts[row] = counts.get(row, 0) + 1
+        counts = Counter(rows)
         return _logical([counts[row] == 1 for row in rows])
 
     def _fn_all_unique(self, e):
@@ -368,7 +378,7 @@ class Evaluator:
 
     def _fn_is_complete(self, e):
         rows = self._key_rows(e)
-        return _logical([all(c is not None for c in row) for row in rows])
+        return _logical([None not in row for row in rows])
 
     def _fn_all_complete(self, e):
         cells = self._fn_is_complete(e).cells
@@ -453,22 +463,13 @@ def eval_fd(fd: dsl.FuncDep, df: DataFrame) -> list:
             raise EvalError(f"object {name!r} not found")
     det = [df.column(name).cells() for name in fd.determinant]
     dep = [df.column(name).cells() for name in fd.dependent]
+    combos = list(zip(*dep))
     reference: dict[tuple, tuple] = {}
-    out = []
-    for i in range(df.n):
-        key = tuple(col[i] for col in det)
-        combo = tuple(col[i] for col in dep)
-        if key not in reference:
-            reference[key] = combo
-        if any(c is None for c in combo):
-            out.append(None)
-        else:
-            ref_combo = reference[key]
-            if any(c is None for c in ref_combo):
-                out.append(None)
-            else:
-                out.append(combo == ref_combo)
-    return out
+    refs = map(reference.setdefault, zip(*det), combos)
+    return [
+        None if None in combo or None in ref else combo == ref
+        for combo, ref in zip(combos, refs)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,14 @@ class TestLintCommand:
     def test_missing_file_exit_three(self, tmp_path, capsys):
         assert cli.main(["lint", "--rules", str(tmp_path / "nope.txt")]) == 3
 
+    def test_parenthesized_rule_is_kept(self, tmp_path, capsys):
+        p = tmp_path / "r.txt"
+        p.write_text("(x > 0)\n")
+        assert cli.main(["lint", "--rules", str(p)]) == 0
+        assert capsys.readouterr() == ("1 rule(s) parsed\n", "")
+        v = check_that(from_dict({"x": [1.0, -1.0]}), "(x > 0)")
+        assert [(o.expression, o.result) for o in v.outcomes] == [("(x > 0)", [True, False])]
+
     @pytest.mark.parametrize(
         "name, text, where",
         [
@@ -352,6 +360,19 @@ class TestRuleTextErrors:
         assert capsys.readouterr().err == f"error: {rules}:1: {message}\n"
         assert cli.main(["lint", "--rules", str(rules)]) == 2
         assert capsys.readouterr().err == f"error: {rules}:1: {message}\n"
+
+    def test_macros_nested_too_deep(self, tmp_path, capsys):
+        # each body is within the limit; m2 and every later macro is not
+        terms = " + ".join(["x"] * 139)
+        lines = [f"m1 := x + {terms}"] + [f"m{k} := m{k - 1} + {terms}" for k in (2, 3, 4)]
+        data = tmp_path / "d.csv"
+        data.write_text("x\n1\n")
+        rules = tmp_path / "r.txt"
+        rules.write_text("\n".join([*lines, "m4 + m4 > 0"]) + "\n")
+        assert cli.main(["check", str(data), "--rules", str(rules)]) == 3
+        assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
+        assert cli.main(["lint", "--rules", str(rules)]) == 2
+        assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
 
 
 class TestExportCommand:

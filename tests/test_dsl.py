@@ -188,6 +188,26 @@ class TestDepthLimit:
             dsl.parse(source)
         assert str(exc.value) == TOO_DEEP
 
+    # (macro body, rule) pairs exactly MAX_DEPTH levels deep once substituted
+    @pytest.mark.parametrize(
+        "macro, rule",
+        [
+            ("!" * 146 + "(x > 0)", "!m"),
+            (" + ".join(["x"] * 149), "m > 0"),
+            # a sum under * is wrapped in parentheses, which take a level
+            (" + ".join(["x"] * 147), "m * 2 > 0"),
+        ],
+        ids=["not", "sum", "parenthesized"],
+    )
+    def test_macro_substitution_depth(self, macro, rule):
+        df = from_dict({"x": [1.0]})
+        v = check_that(df, f"m := {macro}", rule)
+        assert [o.error for o in v.outcomes] == [None]
+        deeper = "!" + macro if macro.startswith("!") else "x + " + macro
+        with pytest.raises(ParseError) as exc:
+            check_that(df, f"m := {deeper}", rule)
+        assert str(exc.value) == TOO_DEEP
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -205,6 +225,9 @@ class TestClassify:
             ("x %in% c(1, 2)", "validating"),
             ("x + 1", "invalid"),
             ("nrow(.)", "invalid"),
+            ("(x > 0)", "validating"),
+            ("((x > 0))", "validating"),
+            ("(x + 1)", "invalid"),
             ("med := median(x)", "macro"),
             ("G := var_group(x, y)", "group"),
         ],

@@ -107,6 +107,33 @@ class TestEvalExpr:
         df = from_dict({"x": [3.0]})
         assert cells("x ^ 2 == 9", df) == [True]
 
+    def test_power_overflow_is_infinite(self):
+        df = from_dict({"x": [10.0, -10.0, None]})
+        v = check_that(df, "x ^ 400 > 1e308", "x ^ 401 < -1e308", "x ^ 401 > 1e308")
+        assert [o.result for o in v.outcomes] == [
+            [True, True, None],
+            [False, True, None],
+            [True, False, None],
+        ]
+        assert [o.warnings for o in v.outcomes] == [[], [], []]
+
+    @pytest.mark.parametrize(
+        "rule, data",
+        [
+            ("x ^ 0.5 >= 0", [4.0, -4.0, None]),  # complex root
+            ("x ^ 400.5 >= 0", [4.0, -10.0, None]),  # complex root that overflows
+            ("x - 1e308 * 10 >= 0", [4.0, 1e308 * 10, None]),  # inf - inf
+        ],
+    )
+    def test_nan_result_is_missing_with_a_warning(self, rule, data):
+        df = from_dict({"x": data})
+        (outcome,) = check_that(df, rule).outcomes
+        assert outcome.result[1:] == [None, None]
+        assert outcome.error is None
+        assert outcome.warnings == ["NaNs produced"]
+        with pytest.raises(EvalError, match="NaNs produced"):
+            check_that(df, rule, opts={"raise": "all"})
+
     def test_unary_minus(self):
         df = from_dict({"x": [3.0, None]})
         assert cells("-x < 0", df) == [True, None]
@@ -149,6 +176,13 @@ class TestBuiltins:
     def test_grepl(self):
         df = from_dict({"size": ["sc0", "mid", None]})
         assert cells('grepl("^sc", size)', df) == [True, False, None]
+
+    def test_grepl_invalid_pattern_is_an_eval_error(self):
+        df = from_dict({"size": ["sc0"]})
+        with pytest.raises(EvalError, match=r"grepl: invalid pattern '\(': missing \)"):
+            cells('grepl("(", size)', df)
+        (outcome,) = check_that(df, "grepl('(', size)").outcomes
+        assert outcome.error.startswith("grepl: invalid pattern '('")
 
     def test_duplicated_and_uniqueness(self):
         df = from_dict({"id": ["a", "b", "a"]})
