@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from operator import ne
 
 from .engine import confront
@@ -127,20 +128,24 @@ def compare_cells(versions: dict[str, DataFrame], how: str = "sequential") -> St
     tallies = []
     for i, frame in enumerate(frames):
         ref = frames[max(i - 1, 0) if how == "sequential" else 0]
-        # (missing, missing in reference, value differs) -> number of cells
-        kinds = Counter()
+        tally = dict.fromkeys(CELL_STATUSES, 0)
         for col in frame.columns:
             ref_col = ref.column(col.name)
-            kinds.update(zip(col.missing, ref_col.missing, map(ne, col.values, ref_col.values)))
-        tally = dict.fromkeys(CELL_STATUSES, 0)
-        for (missing, ref_missing, changed), n in kinds.items():
-            if missing:
-                tally["missing"] += n
-                tally["still_missing" if ref_missing else "removed"] += n
-            elif ref_missing:
-                tally["imputed"] += n
-            else:
-                tally["adapted" if changed else "unadapted"] += n
+            missing, ref_missing = set(col.na), set(ref_col.na)
+            still_missing = len(missing & ref_missing)
+            tally["missing"] += len(missing)
+            tally["still_missing"] += still_missing
+            tally["removed"] += len(missing) - still_missing
+            tally["imputed"] += len(ref_missing) - still_missing
+            gone = missing | ref_missing
+            a, b = col.values, ref_col.values
+            changed = set(compress(range(len(a)), map(ne, a, b))) - gone
+            adapted = len(changed)
+            if col.type == ref_col.type == "number":
+                # NaN is unequal to itself, yet a cell NaN in both versions is unchanged
+                adapted -= sum(1 for j in changed if a[j] != a[j] and b[j] != b[j])
+            tally["adapted"] += adapted
+            tally["unadapted"] += len(a) - len(gone) - adapted
         tally["still_available"] = tally["unadapted"] + tally["adapted"]
         tally["available"] = tally["still_available"] + tally["imputed"]
         tally["cells"] = tally["available"] + tally["missing"]

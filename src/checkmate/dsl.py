@@ -10,6 +10,7 @@ Besides plain rules, two directives are recognized: macro definitions
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -655,6 +656,8 @@ _TIGHT_OPS = {"/", "^"}
 def render_number(value: float) -> str:
     if value != value:  # NaN guard; should not occur in parsed rules
         return "NaN"
+    if value in (math.inf, -math.inf):  # a literal past the float range reads back as inf
+        return "1e999" if value > 0 else "-1e999"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -3,6 +3,11 @@
 Results are tri-state per item: True, False, or None for unverifiable.
 Logical connectives follow Kleene strong three-valued logic; arithmetic and
 comparisons propagate missing values.
+
+A vector holds its values with missing cells filled, as a frame column
+does, next to the sorted indices of its missing cells. An operation maps
+over the values in C and settles missingness with set operations on the
+indices.
 """
 
 from __future__ import annotations
@@ -15,35 +20,90 @@ import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
+from itertools import compress, repeat
 
 from . import dsl
 from .errors import DataError, EvalError
-from .frame import DataFrame
+from .frame import FILLERS, DataFrame, fill
 from .rules import OptionSet, Rule, RuleSet, new_ruleset, select
+
+_KIND = {"number": "number", "text": "text", "boolean": "logical"}  # by column type
+_FILL = {_KIND[t]: filler for t, filler in FILLERS.items()}  # the value at a missing cell
+_NA_KEY = object()  # a missing cell in a grouping key; equal to no value
 
 
 @dataclass
 class Value:
-    """An evaluation result: a typed vector of cells (None = missing)."""
+    """An evaluation result: a typed vector of filled values and the sorted
+    indices of its missing cells."""
 
     kind: str  # logical|number|text|frame
-    cells: list = field(default_factory=list)
+    values: list = field(default_factory=list)
+    na: tuple = ()
     frame: DataFrame | None = None
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.values)
+
+    @property
+    def cells(self) -> list:
+        """The values with None at missing cells."""
+        return fill(list(self.values), self.na, None)
 
 
-def _logical(cells):
-    return Value("logical", cells)
+def _scalar(kind: str, cell) -> Value:
+    """A one-cell vector from a tri-state cell (None = missing)."""
+    return Value(kind, [_FILL[kind]], (0,)) if cell is None else Value(kind, [cell])
 
 
-def _number(cells):
-    return Value("number", cells)
+def _union(p: tuple, q: tuple) -> tuple:
+    """The sorted union of two sorted index tuples."""
+    if not q or p is q:
+        return p
+    if not p:
+        return q
+    return tuple(sorted({*p, *q}))
 
 
-def _text(cells):
-    return Value("text", cells)
+def _present(values: list, na) -> list:
+    """The values outside the missing indices ``na``."""
+    if not na:
+        return values
+    keep = bytearray(b"\x01") * len(values)
+    for i in na:
+        keep[i] = 0
+    return list(compress(values, keep))
+
+
+def _keys(v) -> list:
+    """A column's or vector's values with each missing cell as ``_NA_KEY``."""
+    return fill(list(v.values), v.na, _NA_KEY) if v.na else v.values
+
+
+def _length(a: Value, b: Value) -> int:
+    """The length two operands combine to: equal lengths, or one of length 1."""
+    la, lb = len(a), len(b)
+    if la == lb or lb == 1:
+        return la
+    if la == 1:
+        return lb
+    raise EvalError(f"cannot combine vectors of lengths {la} and {lb}")
+
+
+def _spread(v: Value, n: int) -> Value:
+    """v at length n: itself, or its one cell repeated."""
+    if len(v) == n:
+        return v
+    return Value(v.kind, v.values * n, tuple(range(n)) if v.na else ())
+
+
+def _pair(a: Value, b: Value):
+    """Both operands' values at their common length, and the union of their
+    missing indices."""
+    n = _length(a, b)
+    a, b = _spread(a, n), _spread(b, n)
+    return a.values, b.values, _union(a.na, b.na)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +131,26 @@ def kleene_not(a):
     return None if a is None else not a
 
 
+def _kleene(op: str, a: Value, b: Value) -> Value:
+    """``a & b`` or ``a | b`` over vectors: NA unless a present FALSE (for &)
+    or TRUE (for |) settles the cell.
+
+    A missing cell holds FALSE, so the C-level ``and``/``or`` of the values
+    is already right at every cell that ends up present.
+    """
+    n = _length(a, b)
+    a, b = _spread(a, n), _spread(b, n)
+    va, vb = a.values, b.values
+    values = list(map(operator.and_ if op == "&" else operator.or_, va, vb))
+    # a cell missing on one side stays missing where the other side is missing
+    # too or holds the value that does not settle it: TRUE for &, FALSE for |
+    undecided = bool if op == "&" else operator.not_
+    na = set(a.na).intersection(b.na)
+    na.update(compress(a.na, map(undecided, map(vb.__getitem__, a.na))))
+    na.update(compress(b.na, map(undecided, map(va.__getitem__, b.na))))
+    return Value("logical", values, tuple(sorted(na)))
+
+
 # ---------------------------------------------------------------------------
 # Evaluator
 # ---------------------------------------------------------------------------
@@ -94,15 +174,48 @@ _ARITH = {
 
 
 def _as_r(op, a, b):
-    """``op(a, b)`` where Python raises, as R has it: ±inf, NaN, or NA for 0/0."""
+    """``op(a, b)`` where Python raises, as R has it: ±inf, NaN, or None
+    (missing) for 0/0."""
     try:
         return op(a, b)
     except ZeroDivisionError:
+        if op is operator.pow:  # a zero base to a negative power
+            return math.copysign(math.inf, a) if b % 2 == 1 else math.inf
         return math.inf if a > 0 else -math.inf if a < 0 else None
     except OverflowError:  # only ^ overflows; a negative base needs an integer power
         if a < 0 and b % 1:
             return math.nan
         return -math.inf if a < 0 and b % 2 == 1 else math.inf
+
+
+def _not_real(c) -> bool:
+    return c != c or type(c) is complex
+
+
+def _arithmetic(op, lhs: Value, rhs: Value) -> Value:
+    """``op`` cell by cell; a NaN or complex result from present cells is
+    missing, with the warning ``NaNs produced``.
+
+    Whatever the filled values at missing cells give is overwritten before
+    the result is checked; for / and ^ they are 1.0 first, since a filled
+    0.0 divisor or base would raise and send every cell the slow way.
+    """
+    va, vb, na = _pair(lhs, rhs)
+    if na and op in (operator.truediv, operator.pow):
+        va, vb = fill(list(va), na, 1.0), fill(list(vb), na, 1.0)
+    try:
+        out = list(map(op, va, vb))
+    except (ZeroDivisionError, OverflowError):
+        out = list(map(partial(_as_r, op), va, vb))
+        na = _union(na, tuple(compress(range(len(out)), map(operator.is_, out, repeat(None)))))
+    fill(out, na, 0.0)
+    # NaN is the one float unequal to itself; complex comes only from ^
+    if any(map(operator.ne, out, out)) or (op is operator.pow and complex in map(type, out)):
+        _warnings.warn("NaNs produced", RuntimeWarning)
+        bad = tuple(compress(range(len(out)), map(_not_real, out)))
+        na = _union(na, bad)
+        fill(out, bad, 0.0)
+    return Value("number", out, na)
 
 
 class Evaluator:
@@ -117,7 +230,7 @@ class Evaluator:
         if ref is None:
             return {}
         if isinstance(ref, DataFrame):
-            return {c.name: c.cells() for c in ref.columns}
+            return {c.name: Value(_KIND[c.type], c.values, c.na) for c in ref.columns}
         return dict(ref)
 
     # -- scope --------------------------------------------------------------
@@ -125,8 +238,7 @@ class Evaluator:
     def lookup(self, name: str) -> Value:
         if self.df.has_column(name):
             col = self.df.column(name)
-            kind = {"number": "number", "text": "text", "boolean": "logical"}[col.type]
-            return Value(kind, col.cells())
+            return Value(_KIND[col.type], col.values, col.na)
         if name in self.ref:
             value = self.ref[name]
             if isinstance(value, DataFrame):
@@ -140,12 +252,15 @@ class Evaluator:
     def _vector_from_list(cells: list) -> Value:
         present = [c for c in cells if c is not None]
         if all(isinstance(c, bool) for c in present):
-            return _logical(cells)
-        if all(isinstance(c, (int, float)) for c in present):
-            return _number(cells)
-        if all(isinstance(c, str) for c in present):
-            return _text(cells)
-        raise EvalError("reference vector mixes cell types")
+            kind = "logical"
+        elif all(isinstance(c, (int, float)) for c in present):
+            kind = "number"
+        elif all(isinstance(c, str) for c in present):
+            kind = "text"
+        else:
+            raise EvalError("reference vector mixes cell types")
+        na = tuple(i for i, c in enumerate(cells) if c is None)
+        return Value(kind, fill(cells, na, _FILL[kind]), na)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -159,24 +274,15 @@ class Evaluator:
         operand = self.eval(e.operand)
         if e.op == "!":
             self._require(operand, "logical", "!")
-            return _logical([kleene_not(c) for c in operand.cells])
+            return Value("logical", fill(list(map(operator.not_, operand.values)),
+                                          operand.na, False), operand.na)
         self._require(operand, "number", "unary -")
-        return _number([None if c is None else -c for c in operand.cells])
+        return Value("number", fill(list(map(operator.neg, operand.values)),
+                                     operand.na, 0.0), operand.na)
 
     def _require(self, v: Value, kind: str, what: str):
         if v.kind != kind:
             raise EvalError(f"{what} expects a {kind} operand, got {v.kind}")
-
-    @staticmethod
-    def _broadcast(a: Value, b: Value):
-        la, lb = len(a), len(b)
-        if la == lb:
-            return a.cells, b.cells
-        if la == 1:
-            return a.cells * lb, b.cells
-        if lb == 1:
-            return a.cells, b.cells * la
-        raise EvalError(f"cannot combine vectors of lengths {la} and {lb}")
 
     def eval_binary(self, e: dsl.Binary) -> Value:
         if e.op == "%in%":
@@ -186,33 +292,18 @@ class Evaluator:
         if e.op in ("&", "|"):
             self._require(lhs, "logical", e.op)
             self._require(rhs, "logical", e.op)
-            la, lb = self._broadcast(lhs, rhs)
-            fn = kleene_and if e.op == "&" else kleene_or
-            return _logical([fn(a, b) for a, b in zip(la, lb)])
+            return _kleene(e.op, lhs, rhs)
         if e.op in _CMP:
             if lhs.kind == "frame" or rhs.kind == "frame":
                 raise EvalError(f"cannot compare whole datasets with {e.op}")
             if lhs.kind != rhs.kind:
                 raise EvalError(f"cannot compare {lhs.kind} with {rhs.kind}")
-            op = _CMP[e.op]
-            la, lb = self._broadcast(lhs, rhs)
-            return _logical(
-                [None if a is None or b is None else op(a, b) for a, b in zip(la, lb)]
-            )
+            va, vb, na = _pair(lhs, rhs)
+            return Value("logical", fill(list(map(_CMP[e.op], va, vb)), na, False), na)
         if e.op in _ARITH:
             self._require(lhs, "number", e.op)
             self._require(rhs, "number", e.op)
-            op = _ARITH[e.op]
-            la, lb = self._broadcast(lhs, rhs)
-            try:
-                out = [None if a is None or b is None else op(a, b) for a, b in zip(la, lb)]
-            except (ZeroDivisionError, OverflowError):
-                out = [None if a is None or b is None else _as_r(op, a, b) for a, b in zip(la, lb)]
-            nan = any(map(operator.ne, out, out))  # NaN is the one float unequal to itself
-            if nan or (op is operator.pow and complex in map(type, out)):  # complex only from ^
-                _warnings.warn("NaNs produced", RuntimeWarning)
-                out = [None if c != c or type(c) is complex else c for c in out]
-            return _number(out)
+            return _arithmetic(_ARITH[e.op], lhs, rhs)
         raise EvalError(f"unknown operator {e.op!r}")
 
     def eval_in(self, e: dsl.Binary) -> Value:
@@ -222,8 +313,9 @@ class Evaluator:
             raise EvalError("cannot apply %in% to a whole dataset")
         if lhs.kind != rhs.kind:
             raise EvalError(f"cannot test {lhs.kind} membership in a {rhs.kind} vector")
-        members = set(c for c in rhs.cells if c is not None)
-        return _logical([None if c is None else c in members for c in lhs.cells])
+        members = set(_present(rhs.values, rhs.na))
+        values = list(map(members.__contains__, lhs.values))
+        return Value("logical", fill(values, lhs.na, False), lhs.na)
 
     # -- function calls -----------------------------------------------------
 
@@ -246,9 +338,9 @@ class Evaluator:
         if "na.rm" not in e.named_args:
             return False
         v = self.eval(e.named_args["na.rm"])
-        if v.kind != "logical" or len(v) != 1 or v.cells[0] is None:
+        if v.kind != "logical" or len(v) != 1 or v.na:
             raise EvalError("na.rm must be TRUE or FALSE")
-        return v.cells[0]
+        return v.values[0]
 
     def _the_frame(self, e: dsl.Call) -> DataFrame:
         if len(e.args) == 0:
@@ -259,37 +351,34 @@ class Evaluator:
         return v.frame
 
     def _fn_nrow(self, e):
-        return _number([float(self._the_frame(e).n)])
+        return Value("number", [float(self._the_frame(e).n)])
 
     _fn_number_of_records = _fn_nrow
 
     def _fn_ncol(self, e):
-        return _number([float(len(self._the_frame(e).columns))])
+        return Value("number", [float(len(self._the_frame(e).columns))])
 
     def _fn_names(self, e):
-        return _text(list(self._the_frame(e).names))
+        return Value("text", list(self._the_frame(e).names))
 
     def _fn_abs(self, e):
         (v,) = self._positional(e, 1)
         self._require(v, "number", "abs")
-        return _number([None if c is None else abs(c) for c in v.cells])
+        return Value("number", list(map(abs, v.values)), v.na)
 
-    def _reduced_cells(self, e, kind):
-        """Cells of a reduction's one argument, without missing ones under na.rm."""
+    def _reduced(self, e, kind) -> tuple[list, bool]:
+        """A reduction's one argument: its present values, and whether a
+        missing cell is left in (no na.rm)."""
         (v,) = self._positional(e, 1, allow_named=("na.rm",))
         self._require(v, kind, e.fname)
-        if self._na_rm(e):
-            return [c for c in v.cells if c is not None]
-        return v.cells
+        na_rm = self._na_rm(e)
+        return _present(v.values, v.na), bool(v.na) and not na_rm
 
     def _logical_reduce(self, e, empty, shortcut):
-        result = empty
-        for c in self._reduced_cells(e, "logical"):
-            if c is shortcut:
-                return _logical([shortcut])
-            if c is None:
-                result = None
-        return _logical([result])
+        present, has_na = self._reduced(e, "logical")
+        if shortcut in present:
+            return _scalar("logical", shortcut)
+        return _scalar("logical", None if has_na else empty)
 
     def _fn_all(self, e):
         return self._logical_reduce(e, True, False)
@@ -298,10 +387,10 @@ class Evaluator:
         return self._logical_reduce(e, False, True)
 
     def _numeric_aggregate(self, e, fn):
-        cells = self._reduced_cells(e, "number")
-        if not cells or any(c is None for c in cells):
-            return _number([None])
-        return _number([float(fn(cells))])
+        present, has_na = self._reduced(e, "number")
+        if has_na or not present:
+            return _scalar("number", None)
+        return Value("number", [float(fn(present))])
 
     def _fn_mean(self, e):
         return self._numeric_aggregate(e, statistics.fmean)
@@ -324,69 +413,74 @@ class Evaluator:
         self._require(y, "number", "cor")
         if len(x) != len(y):
             raise EvalError("cor expects vectors of equal length")
-        pairs = [(a, b) for a, b in zip(x.cells, y.cells) if a is not None and b is not None]
-        if len(pairs) < 2:
-            return _number([None])
+        na = _union(x.na, y.na)
+        xs, ys = _present(x.values, na), _present(y.values, na)
+        if len(xs) < 2:
+            return _scalar("number", None)
         try:
-            r = statistics.correlation([p[0] for p in pairs], [p[1] for p in pairs])
+            r = statistics.correlation(xs, ys)
         except statistics.StatisticsError:
-            return _number([None])
-        return _number([r])
+            return _scalar("number", None)
+        return Value("number", [r])
 
     def _fn_grepl(self, e):
         pattern, v = self._positional(e, 2)
-        if pattern.kind != "text" or len(pattern) != 1 or pattern.cells[0] is None:
+        if pattern.kind != "text" or len(pattern) != 1 or pattern.na:
             raise EvalError("grepl expects a pattern string as first argument")
         self._require(v, "text", "grepl")
         try:
-            rx = _re.compile(pattern.cells[0])
+            rx = _re.compile(pattern.values[0])
         except _re.error as err:
-            raise EvalError(f"grepl: invalid pattern {pattern.cells[0]!r}: {err}") from err
-        return _logical(
-            [None if c is None else rx.search(c) is not None for c in v.cells]
-        )
+            raise EvalError(f"grepl: invalid pattern {pattern.values[0]!r}: {err}") from err
+        return Value("logical", fill(list(map(bool, map(rx.search, v.values))), v.na, False), v.na)
 
-    def _key_rows(self, e: dsl.Call) -> list[tuple]:
+    def _key_vectors(self, e: dsl.Call) -> list[Value]:
+        """The arguments of a key function, each at the common length."""
         if not e.args:
             raise EvalError(f"{e.fname} expects at least one argument")
         if e.named_args:
             raise EvalError(f"{e.fname} takes no named arguments")
         vectors = [self.eval(a) for a in e.args]
         n = max(len(v) for v in vectors)
-        cols = []
+        out = []
         for v in vectors:
             if v.kind == "frame":
                 raise EvalError(f"{e.fname} expects column vectors")
-            cells = v.cells * n if len(v) == 1 and n > 1 else v.cells
-            if len(cells) != n:
-                raise EvalError(f"cannot combine vectors of lengths {len(cells)} and {n}")
-            cols.append(cells)
-        return list(zip(*cols))
+            if len(v) not in (1, n):
+                raise EvalError(f"cannot combine vectors of lengths {len(v)} and {n}")
+            out.append(_spread(v, n))
+        return out
+
+    def _key_rows(self, e: dsl.Call) -> list:
+        """One key per row: the cell itself for one argument, else a tuple."""
+        keys = list(map(_keys, self._key_vectors(e)))
+        return keys[0] if len(keys) == 1 else list(zip(*keys))
 
     def _fn_duplicated(self, e):
-        first: dict[tuple, int] = {}  # row -> index of its first occurrence
-        return _logical([first.setdefault(row, i) != i for i, row in enumerate(self._key_rows(e))])
+        rows = self._key_rows(e)
+        first: dict = {}  # key -> index of its first occurrence
+        index = range(len(rows))
+        return Value("logical", list(map(operator.ne, map(first.setdefault, rows, index), index)))
 
     def _fn_is_unique(self, e):
         rows = self._key_rows(e)
         counts = Counter(rows)
-        return _logical([counts[row] == 1 for row in rows])
+        return Value("logical", list(map(operator.eq, map(counts.__getitem__, rows), repeat(1))))
 
     def _fn_all_unique(self, e):
-        cells = self._fn_is_unique(e).cells
-        return _logical([all(cells)])
+        return Value("logical", [all(self._fn_is_unique(e).values)])
 
     def _fn_is_complete(self, e):
-        rows = self._key_rows(e)
-        return _logical([None not in row for row in rows])
+        vectors = self._key_vectors(e)
+        na = set().union(*(v.na for v in vectors))
+        return Value("logical", fill([True] * len(vectors[0]), na, False))
 
     def _fn_all_complete(self, e):
-        cells = self._fn_is_complete(e).cells
-        return _logical([all(cells)])
+        return Value("logical", [all(self._fn_is_complete(e).values)])
 
     def _type_test(self, e, kind):
         (v,) = self._positional(e, 1)
-        return _logical([v.kind == kind])
+        return Value("logical", [v.kind == kind])
 
     def _fn_is_numeric(self, e):
         return self._type_test(e, "number")
@@ -401,24 +495,25 @@ class Evaluator:
         (v,) = self._positional(e, 1)
         if v.kind == "frame":
             raise EvalError("is.na expects a vector")
-        return _logical([c is None for c in v.cells])
+        return Value("logical", fill([False] * len(v), v.na, True))
 
     def _fn_c(self, e):
         if e.named_args:
             raise EvalError("c takes no named arguments")
         vectors = [self.eval(a) for a in e.args]
-        kinds = {v.kind for v in vectors if v.kind != "logical" or any(
-            c is not None for c in v.cells)}
+        # a logical vector of missing cells only takes the others' kind
+        kinds = {v.kind for v in vectors if v.kind != "logical" or len(v.na) < len(v)}
         kinds.discard("frame")
         if len(kinds) > 1:
             raise EvalError("c cannot mix cell types")
-        cells = []
+        kind = kinds.pop() if kinds else "logical"
+        values, na = [], []
         for v in vectors:
             if v.kind == "frame":
                 raise EvalError("c expects vectors")
-            cells.extend(v.cells)
-        kind = kinds.pop() if kinds else "logical"
-        return Value(kind, cells)
+            na.extend(i + len(values) for i in v.na)
+            values.extend(v.values if v.kind == kind else [_FILL[kind]] * len(v))
+        return Value(kind, values, tuple(na))
 
 
 def _unrewritten(ev: Evaluator, e: dsl.Implication) -> Value:
@@ -426,17 +521,17 @@ def _unrewritten(ev: Evaluator, e: dsl.Implication) -> Value:
 
 
 _EVAL = {
-    dsl.NumberLit: lambda ev, e: _number([e.value]),
-    dsl.StringLit: lambda ev, e: _text([e.value]),
-    dsl.BoolLit: lambda ev, e: _logical([e.value]),
-    dsl.MissingLit: lambda ev, e: _logical([None]),
+    dsl.NumberLit: lambda ev, e: Value("number", [e.value]),
+    dsl.StringLit: lambda ev, e: Value("text", [e.value]),
+    dsl.BoolLit: lambda ev, e: Value("logical", [e.value]),
+    dsl.MissingLit: lambda ev, e: _scalar("logical", None),
     dsl.Identifier: lambda ev, e: ev.lookup(e.name),
     dsl.DatasetRef: lambda ev, e: Value("frame", frame=ev.df),
     dsl.Paren: lambda ev, e: ev.eval(e.inner),
     dsl.Unary: Evaluator.eval_unary,
     dsl.Binary: Evaluator.eval_binary,
     dsl.Call: Evaluator.eval_call,
-    dsl.FuncDep: lambda ev, e: _logical(eval_fd(e, ev.df)),
+    dsl.FuncDep: lambda ev, e: _functional_dependency(e, ev.df),
     dsl.Implication: _unrewritten,
 }
 
@@ -451,6 +546,27 @@ def eval_expr(e: dsl.Expression, df: DataFrame, ref=None) -> Value:
 # ---------------------------------------------------------------------------
 
 
+def _functional_dependency(fd: dsl.FuncDep, df: DataFrame) -> Value:
+    for name in fd.determinant + fd.dependent:
+        if not df.has_column(name):
+            raise EvalError(f"object {name!r} not found")
+    det = [_keys(df.column(name)) for name in fd.determinant]
+    dep = [df.column(name) for name in fd.dependent]
+    keys = det[0] if len(det) == 1 else list(zip(*det))
+    combos = list(zip(*(c.values for c in dep)))  # tuples: one holding a NaN equals itself
+    first: dict = {}  # determinant key -> row of its first record
+    rows = range(df.n)
+    refs = list(map(first.setdefault, keys, rows))
+    values = list(map(operator.eq, combos, map(combos.__getitem__, refs)))
+    dep_na = set().union(*(c.na for c in dep))
+    if not dep_na:
+        return Value("logical", values)
+    # unverifiable: a missing dependent cell here or in the group's first record
+    dep_na.update(compress(rows, map(dep_na.__contains__, refs)))
+    na = tuple(sorted(dep_na))
+    return Value("logical", fill(values, na, False), na)
+
+
 def eval_fd(fd: dsl.FuncDep, df: DataFrame) -> list:
     """Tri-state per-record check of a functional dependency.
 
@@ -458,18 +574,7 @@ def eval_fd(fd: dsl.FuncDep, df: DataFrame) -> list:
     key); the group's first record in row order sets the reference dependent
     combination. A record with a missing dependent cell is unverifiable.
     """
-    for name in fd.determinant + fd.dependent:
-        if not df.has_column(name):
-            raise EvalError(f"object {name!r} not found")
-    det = [df.column(name).cells() for name in fd.determinant]
-    dep = [df.column(name).cells() for name in fd.dependent]
-    combos = list(zip(*dep))
-    reference: dict[tuple, tuple] = {}
-    refs = map(reference.setdefault, zip(*det), combos)
-    return [
-        None if None in combo or None in ref else combo == ref
-        for combo, ref in zip(combos, refs)
-    ]
+    return _functional_dependency(fd, df).cells
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +630,9 @@ def confront(
         if not df.has_column(key):
             raise DataError(f"unknown key column {key!r}")
         col = df.column(key)
-        if any(col.missing):
+        if col.na:
             raise DataError(f"key column {key!r} has missing cells")
-        key_values = [str(v) for v in col.values]
+        key_values = list(map(str, col.values))
 
     outcomes = []
     for rule in rs.rules:
@@ -542,10 +647,8 @@ def confront(
                 raise EvalError(
                     f"rule {rule.name!r} does not evaluate to a logical value"
                 )
-            cells = list(value.cells)
-            if resolved.na_value in (True, False):
-                cells = [resolved.na_value if c is None else c for c in cells]
-            outcome.result = cells
+            na_cell = resolved.na_value if resolved.na_value in (True, False) else None
+            outcome.result = fill(list(value.values), value.na, na_cell)
             for w in caught:
                 message = str(w.message)
                 if resolved.raise_ == "all":

@@ -1,34 +1,56 @@
-"""Minimal typed data frame and its CSV input and output.
+"""Minimal typed data frame and its CSV input.
 
-A frame holds named equal-length columns with per-cell missingness.
+A frame holds named equal-length columns. Each column stores its values with
+missing cells filled (``0.0``, ``""`` or ``False``) next to the sorted row
+indices of its missing cells.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 from dataclasses import dataclass, field
+from itertools import compress, filterfalse
+from operator import lt
 
 from .errors import DataError
 
 COLUMN_TYPES = ("number", "text", "boolean")
+FILLERS = {"number": 0.0, "text": "", "boolean": False}
+
+
+def fill(values: list, na, filler) -> list:
+    """Put ``filler`` at the row indices ``na`` of ``values``, in place."""
+    for i in na:
+        values[i] = filler
+    return values
 
 
 @dataclass
 class Column:
     name: str
     type: str  # number|text|boolean
-    values: list
-    missing: list[bool]
+    values: list  # FILLERS[type] at missing cells
+    na: tuple = ()  # sorted row indices of the missing cells
 
     def __post_init__(self):
         if self.type not in COLUMN_TYPES:
             raise DataError(f"unknown column type {self.type!r}")
-        if len(self.values) != len(self.missing):
-            raise DataError(f"column {self.name!r}: values and missing mask differ in length")
+        self.na = na = tuple(self.na)
+        if na and not (0 <= na[0] and na[-1] < len(self.values) and all(map(lt, na, na[1:]))):
+            raise DataError(f"column {self.name!r}: missing-cell indices out of order or range")
+
+    @property
+    def missing(self) -> list[bool]:
+        """Per-cell missingness, derived from ``na``."""
+        mask = [False] * len(self.values)
+        for i in self.na:
+            mask[i] = True
+        return mask
 
     def cells(self) -> list:
         """Values with missing cells replaced by None."""
-        return [None if m else v for v, m in zip(self.values, self.missing)]
+        return fill(list(self.values), self.na, None)
 
 
 @dataclass
@@ -36,8 +58,8 @@ class DataFrame:
     columns: list[Column] = field(default_factory=list)
 
     def __post_init__(self):
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
+        self._by_name = {c.name: c for c in self.columns}
+        if len(self._by_name) != len(self.columns):
             raise DataError("duplicate column names")
         lengths = {len(c.values) for c in self.columns}
         if len(lengths) > 1:
@@ -52,13 +74,13 @@ class DataFrame:
         return [c.name for c in self.columns]
 
     def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise DataError(f"no column named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise DataError(f"no column named {name!r}") from None
 
     def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
 
 def _infer_type(cells: list) -> str:
@@ -79,36 +101,36 @@ def from_dict(data: dict[str, list], types: dict[str, str] | None = None) -> Dat
     cols = []
     for name, cells in data.items():
         ctype = types.get(name) or _infer_type(cells)
-        missing = [v is None for v in cells]
-        fillers = {"number": 0.0, "text": "", "boolean": False}
-        values = [fillers[ctype] if v is None else v for v in cells]
-        cols.append(Column(name, ctype, values, missing))
+        filler = FILLERS.get(ctype)
+        na = tuple(i for i, v in enumerate(cells) if v is None)
+        cols.append(Column(name, ctype, [filler if v is None else v for v in cells], na))
     return DataFrame(cols)
 
 
 # ---------------------------------------------------------------------------
-# CSV input and output
+# CSV input
 # ---------------------------------------------------------------------------
 
-_BOOL_TOKENS = {"true": True, "TRUE": True, "false": False, "FALSE": False}
 _MISSING_TOKENS = frozenset(("", "NA"))
+_BOOL_TOKENS = {"true": True, "TRUE": True, "false": False, "FALSE": False}
+# each token mapped to its value, missing tokens to the filler
+_BOOL_CELLS = {**_BOOL_TOKENS, **dict.fromkeys(_MISSING_TOKENS, False)}
 
 
-def _column(name: str, raw: list[str]) -> Column:
-    """Classify and convert one column of CSV text in one pass over its cells."""
-    missing = [c in _MISSING_TOKENS for c in raw]
-    if not all(missing):
-        if all(m or c in _BOOL_TOKENS for c, m in zip(raw, missing)):
-            values = [False if m else _BOOL_TOKENS[c] for c, m in zip(raw, missing)]
-            return Column(name, "boolean", values, missing)
+def _column(name: str, raw: tuple[str, ...]) -> Column:
+    """Classify and convert one column of CSV text, each step one C-level pass."""
+    na = tuple(compress(range(len(raw)), map(_MISSING_TOKENS.__contains__, raw)))
+    first = next(filterfalse(_MISSING_TOKENS.__contains__, raw), None)
+    if first in _BOOL_TOKENS and all(map(_BOOL_CELLS.__contains__, raw)):
+        return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, raw)), na)
+    if first is not None and first not in _BOOL_TOKENS:
         try:
-            values = [0.0 if m else float(c) for c, m in zip(raw, missing)]
+            values = list(map(float, fill(list(raw), na, "0") if na else raw))
         except ValueError:
             pass
         else:
-            return Column(name, "number", values, missing)
-    values = ["" if m else c for c, m in zip(raw, missing)]
-    return Column(name, "text", values, missing)
+            return Column(name, "number", values, na)
+    return Column(name, "text", fill(list(raw), na, ""), na)
 
 
 def ingest_csv(path: str) -> DataFrame:
@@ -118,6 +140,10 @@ def ingest_csv(path: str) -> DataFrame:
     number when every non-empty cell parses as a decimal, text otherwise.
     Empty cells and the literal NA are missing.
     """
+    # the row lists hold only strings, so the cyclic collector's passes over
+    # them find nothing; it is paused while they exist
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -125,35 +151,16 @@ def ingest_csv(path: str) -> DataFrame:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                rows.append(row)
-    except OSError as err:
+            rows = list(reader)
+        width = len(header)
+        if set(map(len, rows)) - {width}:
+            lineno, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != width)
+            raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        raw = list(zip(*rows)) if rows else [()] * width
+        del rows
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
-
-    return DataFrame([_column(name, [row[j] for row in rows]) for j, name in enumerate(header)])
-
-
-def emit_csv_frame(df: DataFrame, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(df.names)
-    for i in range(df.n):
-        row = []
-        for col in df.columns:
-            cell = None if col.missing[i] else col.values[i]
-            row.append(_cell_text(cell, col.type))
-        writer.writerow(row)
-
-
-def _cell_text(cell, ctype: str) -> str:
-    if cell is None:
-        return "NA"
-    if ctype == "boolean":
-        return "TRUE" if cell else "FALSE"
-    if ctype == "number":
-        return str(int(cell)) if cell == int(cell) else repr(cell)
-    return cell
+    finally:
+        if enabled:
+            gc.enable()
+    return DataFrame([_column(name, cells) for name, cells in zip(header, raw)])

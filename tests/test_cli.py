@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import checkmate
-from checkmate import cli, frame, from_dict, results
+from checkmate import cli, from_dict, results
 from checkmate.engine import check_that, confront
 from checkmate.errors import DataError
 
@@ -80,14 +81,60 @@ class TestIngestCsv:
             cli.ingest_csv(str(tmp_path / "nope.csv"))
 
     def test_emit_ingest_round_trip(self, tmp_path, retailers):
-        out = io.StringIO()
-        frame.emit_csv_frame(retailers, out)
+        tokens = {None: "NA", True: "TRUE", False: "FALSE"}
         p = tmp_path / "copy.csv"
-        p.write_text(out.getvalue())
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(retailers.names)
+            columns = [c.cells() for c in retailers.columns]
+            for row in zip(*columns):
+                writer.writerow([tokens.get(c, c) if type(c) is not float else repr(c)
+                                 for c in row])
         again = cli.ingest_csv(str(p))
         assert again.names == retailers.names
         for name in retailers.names:
+            assert again.column(name).type == retailers.column(name).type
             assert again.column(name).cells() == retailers.column(name).cells()
+
+    def test_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"x,y\n\xff\xfe,1\n")
+        with pytest.raises(DataError, match="latin.csv"):
+            cli.ingest_csv(str(p))
+        assert cli.main(["check", str(p), "--rules", SAMPLE_RULES]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
+
+    def test_csv_error_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "wide.csv"
+        p.write_text("x\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+        assert cli.main(["check", str(p), "--rules", SAMPLE_RULES]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot read {p}: field larger than field limit ({csv.field_size_limit()})\n"
+        )
+
+    @pytest.mark.parametrize("text", ["x\n1\n", "x\n1\n2,3\n", ""])
+    def test_gc_state_of_the_caller_is_kept(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        for enabled in (False, True):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                cli.ingest_csv(path)
+            except DataError:
+                pass
+            finally:
+                assert gc.isenabled() is enabled
+                gc.enable()
+
+    def test_missing_cells_are_sorted_indices(self, tmp_path):
+        path = self.write(tmp_path, "x,s,b\nNA,,TRUE\n1,a,\n,NA,NA\n")
+        df = cli.ingest_csv(path)
+        assert [(c.type, c.values, c.na) for c in df.columns] == [
+            ("number", [0.0, 1.0, 0.0], (0, 2)),
+            ("text", ["", "a", ""], (0, 2)),
+            ("boolean", [True, False, False], (1, 2)),
+        ]
 
 
 class TestEmit:
@@ -373,6 +420,36 @@ class TestRuleTextErrors:
         assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
         assert cli.main(["lint", "--rules", str(rules)]) == 2
         assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
+
+
+class TestInfiniteLiteral:
+    """A number literal past the float range is inf, rendered as 1e999."""
+
+    @pytest.fixture
+    def rules(self, tmp_path):
+        p = tmp_path / "r.txt"
+        p.write_text("big: x > 1e999999\nneg: x > -1e999999\n")
+        return p
+
+    def test_check_lint_and_export_exit_codes(self, tmp_path, rules, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x\n1\n")
+        assert cli.main(["check", str(data), "--rules", str(rules)]) == 1
+        assert "(x - 1e999) > -1e-08" in capsys.readouterr().out
+        assert cli.main(["lint", "--rules", str(rules)]) == 0
+        for name in ("r.yml", "r.csv", "r2.txt"):
+            assert cli.main(["export", "--rules", str(rules), "--out", str(tmp_path / name)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_yaml_export_round_trip(self, tmp_path, rules, capsys):
+        from checkmate import rule_io
+
+        out = tmp_path / "r.yml"
+        assert cli.main(["export", "--rules", str(rules), "--out", str(out)]) == 0
+        assert "expr: x > 1e999\n" in out.read_text()
+        before, _ = rule_io.read_rules(str(rules))
+        after, _ = rule_io.read_rules(str(out))
+        assert [r.body for r in after.rules] == [r.body for r in before.rules]
 
 
 class TestExportCommand:

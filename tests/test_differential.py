@@ -122,7 +122,8 @@ def reference_compare_cells(versions, how):
                         tally["imputed"] += 1
                     else:
                         tally["still_available"] += 1
-                        tally["unadapted" if cur == prev else "adapted"] += 1
+                        same = cur == prev or (cur != cur and prev != prev)  # NaN in both
+                        tally["unadapted" if same else "adapted"] += 1
         for s in CELL_STATUSES:
             counts[s].append(tally[s])
     return counts

@@ -157,6 +157,15 @@ class TestCompareCells:
         assert col["adapted"] == col["imputed"] == col["removed"] == 0
         assert col["unadapted"] == 2 and col["still_missing"] == 1
 
+    def test_nan_in_both_versions_is_unadapted(self):
+        df = from_dict({"x": [float("nan"), 1.0]})
+        other = from_dict({"x": [float("nan"), float("nan")]})
+        table = compare_cells({"v1": df, "v2": df, "v3": other})
+        assert table.column("v1")["adapted"] == 0 and table.column("v1")["unadapted"] == 2
+        assert table.column("v2")["adapted"] == 0 and table.column("v2")["unadapted"] == 2
+        # a number that becomes NaN has changed
+        assert table.column("v3")["adapted"] == 1 and table.column("v3")["unadapted"] == 1
+
     def test_empty_versions_rejected(self):
         with pytest.raises(DataError):
             compare_cells({})

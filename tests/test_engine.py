@@ -134,6 +134,39 @@ class TestEvalExpr:
         with pytest.raises(EvalError, match="NaNs produced"):
             check_that(df, rule, opts={"raise": "all"})
 
+    def test_zero_to_a_negative_power_is_infinite(self):
+        df = from_dict({"x": [0.0, -0.0, 2.0, None]})
+        (outcome,) = check_that(df, "x ^ -1 > 1e308").outcomes
+        assert outcome.result == [True, False, False, None]
+        assert outcome.warnings == []
+        assert cells("x ^ -2 > 1e308", df) == [True, True, False, None]
+        assert cells("x / 0 > 0", df)[:2] == [None, None]  # 0/0 stays missing
+
+    def test_filled_missing_cells_neither_raise_nor_warn(self):
+        # 0.0 fills the missing cells: 0/0, 0^-1 and 0*inf there must leave no trace
+        df = from_dict({"x": [None, 2.0, None], "y": [0.0, None, None]})
+        rules = ["y / x >= 0", "x ^ -1 > 0", "x * (1e308 * 10) > 0", "x / y > 0"]
+        for opts in (None, {"raise": "all"}):
+            v = check_that(df, *rules, opts=opts)
+            assert [o.result for o in v.outcomes] == [
+                [None, None, None], [None, True, None], [None, True, None], [None, None, None],
+            ]
+            assert [(o.error, o.warnings) for o in v.outcomes] == [(None, [])] * 4
+
+    def test_missing_text_is_no_empty_string_key(self):
+        df = from_dict({"k": [None, "", None], "v": [1.0, 2.0, 3.0]})
+        assert cells("is_unique(k)", df) == [False, True, False]
+        assert cells("duplicated(k)", df) == [False, False, True]
+        assert cells("is_unique(k, v)", df) == [True, True, True]
+        assert eval_fd(expr("k ~ v"), df) == [True, True, False]
+
+    def test_vectors_keep_filled_values_and_sorted_missing_indices(self):
+        df = from_dict({"x": [1.0, None, 3.0], "y": [None, 2.0, 1.0]})
+        v = eval_expr(expr("x - y"), df)
+        assert (v.values, v.na, v.cells) == ([0.0, 0.0, 2.0], (0, 1), [None, None, 2.0])
+        v = eval_expr(expr("x > 2 | y > 1"), df)
+        assert (v.values, v.na) == ([False, True, True], (0,))
+
     def test_unary_minus(self):
         df = from_dict({"x": [3.0, None]})
         assert cells("-x < 0", df) == [True, None]

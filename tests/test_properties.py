@@ -1,12 +1,13 @@
-"""Property tests over generated rule ASTs: rendering, variable listing, implication."""
+"""Property tests over generated rule ASTs and data: rendering, variable listing,
+implication, Kleene laws, tolerance rewrites, summaries and ``na.value``."""
 
 import itertools
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from checkmate import dsl, from_dict
-from checkmate.engine import eval_expr, kleene_not, kleene_or
+from checkmate import dsl, from_dict, summarize
+from checkmate.engine import check_that, eval_expr, kleene_not, kleene_or
 
 # fixed seed and size: the same examples every run, a few seconds in total
 PINNED = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -118,3 +119,112 @@ def _cells(e):
 def test_rewritten_implication_is_kleene_material_conditional(p, q):
     expected = [kleene_or(kleene_not(a), b) for a, b in zip(_cells(p), _cells(q))]
     assert _cells(dsl.Implication(p, q)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Semantics over vectors: Kleene laws, tolerance, summaries, na.value
+# ---------------------------------------------------------------------------
+
+
+def _vector(e):
+    return eval_expr(e, ALL_ROWS).cells
+
+
+def _binary(op, a, b):
+    return dsl.Binary(op, dsl.Paren(a), dsl.Paren(b))
+
+
+def _not(a):
+    return dsl.Unary("!", dsl.Paren(a))
+
+
+@PINNED
+@given(logical, logical)
+def test_de_morgan_over_vectors(p, q):
+    p, q = dsl.rewrite_implication(p), dsl.rewrite_implication(q)
+    assert _vector(_not(_binary("&", p, q))) == _vector(_binary("|", _not(p), _not(q)))
+    assert _vector(_not(_binary("|", p, q))) == _vector(_binary("&", _not(p), _not(q)))
+
+
+@PINNED
+@given(logical, logical)
+def test_absorption_over_vectors(p, q):
+    p, q = dsl.rewrite_implication(p), dsl.rewrite_implication(q)
+    assert _vector(_binary("&", p, _binary("|", p, q))) == _vector(p)
+    assert _vector(_binary("|", p, _binary("&", p, q))) == _vector(p)
+
+
+# linear expressions over number columns with missing cells and near-ties
+LINEAR_NAMES = ["u", "v", "w"]
+linear = st.recursive(
+    st.one_of(
+        st.builds(dsl.Identifier, st.sampled_from(LINEAR_NAMES)),
+        st.builds(dsl.NumberLit, st.sampled_from([0.0, 1.0, 0.1, 0.3, 2.5])),
+    ),
+    lambda kids: st.builds(dsl.Binary, st.sampled_from(["+", "-"]), kids, kids),
+    max_leaves=5,
+)
+LINEAR_CELLS = st.sampled_from([None, 0.0, 0.1, 0.2, 0.3, 1.0, 1.0 + 1e-9, 2.5, -1.0])
+
+
+@st.composite
+def linear_frames(draw):
+    n = draw(st.integers(1, 8))
+    return from_dict(
+        {name: draw(st.lists(LINEAR_CELLS, min_size=n, max_size=n)) for name in LINEAR_NAMES},
+        {name: "number" for name in LINEAR_NAMES},
+    )
+
+
+@PINNED
+@given(linear, linear, linear_frames(), st.sampled_from([1e-8, 1e-3, 0.5]))
+def test_tolerance_rewrite_is_slack_on_the_difference(lhs, rhs, df, eps):
+    left, right = (eval_expr(side, df).cells for side in (lhs, rhs))
+    n = max(len(left), len(right))  # a literal-only side is one cell, repeated
+    left, right = (cells * n if len(cells) == 1 else cells for cells in (left, right))
+    diffs = [None if a is None or b is None else a - b for a, b in zip(left, right)]
+
+    def rewritten(op):
+        e = dsl.rewrite_tolerance(dsl.Binary(op, lhs, rhs), eps, eps)
+        assert e != dsl.Binary(op, lhs, rhs)
+        return eval_expr(e, df).cells
+
+    assert rewritten("==") == [None if d is None else abs(d) < eps for d in diffs]
+    assert rewritten(">=") == [None if d is None else d >= -eps for d in diffs]
+
+
+COMPARISONS = st.builds(
+    lambda a, op, b: f"{a} {op} {b}",
+    st.sampled_from(LINEAR_NAMES + ["1", "0.2"]),
+    st.sampled_from(["<", "<=", "==", "!=", ">=", ">"]),
+    st.sampled_from(LINEAR_NAMES + ["1", "0.2"]),
+)
+RULE_SOURCES = st.lists(
+    st.one_of(
+        COMPARISONS,
+        st.builds("if ({}) {}".format, COMPARISONS, COMPARISONS),
+        st.builds("{} | {}".format, COMPARISONS, COMPARISONS),
+        st.sampled_from(["mean(u) > 0", "mean(v, na.rm = TRUE) > 0", "is_unique(u, w)",
+                         "u + v ~ w", "all(u > 0)", "nrow(.) > 3"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+NA_VALUES = st.sampled_from(["NA", True, False])
+
+
+@PINNED
+@given(RULE_SOURCES, linear_frames(), NA_VALUES)
+def test_summary_partitions_items(sources, df, na_value):
+    for row in summarize(check_that(df, *sources, opts={"na.value": na_value})):
+        assert row.passes + row.fails + row.nNA == row.items
+        assert row.nNA == 0 or na_value == "NA"
+
+
+@PINNED
+@given(RULE_SOURCES, linear_frames(), st.sampled_from([True, False]))
+def test_na_value_changes_exactly_the_missing_cells(sources, df, na_value):
+    default = check_that(df, *sources)
+    forced = check_that(df, *sources, opts={"na.value": na_value})
+    for plain, settled in zip(default.outcomes, forced.outcomes):
+        assert settled.result == [na_value if c is None else c for c in plain.result]
