@@ -1,8 +1,9 @@
 """Command-line front end: check data files against rule files and report.
 
-Commands: check, summary, lint, export, compare, cells, plot.
+The commands are the keys of ``COMMANDS``.
 Exit codes: 0 all validations pass, 1 at least one fail, 2 rule errors (or
-only unverifiable results under --strict), 3 usage or I/O error.
+only unverifiable results under --strict), 3 usage or I/O error, 4 an
+internal error (a defect of checkmate, reported on one line).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import operator
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import diffs, results, rule_io
@@ -26,6 +26,7 @@ from .rules import RuleSet, parse_option
 
 RULES_PATH_ENV = "CHECKMATE_RULES_PATH"
 
+# bar and legend colours, in the order of the pass, fail and NA counts
 PALETTE = {"pass": "#2e7d32", "fail": "#c62828", "na": "#9e9e9e"}
 
 
@@ -72,6 +73,17 @@ def _write_text_table(rows: list[dict], header: list[str], out) -> None:
     out.write("  ".join(h.rjust(w) for h, w in zip(header, widths)).rstrip() + "\n")
     for r in cells:
         out.write("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+
+
+def _write_table(rows: list[dict], header: list[str], fmt: str, out, title: str) -> None:
+    """Rows as a json object with the one member ``title``, as csv, or as aligned text."""
+    if fmt == "json":
+        json.dump({title: rows}, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        _write_csv(rows, header, out)
+    else:
+        _write_text_table(rows, header, out)
 
 
 def _aligned(v: Validation, cells: list) -> bool:
@@ -145,28 +157,14 @@ def emit(payload, fmt: str, out) -> None:
             _write_text_table(_summary_dicts(payload), _SUMMARY_HEADER, out)
         return
     if isinstance(payload, StatusTable):
-        rows = _status_dicts(payload)
         header = ["status"] + list(payload.version_names)
-        if fmt == "json":
-            json.dump({"statuses": rows}, out, indent=2)
-            out.write("\n")
-        elif fmt == "csv":
-            _write_csv(rows, header, out)
-        else:
-            _write_text_table(rows, header, out)
+        _write_table(_status_dicts(payload), header, fmt, out, "statuses")
         return
     raise DataError(f"cannot emit {type(payload).__name__}")
 
 
 def emit_summary(v: Validation, fmt: str, out) -> None:
-    summary = _summary_dicts(v)
-    if fmt == "json":
-        json.dump({"summary": summary}, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        _write_csv(summary, _SUMMARY_HEADER, out)
-    else:
-        _write_text_table(summary, _SUMMARY_HEADER, out)
+    _write_table(_summary_dicts(v), _SUMMARY_HEADER, fmt, out, "summary")
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +191,7 @@ def svg_bar_chart(v: Validation, title: str = "validation results") -> str:
             f'font-family="sans-serif" font-size="12">{row.name}</text>'
         )
         x = left
-        for count, color in (
-            (row.passes, PALETTE["pass"]),
-            (row.fails, PALETTE["fail"]),
-            (row.nNA, PALETTE["na"]),
-        ):
+        for count, color in zip((row.passes, row.fails, row.nNA), PALETTE.values()):
             if count == 0:
                 continue
             w = plot_w * count / biggest
@@ -211,7 +205,7 @@ def svg_bar_chart(v: Validation, title: str = "validation results") -> str:
             x += w
     legend_y = height - 18
     x = left
-    for label, color in (("pass", PALETTE["pass"]), ("fail", PALETTE["fail"]), ("NA", PALETTE["na"])):
+    for label, color in zip(("pass", "fail", "NA"), PALETTE.values()):
         parts.append(f'<rect x="{x}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
         parts.append(
             f'<text x="{x + 16}" y="{legend_y}" font-family="sans-serif" font-size="12">{label}</text>'
@@ -278,39 +272,27 @@ def svg_line_chart(table: StatusTable, title: str = "status by version") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command execution
+# Commands: each takes the parsed arguments and returns the exit code
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CliConfig:
-    command: str
-    data: list[str] = field(default_factory=list)
-    rules: str | None = None
-    key: str | None = None
-    format: str = "text"
-    out: str | None = None
-    options: dict = field(default_factory=dict)
-    how: str = "sequential"
-    strict: bool = False
-
-
-def _locate_rules(path: str) -> str:
-    if os.path.exists(path):
-        return path
+def _rules_path(args: argparse.Namespace) -> str:
+    """The --rules file as given, or else in the directory that ``RULES_PATH_ENV`` names."""
+    if not args.rules:
+        raise DataError("--rules is required for this command")
+    if os.path.exists(args.rules):
+        return args.rules
     search = os.environ.get(RULES_PATH_ENV)
     if search:
-        candidate = os.path.join(search, path)
+        candidate = os.path.join(search, args.rules)
         if os.path.exists(candidate):
             return candidate
-    raise RuleIOError(f"rules file not found: {path}")
+    raise RuleIOError(f"rules file not found: {args.rules}")
 
 
-def _load_rules(cfg: CliConfig) -> RuleSet:
+def _load_rules(args: argparse.Namespace) -> RuleSet:
     """The --rules file's rule set; its warnings go to stderr."""
-    if not cfg.rules:
-        raise DataError("--rules is required for this command")
-    rs, warnings = rule_io.read_rules(_locate_rules(cfg.rules))
+    rs, warnings = rule_io.read_rules(_rules_path(args))
     for w in warnings:
         print(w, file=sys.stderr)
     return rs
@@ -324,12 +306,12 @@ def _open_out(path: str, **kwargs):
 
 
 @contextmanager
-def _output(cfg: CliConfig):
+def _output(args: argparse.Namespace):
     """The --out file, or stdout when none is given."""
-    if not cfg.out:
+    if not args.out:
         yield sys.stdout
         return
-    with _open_out(cfg.out) as fh:
+    with _open_out(args.out) as fh:
         yield fh
 
 
@@ -356,112 +338,123 @@ def banner(v: Validation) -> str:
     )
 
 
-def _confront_single(cfg: CliConfig) -> Validation:
-    if len(cfg.data) != 1:
-        raise DataError(f"{cfg.command} needs exactly one data file")
-    df = ingest_csv(cfg.data[0])
-    rs = _load_rules(cfg)
-    return confront(df, rs, key=cfg.key, opts=cfg.options or None)
+def _confront_single(args: argparse.Namespace) -> Validation:
+    if len(args.data) != 1:
+        raise DataError(f"{args.command} needs exactly one data file")
+    df = ingest_csv(args.data[0])
+    rs = _load_rules(args)
+    return confront(df, rs, key=args.key, opts=args.options)
 
 
-def run(cfg: CliConfig) -> int:
-    """Execute one CLI command; returns the process exit code."""
-    try:
-        return _run(cfg)
-    except CheckmateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-
-
-def _run(cfg: CliConfig) -> int:
-    if cfg.command == "check":
-        v = _confront_single(cfg)
-        print(banner(v))
-        with _output(cfg) as out:
-            emit(v, cfg.format, out)
-        return _validation_exit_code(v, cfg.strict)
-
-    if cfg.command == "summary":
-        v = _confront_single(cfg)
-        with _output(cfg) as out:
-            emit_summary(v, cfg.format, out)
-        return _validation_exit_code(v, cfg.strict)
-
-    if cfg.command == "lint":
-        if not cfg.rules:
-            raise DataError("--rules is required for this command")
-        path = _locate_rules(cfg.rules)
-        try:
-            rs, warnings = rule_io.read_rules(path)
-        except (ParseError, RuleIOError, RuleSetError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        for w in warnings:
-            print(w, file=sys.stderr)
-        print(f"{len(rs)} rule(s) parsed")
-        return 2 if warnings else 0
-
-    if cfg.command == "export":
-        rs = _load_rules(cfg)
-        if not cfg.out:
-            raise DataError("export needs --out")
-        lower = cfg.out.lower()
-        if lower.endswith((".yml", ".yaml")):
-            rule_io.export_yaml(rs, cfg.out)
-        elif lower.endswith(".csv"):
-            rows = rule_io.rules_to_table(rs)
-            with _open_out(cfg.out, newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rule_io.TABLE_COLUMNS), lineterminator="\n")
-                writer.writeheader()
-                writer.writerows(rows)
-        else:
-            with _open_out(cfg.out) as fh:
-                for r in rs.rules:
-                    if r.description:
-                        for line in r.description.splitlines():
-                            fh.write(f"# {line}\n")
-                    fh.write(f"{r.name}: {r.source()}\n\n")
-        return 0
-
-    if cfg.command in ("compare", "cells"):
-        if len(cfg.data) < 2:
-            raise DataError(f"{cfg.command} needs at least two data files")
-        if cfg.command == "compare":
-            table = _compare_validations(cfg)
-        else:
-            table = diffs.compare_cells(_versions(cfg), how=cfg.how)
-        with _output(cfg) as out:
-            emit(table, cfg.format, out)
-        return 0
-
-    if cfg.command == "plot":
-        if not cfg.out:
-            raise DataError("plot needs --out")
-        if len(cfg.data) == 1:
-            v = _confront_single(cfg)
-            svg = svg_bar_chart(v)
-        else:
-            svg = svg_line_chart(_compare_validations(cfg))
-        with _open_out(cfg.out) as fh:
-            fh.write(svg + "\n")
-        return 0
-
-    raise DataError(f"unknown command {cfg.command!r}")
-
-
-def _versions(cfg: CliConfig) -> dict:
+def _versions(paths: list[str]) -> dict:
     """The data files as dataset versions, each named after its file."""
-    return {os.path.splitext(os.path.basename(p))[0]: ingest_csv(p) for p in cfg.data}
+    files: dict[str, str] = {}  # version name -> data file
+    for path in paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in files:
+            raise DataError(f"data files {files[name]} and {path} share the version name {name!r}")
+        files[name] = path
+    return {name: ingest_csv(path) for name, path in files.items()}
 
 
-def _compare_validations(cfg: CliConfig) -> StatusTable:
-    versions = _versions(cfg)
-    rs = _load_rules(cfg)
-    return diffs.compare_validations(rs, versions, how=cfg.how, opts=cfg.options or None)
+def _compare_validations(args: argparse.Namespace) -> StatusTable:
+    versions = _versions(args.data)
+    rs = _load_rules(args)
+    return diffs.compare_validations(rs, versions, how=args.how, opts=args.options)
+
+
+def _check(args: argparse.Namespace) -> int:
+    v = _confront_single(args)
+    print(banner(v))
+    with _output(args) as out:
+        emit(v, args.format, out)
+    return _validation_exit_code(v, args.strict)
+
+
+def _summary(args: argparse.Namespace) -> int:
+    v = _confront_single(args)
+    with _output(args) as out:
+        emit_summary(v, args.format, out)
+    return _validation_exit_code(v, args.strict)
+
+
+def _lint(args: argparse.Namespace) -> int:
+    """Exit 2 for a rule file that does not load or that loads with warnings."""
+    path = _rules_path(args)
+    try:
+        rs, warnings = rule_io.read_rules(path)
+    except (ParseError, RuleIOError, RuleSetError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    for w in warnings:
+        print(w, file=sys.stderr)
+    print(f"{len(rs)} rule(s) parsed")
+    return 2 if warnings else 0
+
+
+def _export(args: argparse.Namespace) -> int:
+    rs = _load_rules(args)
+    if not args.out:
+        raise DataError("export needs --out")
+    lower = args.out.lower()
+    if lower.endswith((".yml", ".yaml")):
+        rule_io.export_yaml(rs, args.out)
+    elif lower.endswith(".csv"):
+        rows = rule_io.rules_to_table(rs)
+        with _open_out(args.out, newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rule_io.TABLE_COLUMNS), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    else:
+        with _open_out(args.out) as fh:
+            for r in rs.rules:
+                if r.description:
+                    for line in r.description.splitlines():
+                        fh.write(f"# {line}\n")
+                fh.write(f"{r.name}: {r.source()}\n\n")
+    return 0
+
+
+def _status_command(table_of):
+    """The command that writes the status table ``table_of(args)`` of two or more versions."""
+
+    def command(args: argparse.Namespace) -> int:
+        if len(args.data) < 2:
+            raise DataError(f"{args.command} needs at least two data files")
+        table = table_of(args)
+        with _output(args) as out:
+            emit(table, args.format, out)
+        return 0
+
+    return command
+
+
+def _plot(args: argparse.Namespace) -> int:
+    if not args.out:
+        raise DataError("plot needs --out")
+    if len(args.data) == 1:
+        svg = svg_bar_chart(_confront_single(args))
+    else:
+        svg = svg_line_chart(_compare_validations(args))
+    with _open_out(args.out) as fh:
+        fh.write(svg + "\n")
+    return 0
+
+
+# command name -> handler; the parser offers exactly these commands
+COMMANDS = {
+    "check": _check,
+    "summary": _summary,
+    "lint": _lint,
+    "export": _export,
+    "compare": _status_command(_compare_validations),
+    "cells": _status_command(lambda args: diffs.compare_cells(_versions(args.data), how=args.how)),
+    "plot": _plot,
+}
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing and the one error boundary
 # ---------------------------------------------------------------------------
 
 
@@ -478,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="checkmate", description="Validate tabular data against a rule file."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "summary", "lint", "export", "compare", "cells", "plot"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("data", nargs="*", help="CSV data file(s)")
         p.add_argument("--rules", help="rule file (text or YAML)")
@@ -496,26 +489,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 3 if err.code not in (0, None) else 0
     try:
-        options = dict(_parse_option(s) for s in ns.set)
-        cfg = CliConfig(
-            command=ns.command,
-            data=list(ns.data),
-            rules=ns.rules,
-            key=ns.key,
-            format=ns.format,
-            out=ns.out,
-            options=options,
-            how=ns.how,
-            strict=ns.strict,
-        )
+        args.options = dict(_parse_option(s) for s in args.set) or None
+        return COMMANDS[args.command](args)
     except CheckmateError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    return run(cfg)
+    except Exception as err:  # a defect of checkmate: report it without a traceback
+        message = str(err).replace("\n", " ")
+        print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -55,6 +55,10 @@ _UNARY = {op: (text, prec) for text, (op, prec) in _PREFIX.items()}
 # of the recursive passes over the tree
 MAX_DEPTH = 150
 
+# most nodes one rule entry may expand into through macros and variable groups;
+# every pass after expansion visits each copy of a repeated body
+MAX_NODES = 100_000
+
 # ---------------------------------------------------------------------------
 # Tokens
 # ---------------------------------------------------------------------------
@@ -258,13 +262,14 @@ def children(e: Expression) -> list[Expression]:
     return found
 
 
-def depth(e: Expression) -> int:
-    """Levels in the tree of ``e``, counted no further than ``MAX_DEPTH + 1``."""
-    level, levels = [e], 0
+def extent(e: Expression) -> tuple[int, int]:
+    """Levels and nodes in the tree of ``e``, counted no further than level ``MAX_DEPTH + 1``."""
+    level, levels, nodes = [e], 0, 0
     while level and levels <= MAX_DEPTH:
         levels += 1
+        nodes += len(level)
         level = [child for node in level for child in children(node)]
-    return levels
+    return levels, nodes
 
 
 def node_precedence(e: Expression) -> int:
@@ -282,6 +287,7 @@ def node_precedence(e: Expression) -> int:
 # ---------------------------------------------------------------------------
 
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+_TOO_BIG = f"expression expands to more than {MAX_NODES} nodes"
 
 
 class _Parser:
@@ -332,7 +338,7 @@ class _Parser:
     def shallow(self, e: Expression) -> Expression:
         """``e``, read in full, once its tree is known to be at most ``MAX_DEPTH`` levels deep."""
         # every level of a tree takes a token of its own
-        if self.pos > MAX_DEPTH and depth(e) > MAX_DEPTH:
+        if self.pos > MAX_DEPTH and extent(e)[0] > MAX_DEPTH:
             raise ParseError(_TOO_DEEP)
         return e
 
@@ -488,7 +494,7 @@ def parse_expression(source: str) -> Expression:
 # Classification
 # ---------------------------------------------------------------------------
 
-VALIDATING_CALLS = {"all", "any", "grepl"}
+VALIDATING_CALLS = {"all", "any", "grepl", "all_unique", "all_complete"}
 
 
 def classify(d: Directive) -> str:
@@ -508,8 +514,6 @@ def classify(d: Directive) -> str:
         f = body.fname
         if f in VALIDATING_CALLS or f.startswith("is.") or f.startswith("is_"):
             return "validating"
-        if f in ("all_unique", "all_complete"):
-            return "validating"
     return "invalid"
 
 
@@ -523,36 +527,54 @@ def substitute_macros(e: Expression, macros: dict[str, Expression]) -> Expressio
 
     Bodies are inserted once, without re-scanning; a binary body is wrapped in
     parentheses when the surrounding operator binds at least as tightly. A
-    result nested deeper than ``MAX_DEPTH`` levels is a ``ParseError``, raised
-    before that tree is built.
+    result nested deeper than ``MAX_DEPTH`` levels, or one that inserts a body
+    and has more than ``MAX_NODES`` nodes, is a ``ParseError``. The result
+    shares each body among its uses, so the raise comes before any pass
+    copies them.
     """
     if not macros:
         return e
+    extents: dict[str, tuple[int, int]] = {}  # macro name -> levels and nodes of its body
+    nodes = 0
 
     def walk(node: Expression, parent_prec: int, level: int) -> Expression:
+        nonlocal nodes
         if type(node) is Identifier and node.name in macros:
             body = macros[node.name]
             wrap = isinstance(body, (Binary, Implication)) and parent_prec >= node_precedence(body)
-            if level + wrap + depth(body) - 1 > MAX_DEPTH:
+            if node.name not in extents:
+                extents[node.name] = extent(body)
+            levels, size = extents[node.name]
+            if level + wrap + levels - 1 > MAX_DEPTH:
                 raise ParseError(_TOO_DEEP)
+            nodes += wrap + size
             return Paren(body) if wrap else body
+        nodes += 1
         # only operators pass their binding strength down; any other parent
         # (parentheses, call arguments, if) already delimits its children
         p = node_precedence(node) if type(node) in (Unary, Binary) else 0
         return rebuild(node, lambda child: walk(child, p, level + 1))
 
-    return walk(e, 0, 1)
+    out = walk(e, 0, 1)
+    if extents and nodes > MAX_NODES:
+        raise ParseError(_TOO_BIG)
+    return out
 
 
 def expand_groups(e: Expression, groups: dict[str, list[str]]) -> list[Expression]:
     """Expand variable-group references over the Cartesian product of members.
 
     The first referenced group varies slowest; an expression referencing no
-    group comes back as a one-element list.
+    group comes back as a one-element list. An expansion into more than
+    ``MAX_NODES`` nodes in all is a ``ParseError``, raised before any copy is
+    built.
     """
-    referenced = [name for name in variables(e) if name in groups]
+    names, nodes = _census(e)
+    referenced = [name for name in names if name in groups]
     if not referenced:
         return [e]
+    if math.prod(len(groups[g]) for g in referenced) * nodes > MAX_NODES:
+        raise ParseError(_TOO_BIG)
     out = []
     for combo in itertools.product(*(groups[g] for g in referenced)):
         mapping = {g: Identifier(m) for g, m in zip(referenced, combo)}
@@ -578,34 +600,28 @@ def rewrite_implication(e: Expression) -> Expression:
     return rebuild(e, rewrite_implication)
 
 
-def _is_constant(e: Expression) -> bool:
+def _degree(e: Expression) -> int | None:
+    """0 for a constant, 1 for a linear expression, else None: built from
+    identifiers, numbers, +, -, negation and constant multiples."""
     if isinstance(e, NumberLit):
-        return True
+        return 0
+    if isinstance(e, Identifier):
+        return 1
     if isinstance(e, Paren):
-        return _is_constant(e.inner)
+        return _degree(e.inner)
     if isinstance(e, Unary) and e.op == "negate":
-        return _is_constant(e.operand)
+        return _degree(e.operand)
     if isinstance(e, Binary) and e.op in ("+", "-", "*"):
-        return _is_constant(e.lhs) and _is_constant(e.rhs)
-    return False
+        lhs, rhs = _degree(e.lhs), _degree(e.rhs)
+        if lhs is not None and rhs is not None:
+            degree = lhs + rhs if e.op == "*" else max(lhs, rhs)
+            return degree if degree <= 1 else None
+    return None
 
 
 def is_linear(e: Expression) -> bool:
     """Syntactic linearity: identifiers, numbers, +, -, and constant multiples."""
-    if isinstance(e, (Identifier, NumberLit)):
-        return True
-    if isinstance(e, Paren):
-        return is_linear(e.inner)
-    if isinstance(e, Unary) and e.op == "negate":
-        return is_linear(e.operand)
-    if isinstance(e, Binary):
-        if e.op in ("+", "-"):
-            return is_linear(e.lhs) and is_linear(e.rhs)
-        if e.op == "*":
-            return (_is_constant(e.lhs) and is_linear(e.rhs)) or (
-                is_linear(e.lhs) and _is_constant(e.rhs)
-            )
-    return False
+    return _degree(e) is not None
 
 
 def rewrite_tolerance(e: Expression, eps_eq: float, eps_ineq: float) -> Expression:
@@ -631,18 +647,26 @@ def rewrite_tolerance(e: Expression, eps_eq: float, eps_ineq: float) -> Expressi
 # ---------------------------------------------------------------------------
 
 
-def variables(e: Expression) -> list[str]:
-    """Names of all identifiers in first-occurrence order."""
+def _census(e: Expression) -> tuple[list[str], int]:
+    """Names of all identifiers in first-occurrence order, and the number of nodes."""
     seen: dict[str, None] = {}
+    nodes = 0
 
     def walk(node: Expression):
+        nonlocal nodes
+        nodes += 1
         if type(node) is Identifier:
             seen.setdefault(node.name)
         for child in children(node):
             walk(child)
 
     walk(e)
-    return list(seen)
+    return list(seen), nodes
+
+
+def variables(e: Expression) -> list[str]:
+    """Names of all identifiers in first-occurrence order."""
+    return _census(e)[0]
 
 
 # ---------------------------------------------------------------------------

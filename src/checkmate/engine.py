@@ -20,7 +20,7 @@ import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress, repeat
 
 from . import dsl
@@ -192,9 +192,9 @@ def _not_real(c) -> bool:
     return c != c or type(c) is complex
 
 
-def _arithmetic(op, lhs: Value, rhs: Value) -> Value:
+def _arithmetic(op, lhs: Value, rhs: Value, warnings: list) -> Value:
     """``op`` cell by cell; a NaN or complex result from present cells is
-    missing, with the warning ``NaNs produced``.
+    missing, and adds the warning ``NaNs produced`` to ``warnings``.
 
     Whatever the filled values at missing cells give is overwritten before
     the result is checked; for / and ^ they are 1.0 first, since a filled
@@ -211,11 +211,28 @@ def _arithmetic(op, lhs: Value, rhs: Value) -> Value:
     fill(out, na, 0.0)
     # NaN is the one float unequal to itself; complex comes only from ^
     if any(map(operator.ne, out, out)) or (op is operator.pow and complex in map(type, out)):
-        _warnings.warn("NaNs produced", RuntimeWarning)
+        warnings.append(RuntimeWarning("NaNs produced"))
         bad = tuple(compress(range(len(out)), map(_not_real, out)))
         na = _union(na, bad)
         fill(out, bad, 0.0)
     return Value("number", out, na)
+
+
+class _Pattern(str):
+    """Pattern text that ``re``'s compile cache, keyed by type as well as text,
+    has seen only from ``_compiled``: compiling it raises its warnings even
+    when the same text was compiled elsewhere in the process."""
+
+
+# larger than re's own cache (512 patterns), so a pattern that drops out of
+# this one has dropped out of that one too and warns again when recompiled
+@lru_cache(maxsize=1024)
+def _compiled(pattern: str) -> tuple[_re.Pattern, tuple[Warning, ...]]:
+    """A pattern's regex and the warnings its compile raised."""
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        rx = _re.compile(_Pattern(pattern))
+    return rx, tuple(w.message for w in caught)
 
 
 class Evaluator:
@@ -224,6 +241,7 @@ class Evaluator:
     def __init__(self, df: DataFrame, ref=None):
         self.df = df
         self.ref = self._normalize_ref(ref)
+        self.warnings: list[Warning] = []  # what the evaluation warned of, in order
 
     @staticmethod
     def _normalize_ref(ref):
@@ -303,7 +321,7 @@ class Evaluator:
         if e.op in _ARITH:
             self._require(lhs, "number", e.op)
             self._require(rhs, "number", e.op)
-            return _arithmetic(_ARITH[e.op], lhs, rhs)
+            return _arithmetic(_ARITH[e.op], lhs, rhs, self.warnings)
         raise EvalError(f"unknown operator {e.op!r}")
 
     def eval_in(self, e: dsl.Binary) -> Value:
@@ -429,9 +447,10 @@ class Evaluator:
             raise EvalError("grepl expects a pattern string as first argument")
         self._require(v, "text", "grepl")
         try:
-            rx = _re.compile(pattern.values[0])
+            rx, warnings = _compiled(pattern.values[0])
         except _re.error as err:
             raise EvalError(f"grepl: invalid pattern {pattern.values[0]!r}: {err}") from err
+        self.warnings.extend(warnings)
         return Value("logical", fill(list(map(bool, map(rx.search, v.values))), v.na, False), v.na)
 
     def _key_vectors(self, e: dsl.Call) -> list[Value]:
@@ -537,8 +556,14 @@ _EVAL = {
 
 
 def eval_expr(e: dsl.Expression, df: DataFrame, ref=None) -> Value:
-    """Evaluate a rewritten expression against a frame."""
-    return Evaluator(df, ref).eval(e)
+    """Evaluate a rewritten expression against a frame, then issue its warnings
+    through ``warnings.warn``."""
+    ev = Evaluator(df, ref)
+    try:
+        return ev.eval(e)
+    finally:
+        for w in ev.warnings:
+            _warnings.warn(w)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +657,7 @@ def confront(
         col = df.column(key)
         if col.na:
             raise DataError(f"key column {key!r} has missing cells")
-        key_values = list(map(str, col.values))
+        key_values = list(map(dsl.render_number if col.type == "number" else str, col.values))
 
     outcomes = []
     for rule in rs.rules:
@@ -640,20 +665,17 @@ def confront(
         expression = dsl.render(body)
         outcome = RuleOutcome(rule.name, expression)
         try:
-            with _warnings.catch_warnings(record=True) as caught:
-                _warnings.simplefilter("always")
-                value = eval_expr(body, df, ref)
+            evaluator = Evaluator(df, ref)
+            value = evaluator.eval(body)
             if value.kind != "logical":
                 raise EvalError(
                     f"rule {rule.name!r} does not evaluate to a logical value"
                 )
             na_cell = resolved.na_value if resolved.na_value in (True, False) else None
             outcome.result = fill(list(value.values), value.na, na_cell)
-            for w in caught:
-                message = str(w.message)
-                if resolved.raise_ == "all":
-                    raise EvalError(message)
-                outcome.warnings.append(message)
+            outcome.warnings = [str(w) for w in evaluator.warnings]
+            if outcome.warnings and resolved.raise_ == "all":
+                raise EvalError(outcome.warnings[0])
         except EvalError as err:
             if resolved.raise_ in ("error", "all"):
                 raise

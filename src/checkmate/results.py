@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Validation, kleene_and, kleene_not, kleene_or
+from .engine import Validation, kleene_not
 from .errors import DataError
 
 
@@ -47,34 +47,19 @@ def summarize(v: Validation) -> list[SummaryRow]:
     return rows
 
 
-def _all_cells(v: Validation, na_rm: bool) -> list:
-    cells = []
-    for o in v.outcomes:
-        if o.result is not None:
-            cells.extend(o.result)
-    return [c for c in cells if c is not None] if na_rm else cells
-
-
 def all_pass(v: Validation, na_rm: bool = False):
     """Kleene conjunction over every result cell of every rule."""
-    cells = _all_cells(v, na_rm)
-    out = True
-    for c in cells:
-        out = kleene_and(out, c)
-        if out is False:
-            return False
-    return out
+    cells = [o.result for o in v.outcomes if o.result is not None]
+    if any(False in c for c in cells):
+        return False
+    if not na_rm and any(None in c for c in cells):
+        return None
+    return True
 
 
 def any_fail(v: Validation, na_rm: bool = False):
     """Kleene disjunction of the negated result cells."""
-    cells = _all_cells(v, na_rm)
-    out = False
-    for c in cells:
-        out = kleene_or(out, kleene_not(c))
-        if out is True:
-            return True
-    return out
+    return kleene_not(all_pass(v, na_rm))
 
 
 @dataclass

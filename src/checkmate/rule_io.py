@@ -101,13 +101,17 @@ class _Loader:
         except OSError as err:
             raise RuleIOError(f"cannot read {path}: {err}") from err
 
-    def _load_includes(self, includes, path: str):
-        if includes is None:
-            return
-        if isinstance(includes, str):
-            includes = [includes]
-        for inc in includes:
-            self.load(_resolve_include(path, inc))
+    def _load_header(self, header: dict, allowed: set, what: str, path: str):
+        """Check the keys of a file's front matter or top level; load its includes and options."""
+        unknown = set(header) - allowed
+        if unknown:
+            raise RuleIOError(f"{path}: unknown {what} keys {sorted(unknown)}")
+        includes = header.get("include")
+        if includes is not None:
+            for inc in [includes] if isinstance(includes, str) else includes:
+                self.load(_resolve_include(path, inc))
+        if header.get("options"):
+            self.options.update(_normalize_options(header["options"], path))
 
     # -- text ---------------------------------------------------------------
 
@@ -131,12 +135,7 @@ class _Loader:
                 front = yaml.safe_load(block) or {}
             except yaml.YAMLError as err:
                 raise RuleIOError(f"{path}: bad front matter: {err}") from err
-            unknown = set(front) - {"options", "include"}
-            if unknown:
-                raise RuleIOError(f"{path}: unknown front matter keys {sorted(unknown)}")
-            self._load_includes(front.get("include"), path)
-            if front.get("options"):
-                self.options.update(_normalize_options(front["options"], path))
+            self._load_header(front, {"options", "include"}, "front matter", path)
             i = close + 1
 
         comment_block: list[str] = []
@@ -182,12 +181,7 @@ class _Loader:
             if not isinstance(doc, dict):
                 raise RuleIOError(f"{path}: expected a mapping at the top level")
             data.update(doc)
-        unknown = set(data) - {"options", "include", "rules"}
-        if unknown:
-            raise RuleIOError(f"{path}: unknown top-level keys {sorted(unknown)}")
-        self._load_includes(data.get("include"), path)
-        if data.get("options"):
-            self.options.update(_normalize_options(data["options"], path))
+        self._load_header(data, {"options", "include", "rules"}, "top-level", path)
         for index, item in enumerate(data.get("rules") or [], start=1):
             where = f"{path}: rule entry {index}"
             if not isinstance(item, dict):

@@ -207,7 +207,7 @@ def build_ruleset(
     groups: dict[str, list[str]] = {}
     rules: list[Rule] = []
     invalid: list[tuple[int, str]] = []
-    pending: list[tuple[RuleEntry, list[dsl.Expression]]] = []
+    counter = 0
 
     for index, entry in enumerate(entries, start=1):
         directive = entry.directive
@@ -223,33 +223,21 @@ def build_ruleset(
             continue
         body = dsl.substitute_macros(directive.body, macros)
         expanded = dsl.expand_groups(body, groups)
-        pending.append((entry, expanded))
-
-    counter = 0
-    for entry, expanded in pending:
         if entry.name is None:
             counter += 1
             base = f"V{counter}"
         else:
             base = entry.name
-        meta = dict(DEFAULT_META)
-        if entry.meta:
-            meta.update(entry.meta)
-        names = (
-            [base]
-            if len(expanded) == 1
-            else [f"{base}.{i}" for i in range(1, len(expanded) + 1)]
-        )
-        for rule_name, body in zip(names, expanded):
+        for i, rule_body in enumerate(expanded, start=1):
             rules.append(
                 Rule(
-                    body,
-                    rule_name,
+                    rule_body,
+                    base if len(expanded) == 1 else f"{base}.{i}",
                     label=entry.label,
                     description=entry.description,
                     origin=entry.origin,
                     created=entry.created or now,
-                    meta=dict(meta),
+                    meta={**DEFAULT_META, **(entry.meta or {})},
                 )
             )
 

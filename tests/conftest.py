@@ -7,6 +7,8 @@ from checkmate import cli, new_ruleset, rules
 SAMPLE_DIR = os.path.join(os.path.dirname(__file__), "..", "sample")
 SAMPLE_DATA = os.path.join(SAMPLE_DIR, "retailers_synthetic.csv")
 SAMPLE_RULES = os.path.join(SAMPLE_DIR, "retailers_rules.txt")
+# a later version of the sample, with cells changed, imputed and removed
+SAMPLE_V2 = os.path.join(os.path.dirname(__file__), "golden", "retailers_v2.csv")
 
 
 @pytest.fixture(autouse=True)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -15,7 +16,7 @@ from checkmate import cli, from_dict, results
 from checkmate.engine import check_that, confront
 from checkmate.errors import DataError
 
-from conftest import SAMPLE_DATA, SAMPLE_RULES
+from conftest import SAMPLE_DATA, SAMPLE_RULES, SAMPLE_V2
 
 
 class TestIngestCsv:
@@ -239,7 +240,7 @@ class TestStreamedEmit:
 
     def test_numeric_key(self):
         v = check_that(from_dict({"k": [1.0, 2.5, 30.0], "x": [1.0, None, -1.0]}), "x > 0", key="k")
-        assert v.key_values == ["1.0", "2.5", "30.0"]
+        assert v.key_values == ["1", "2.5", "30"]
         _assert_streams_match_reference(v)
 
     def test_every_rule_errored_gives_no_records(self):
@@ -572,10 +573,10 @@ CHECK = [SAMPLE_DATA, "--rules", SAMPLE_RULES]
     [
         ["check", *CHECK],
         ["summary", *CHECK],
-        ["compare", SAMPLE_DATA, SAMPLE_DATA, "--rules", SAMPLE_RULES],
-        ["cells", SAMPLE_DATA, SAMPLE_DATA],
+        ["compare", SAMPLE_DATA, SAMPLE_V2, "--rules", SAMPLE_RULES],
+        ["cells", SAMPLE_DATA, SAMPLE_V2],
         ["plot", *CHECK],
-        ["plot", SAMPLE_DATA, SAMPLE_DATA, "--rules", SAMPLE_RULES],
+        ["plot", SAMPLE_DATA, SAMPLE_V2, "--rules", SAMPLE_RULES],
         ["export", "--rules", SAMPLE_RULES],
     ],
     ids=["check", "summary", "compare", "cells", "plot", "plot-versions", "export"],
@@ -586,6 +587,112 @@ def test_out_into_missing_directory_exit_three(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err
+
+
+class TestVersionNames:
+    @pytest.mark.parametrize("command", ["compare", "cells", "plot"])
+    def test_two_files_with_one_name_exit_three(self, tmp_path, capsys, command):
+        first, second = tmp_path / "d1" / "v.csv", tmp_path / "d2" / "v.csv"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text("x\n1\n")
+        out = tmp_path / "out.txt"
+        argv = [command, str(first), str(second), "--rules", SAMPLE_RULES, "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == (
+            "", f"error: data files {first} and {second} share the version name 'v'\n"
+        )
+        assert not out.exists()
+
+
+class TestNodeLimit:
+    @pytest.fixture
+    def rules(self, tmp_path):
+        uses = [", ".join([name] * 140) for name in ("x", "m1", "m2")]
+        path = tmp_path / "r.txt"
+        path.write_text(
+            f"m1 := c({uses[0]})\nm2 := c({uses[1]})\nm3 := c({uses[2]})\nall(m3 > 0)\n"
+        )
+        return str(path)
+
+    def test_check_exit_three(self, rules, capsys):
+        assert cli.main(["check", SAMPLE_DATA, "--rules", rules]) == 3
+        assert capsys.readouterr().err == "error: expression expands to more than 100000 nodes\n"
+
+    def test_lint_exit_two(self, rules, capsys):
+        assert cli.main(["lint", "--rules", rules]) == 2
+        assert capsys.readouterr() == ("", "error: expression expands to more than 100000 nodes\n")
+
+
+class TestInternalError:
+    def test_exit_four_on_one_line(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "confront", broken)
+        assert cli.main(["check", SAMPLE_DATA, "--rules", SAMPLE_RULES]) == 4
+        assert capsys.readouterr() == (
+            "", "error: internal: ZeroDivisionError: float division by zero\n"
+        )
+
+
+# tokens of the rule language, and words next to it
+ATOMS = ["x", "y", "s", "m", "G", "0", "2.5", "1e400", "NA", "TRUE", "'a'", '"[[a]"']
+OPERATORS = ["+", "-", "*", "/", "^", "<", "<=", "==", "!=", ">=", ">", "%in%", "&", "|"]
+FUNCTIONS = ["mean", "sum", "median", "cor", "abs", "grepl", "all", "any", "is.na",
+             "is.numeric", "c", "var_group", "nrow", "names", "duplicated", "is_unique",
+             "is_complete", "all_complete"]
+RULE_TOKENS = [*ATOMS, *OPERATORS, *FUNCTIONS, "FALSE", "!", "~", ":=", "=", "(", ")", ",", ".",
+               ":", "if", "na.rm", "#", "---", "é", '"']
+CSV_CELLS = ["NA", "", "nan", "inf", "1e400", "1_000", "é", '"', '"a,b"', "1", "-2.5", "0",
+             "TRUE", "false", "abc"]
+
+# well-formed rules, which mostly get as far as evaluation
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(OPERATORS), inner).map(" ".join),
+        st.tuples(st.sampled_from(FUNCTIONS), st.lists(inner, max_size=2)).map(
+            lambda call: f"{call[0]}({', '.join(call[1])})"
+        ),
+        st.tuples(inner, inner).map(lambda parts: "if ({}) {}".format(*parts)),
+    ),
+    max_leaves=6,
+)
+RULE_LINES = st.one_of(
+    _EXPRESSIONS,
+    st.sampled_from(
+        ["m := x / y", "G := var_group(x, y)", "x + s ~ y", "mean(x, na.rm = TRUE) > 0"]
+    ),
+    st.lists(st.sampled_from(RULE_TOKENS), min_size=1, max_size=6).map(" ".join),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    rule_text=st.lists(RULE_LINES, max_size=4).map("\n".join),
+    rows=st.lists(st.lists(st.sampled_from(CSV_CELLS), min_size=3, max_size=3), max_size=4),
+)
+def test_random_input_gets_a_documented_exit_code(fuzz_dir, rule_text, rows):
+    data, rules = str(fuzz_dir / "data.csv"), str(fuzz_dir / "rules.txt")
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("".join(",".join(row) + "\n" for row in [["x", "y", "s"], *rows]))
+    with open(rules, "w", encoding="utf-8") as fh:
+        fh.write(rule_text)
+    for argv in (
+        ["check", data, "--rules", rules, "--format", "json"],
+        ["summary", data, "--rules", rules, "--key", "x", "--format", "csv"],
+        ["lint", "--rules", rules],
+    ):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv[0], stderr.getvalue())
 
 
 class TestSetOption:

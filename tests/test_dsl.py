@@ -6,6 +6,7 @@ import pytest
 from checkmate import dsl, from_dict
 from checkmate.engine import check_that, eval_expr
 from checkmate.errors import LexError, ParseError
+from checkmate.rules import new_ruleset
 
 
 def body(source):
@@ -207,6 +208,60 @@ class TestDepthLimit:
         with pytest.raises(ParseError) as exc:
             check_that(df, f"m := {deeper}", rule)
         assert str(exc.value) == TOO_DEEP
+
+
+TOO_BIG = "expression expands to more than 100000 nodes"
+
+
+def _call_of(name, count):
+    """``c(name, name, ...)``: 1 + ``count`` nodes when ``name`` is one node."""
+    return "c(" + ", ".join([name] * count) + ")"
+
+
+class TestNodeLimit:
+    def test_chained_macros_fail_fast(self):
+        # 141 nodes, then 1 + 140 * 141 = 19741, then 1 + 140 * 19741
+        entries = [
+            "m1 := " + _call_of("x", 140),
+            "m2 := " + _call_of("m1", 140),
+            "m3 := " + _call_of("m2", 140),
+            "all(m3 > 0)",
+        ]
+        with pytest.raises(ParseError) as exc:
+            new_ruleset([(None, source) for source in entries])
+        assert str(exc.value) == TOO_BIG
+
+    def test_product_of_groups_fails_fast(self):
+        # 2 ** 14 combinations of a 29-node rule
+        groups = [f"G{i} := var_group(x, y)" for i in range(14)]
+        rule = " + ".join(f"G{i}" for i in range(14)) + " > 0"
+        with pytest.raises(ParseError) as exc:
+            new_ruleset([(None, source) for source in [*groups, rule]])
+        assert str(exc.value) == TOO_BIG
+
+    def test_largest_group_expansion_under_the_bound(self):
+        # each expansion of G > 0 has 3 nodes
+        members = [f"x{i}" for i in range(dsl.MAX_NODES // 3)]
+        assert len(dsl.expand_groups(body("G > 0"), {"G": members})) == len(members)
+        with pytest.raises(ParseError) as exc:
+            dsl.expand_groups(body("G > 0"), {"G": [*members, "y"]})
+        assert str(exc.value) == TOO_BIG
+
+    def test_rule_at_the_bound_confronts(self):
+        # all(c(<99 uses of a 1000-node macro>, <996 x>) > 0): 4 + 99000 + 996 nodes
+        macro = "m := " + _call_of("x", 999)
+        uses = ", ".join(["m"] * 99 + ["x"] * 996)
+        df = from_dict({"x": [1.0]})
+        v = check_that(df, macro, f"all(c({uses}) > 0)")
+        assert [(o.error, o.result) for o in v.outcomes] == [(None, [True])]
+        with pytest.raises(ParseError) as exc:
+            check_that(df, macro, f"all(c({uses}, x) > 0)")
+        assert str(exc.value) == TOO_BIG
+
+    def test_rules_without_expansion_are_not_bounded(self):
+        rule = "all(" + _call_of("x", dsl.MAX_NODES) + " > 0)"
+        rs, _ = new_ruleset([(None, "m := x"), (None, rule)])
+        assert len(rs) == 1
 
 
 class TestClassify:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import warnings
 
 import pytest
 
@@ -415,3 +417,37 @@ class TestConfront:
         rs.rules[0].body = expr("x + 1")
         v = confront(df, rs)
         assert v.outcomes[0].error is not None
+
+
+class TestPatternWarnings:
+    """``re`` warns of a suspicious pattern once per process; a rule warns at every use."""
+
+    NESTED = "Possible nested set at position 1"
+
+    def test_every_use_warns(self):
+        df = from_dict({"s": ["a", "b"]})
+        v = check_that(df, "grepl('[[a]', s)", "grepl('[[a]', s)")
+        assert [o.warnings for o in v.outcomes] == [[self.NESTED], [self.NESTED]]
+
+    def test_every_use_raises_under_raise_all(self):
+        df = from_dict({"s": ["a", "b"]})
+        for _ in range(2):
+            with pytest.raises(EvalError, match=self.NESTED):
+                check_that(df, "grepl('[[b]', s)", opts={"raise": "all"})
+
+    def test_a_compile_elsewhere_hides_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            re.compile("[[c]")
+        (outcome,) = check_that(from_dict({"s": ["c"]}), "grepl('[[c]', s)").outcomes
+        assert outcome.warnings == [self.NESTED]
+
+    def test_eval_expr_issues_the_warnings(self):
+        df = from_dict({"s": ["a"], "x": [-1.0]})
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                eval_expr(expr("grepl('[[d]', s) | x ^ 0.5 > 0"), df)
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (FutureWarning, self.NESTED), (RuntimeWarning, "NaNs produced"),
+            ]
