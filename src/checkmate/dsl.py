@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import LexError, ParseError
 
@@ -90,8 +92,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # identifier|number|string|boolean-literal|missing-literal|operator|punctuation|keyword
     text: str
     line: int
@@ -216,8 +217,26 @@ class RuleExpr:
 Directive = MacroDef | GroupDef | RuleExpr
 
 # ---------------------------------------------------------------------------
-# Tree walking: one rebuilder per node type serves every pass over the tree
+# Tree walking: per node type, one children reader and one rebuilder serve every pass
 # ---------------------------------------------------------------------------
+
+
+# node type -> the direct children of a node, left to right; leaves are absent.
+# A functional dependency's names count as identifiers.
+_CHILDREN = {
+    Paren: lambda e: [e.inner],
+    Unary: lambda e: [e.operand],
+    Binary: lambda e: [e.lhs, e.rhs],
+    Call: lambda e: [*e.args, *e.named_args.values()],
+    Implication: lambda e: [e.condition, e.consequent],
+    FuncDep: lambda e: [Identifier(name) for name in (*e.determinant, *e.dependent)],
+}
+
+
+def children(e: Expression) -> list[Expression]:
+    """Direct sub-expressions of a node, left to right."""
+    listed = _CHILDREN.get(type(e))
+    return listed(e) if listed else []
 
 
 def _rename(names: list[str], fn) -> list[str]:
@@ -230,36 +249,52 @@ def _rename(names: list[str], fn) -> list[str]:
     return [m.name if type(m) is Identifier else name for m, name in zip(mapped, names)]
 
 
-# node type -> copy of the node with ``fn`` applied to each direct child, left to
-# right; leaves are absent. A functional dependency's names count as identifiers.
+def _rebuild_binary(e: Binary, fn) -> Expression:
+    lhs, rhs = fn(e.lhs), fn(e.rhs)
+    return e if lhs is e.lhs and rhs is e.rhs else Binary(e.op, lhs, rhs)
+
+
+def _rebuild_call(e: Call, fn) -> Expression:
+    args = [fn(a) for a in e.args]
+    named = {k: fn(v) for k, v in e.named_args.items()}
+    if all(map(operator.is_, args, e.args)) and all(
+        map(operator.is_, named.values(), e.named_args.values())
+    ):
+        return e
+    return Call(e.fname, args, named)
+
+
+def _rebuild_implication(e: Implication, fn) -> Expression:
+    p, q = fn(e.condition), fn(e.consequent)
+    return e if p is e.condition and q is e.consequent else Implication(p, q)
+
+
+def _rebuild_funcdep(e: FuncDep, fn) -> Expression:
+    det, dep = _rename(e.determinant, fn), _rename(e.dependent, fn)
+    return e if det == e.determinant and dep == e.dependent else FuncDep(det, dep)
+
+
+# node type -> the node with ``fn`` applied to each direct child, left to right,
+# in the order of _CHILDREN; leaves are absent. Written out per type: the walks
+# call it for every node of every rule.
 _REBUILD = {
-    Paren: lambda e, fn: Paren(fn(e.inner)),
-    Unary: lambda e, fn: Unary(e.op, fn(e.operand)),
-    Binary: lambda e, fn: Binary(e.op, fn(e.lhs), fn(e.rhs)),
-    Call: lambda e, fn: Call(
-        e.fname, [fn(a) for a in e.args], {k: fn(v) for k, v in e.named_args.items()}
-    ),
-    Implication: lambda e, fn: Implication(fn(e.condition), fn(e.consequent)),
-    FuncDep: lambda e, fn: FuncDep(_rename(e.determinant, fn), _rename(e.dependent, fn)),
+    Paren: lambda e, fn: e if (inner := fn(e.inner)) is e.inner else Paren(inner),
+    Unary: lambda e, fn: e if (operand := fn(e.operand)) is e.operand else Unary(e.op, operand),
+    Binary: _rebuild_binary,
+    Call: _rebuild_call,
+    Implication: _rebuild_implication,
+    FuncDep: _rebuild_funcdep,
 }
 
 
 def rebuild(e: Expression, fn) -> Expression:
-    """Copy of a node with ``fn`` applied to each direct child; leaves come back as is."""
+    """Node with ``fn`` applied to each direct child, left to right.
+
+    ``e`` itself comes back when ``fn`` returns every child unchanged (the same
+    object), so a pass copies only the paths it changes; leaves come back as is.
+    """
     make = _REBUILD.get(type(e))
     return make(e, fn) if make else e
-
-
-def children(e: Expression) -> list[Expression]:
-    """Direct sub-expressions of a node, left to right."""
-    found = []
-
-    def keep(child: Expression) -> Expression:
-        found.append(child)
-        return child
-
-    rebuild(e, keep)
-    return found
 
 
 def extent(e: Expression) -> tuple[int, int]:
@@ -569,6 +604,8 @@ def expand_groups(e: Expression, groups: dict[str, list[str]]) -> list[Expressio
     ``MAX_NODES`` nodes in all is a ``ParseError``, raised before any copy is
     built.
     """
+    if not groups:
+        return [e]
     names, nodes = _census(e)
     referenced = [name for name in names if name in groups]
     if not referenced:

@@ -640,6 +640,13 @@ def prepare_rule(rule: Rule, opts: OptionSet) -> dsl.Expression:
     return dsl.rewrite_tolerance(body, opts.lin_eq_eps, opts.lin_ineq_eps)
 
 
+def _key_id(value: float) -> str:
+    """The id of a number key cell; infinities print as R's ``as.character`` does."""
+    if value in (math.inf, -math.inf):
+        return "Inf" if value > 0 else "-Inf"
+    return dsl.render_number(value)
+
+
 def confront(
     df: DataFrame,
     rs: RuleSet,
@@ -657,7 +664,7 @@ def confront(
         col = df.column(key)
         if col.na:
             raise DataError(f"key column {key!r} has missing cells")
-        key_values = list(map(dsl.render_number if col.type == "number" else str, col.values))
+        key_values = list(map(_key_id if col.type == "number" else str, col.values))
 
     outcomes = []
     for rule in rs.rules:

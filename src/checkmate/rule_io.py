@@ -10,11 +10,10 @@ cycles abort with an error naming every file on the cycle.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
-from datetime import datetime
-
-import yaml
+from datetime import date, datetime
 
 from . import dsl
 from .errors import CycleError, LexError, ParseError, RuleIOError
@@ -52,6 +51,55 @@ def _normalize_options(raw: dict, path: str) -> dict:
             value = "NA"
         opts[key] = value
     return opts
+
+
+# Text that libyaml and the pure-Python loader are known to read differently:
+# tabs, the line breaks and byte-order mark only the pure-Python scanner
+# rejects or treats apart, '#' straight after a block scalar header, and '?',
+# which a plain scalar in flow context may hold only under libyaml.
+_LIBYAML_DIFFERS = re.compile("[\t\x85\u2028\u2029\ufeff?]|[|>][-+0-9]*#")
+
+
+@functools.cache
+def _libyaml_loader():
+    """``yaml.CSafeLoader``, reading an empty scalar tagged ``!`` as null, as the
+    pure-Python loader does."""
+    import yaml
+
+    class Loader(yaml.CSafeLoader):
+        def resolve(self, kind, value, implicit):
+            # libyaml marks that scalar neither plain nor quoted; any other has one of the two
+            if kind is yaml.ScalarNode and not any(implicit):
+                implicit = (True, False)
+            return super().resolve(kind, value, implicit)
+
+    return Loader
+
+
+def _load_yaml_text(text: str, where: str, stream: bool = False):
+    """The YAML document of ``text``, or with ``stream`` its non-empty documents.
+
+    The pure-Python loader's result or error is the reference. libyaml, when
+    PyYAML has it, reads text that is not known to read differently; on any
+    failure the text is read again by the pure-Python loader, whose message
+    (with a source excerpt) is the one reported.
+    """
+    import yaml  # about 20 ms, a sixth of the start-up of commands that read no YAML
+
+    def load(loader):
+        if not stream:
+            return yaml.load(text, Loader=loader)
+        return [doc for doc in yaml.load_all(text, Loader=loader) if doc is not None]
+
+    try:
+        if yaml.__with_libyaml__ and not _LIBYAML_DIFFERS.search(text):
+            try:
+                return load(_libyaml_loader())
+            except Exception:  # whatever libyaml raises, the pure-Python loader decides
+                pass
+        return load(yaml.SafeLoader)
+    except yaml.YAMLError as err:
+        raise RuleIOError(f"{where}: {err}") from err
 
 
 def _canonical(path: str) -> str:
@@ -107,11 +155,18 @@ class _Loader:
         if unknown:
             raise RuleIOError(f"{path}: unknown {what} keys {sorted(unknown)}")
         includes = header.get("include")
+        if isinstance(includes, str):
+            includes = [includes]
         if includes is not None:
-            for inc in [includes] if isinstance(includes, str) else includes:
+            if not (isinstance(includes, list) and all(isinstance(i, str) for i in includes)):
+                raise RuleIOError(f"{path}: 'include' must be a file name or a list of them")
+            for inc in includes:
                 self.load(_resolve_include(path, inc))
-        if header.get("options"):
-            self.options.update(_normalize_options(header["options"], path))
+        options = header.get("options")
+        if options:
+            if not isinstance(options, dict):
+                raise RuleIOError(f"{path}: 'options' must be a mapping")
+            self.options.update(_normalize_options(options, path))
 
     # -- text ---------------------------------------------------------------
 
@@ -131,10 +186,9 @@ class _Loader:
             if close is None:
                 raise RuleIOError(f"{path}: unterminated front matter")
             block = "\n".join(lines[i + 1 : close])
-            try:
-                front = yaml.safe_load(block) or {}
-            except yaml.YAMLError as err:
-                raise RuleIOError(f"{path}: bad front matter: {err}") from err
+            front = _load_yaml_text(block, f"{path}: bad front matter") or {}
+            if not isinstance(front, dict):
+                raise RuleIOError(f"{path}: expected a mapping in the front matter")
             self._load_header(front, {"options", "include"}, "front matter", path)
             i = close + 1
 
@@ -168,21 +222,17 @@ class _Loader:
     # -- yaml ---------------------------------------------------------------
 
     def _load_yaml(self, path: str):
-        content = self._read(path)
-        documents = []
-        try:
-            for doc in yaml.safe_load_all(content):
-                if doc is not None:
-                    documents.append(doc)
-        except yaml.YAMLError as err:
-            raise RuleIOError(f"{path}: invalid YAML: {err}") from err
+        documents = _load_yaml_text(self._read(path), f"{path}: invalid YAML", stream=True)
         data: dict = {}
         for doc in documents:
             if not isinstance(doc, dict):
                 raise RuleIOError(f"{path}: expected a mapping at the top level")
             data.update(doc)
         self._load_header(data, {"options", "include", "rules"}, "top-level", path)
-        for index, item in enumerate(data.get("rules") or [], start=1):
+        rules = data.get("rules") or []
+        if not isinstance(rules, list):
+            raise RuleIOError(f"{path}: 'rules' must be a list of mappings")
+        for index, item in enumerate(rules, start=1):
             where = f"{path}: rule entry {index}"
             if not isinstance(item, dict):
                 raise RuleIOError(f"{where} is not a mapping")
@@ -194,6 +244,8 @@ class _Loader:
             created = item.get("created")
             if isinstance(created, str):
                 created = _parse_created(created, where)
+            elif created and not isinstance(created, date):
+                raise RuleIOError(f"{where}: bad 'created' timestamp: {created!r}")
             source = str(item["expr"]).strip()
             self.entries.append(
                 RuleEntry(
@@ -238,6 +290,8 @@ def export_yaml(rs: RuleSet, path: str):
         }
         for r in rs.rules
     ]
+    import yaml
+
     text = yaml.safe_dump(data, sort_keys=False, default_flow_style=False, allow_unicode=True)
     try:
         with open(path, "w", encoding="utf-8") as fh:

@@ -243,6 +243,17 @@ class TestStreamedEmit:
         assert v.key_values == ["1", "2.5", "30"]
         _assert_streams_match_reference(v)
 
+    def test_non_finite_numeric_key(self, tmp_path, capsys):
+        # ids as R's as.character prints the numbers
+        (tmp_path / "k.csv").write_text("k,x\n1,1\ninf,1\nnan,1\n1e20,1\n-inf,1\n")
+        (tmp_path / "k.txt").write_text("x > 0\n")
+        argv = ["check", str(tmp_path / "k.csv"), "--rules", str(tmp_path / "k.txt"), "--key", "k",
+                "--format", "csv"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        ids = [row["id"] for row in csv.DictReader(io.StringIO(out[out.index("id,"):]))]
+        assert ids == ["1", "Inf", "NaN", "1e+20", "-Inf"]
+
     def test_every_rule_errored_gives_no_records(self):
         v = check_that(from_dict({"x": [1.0, 2.0]}), "y > 0", "z > 0")
         out = io.StringIO()
@@ -421,6 +432,107 @@ class TestRuleTextErrors:
         assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
         assert cli.main(["lint", "--rules", str(rules)]) == 2
         assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
+
+
+class TestRuleFileValueTypes:
+    """A rule-file value of the wrong YAML type is a rule-file error naming the file and key."""
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("r.yml", "rules: 5\n", "'rules' must be a list of mappings"),
+            ("r.yml", "rules: abc\n", "'rules' must be a list of mappings"),
+            ("r.yml", "include: 5\n", "'include' must be a file name or a list of them"),
+            ("r.yml", "include: [5]\n", "'include' must be a file name or a list of them"),
+            ("r.yml", "options: [1]\n", "'options' must be a mapping"),
+            ("r.txt", "---\ninclude: 5\n---\nx > 0\n",
+             "'include' must be a file name or a list of them"),
+            ("r.txt", "---\noptions: [1]\n---\nx > 0\n", "'options' must be a mapping"),
+            ("r.txt", "---\n5\n---\nx > 0\n", "expected a mapping in the front matter"),
+            ("r.yml", "rules:\n- expr: x > 0\n  created: 5\n",
+             "rule entry 1: bad 'created' timestamp: 5"),
+        ],
+        ids=["rules", "rules-text", "include", "include-item", "options",
+             "front-include", "front-options", "front-scalar", "created"],
+    )
+    def test_check_exits_three_and_lint_two(self, tmp_path, monkeypatch, capsys, name, text,
+                                            message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("x\n1\n")
+        (tmp_path / name).write_text(text)
+        assert cli.main(["check", "d.csv", "--rules", name]) == 3
+        assert capsys.readouterr() == ("", f"error: {name}: {message}\n")
+        assert cli.main(["lint", "--rules", name]) == 2
+        assert capsys.readouterr() == ("", f"error: {name}: {message}\n")
+
+
+class TestYamlSyntaxErrors:
+    """The pure-Python loader's message, with its source excerpt, is the one reported,
+    whichever loader read the file first."""
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("tab.yml", "rules:\n\t- expr: x > 0\n",
+             "tab.yml: invalid YAML: while scanning for the next token\n"
+             "found character '\\t' that cannot start any token\n"
+             '  in "<unicode string>", line 2, column 1:\n'
+             "    \t- expr: x > 0\n"
+             "    ^\n"),
+            ("quote.yml", 'rules:\n- expr: "x > 0\n',
+             "quote.yml: invalid YAML: while scanning a quoted scalar\n"
+             '  in "<unicode string>", line 2, column 9:\n'
+             '    - expr: "x > 0\n'
+             "            ^\n"
+             "found unexpected end of stream\n"
+             '  in "<unicode string>", line 3, column 1:\n'
+             "    \n"
+             "    ^\n"),
+            ("indent.yml", "rules:\n  - expr: x > 0\n   name: a\n",
+             "indent.yml: invalid YAML: while parsing a block collection\n"
+             '  in "<unicode string>", line 2, column 3:\n'
+             "      - expr: x > 0\n"
+             "      ^\n"
+             "expected <block end>, but found '<block mapping start>'\n"
+             '  in "<unicode string>", line 3, column 4:\n'
+             "       name: a\n"
+             "       ^\n"),
+            ("tab.txt", "---\ninclude:\n\t- a.txt\n---\nx > 0\n",
+             "tab.txt: bad front matter: while scanning for the next token\n"
+             "found character '\\t' that cannot start any token\n"
+             '  in "<unicode string>", line 2, column 1:\n'
+             "    \t- a.txt\n"
+             "    ^\n"),
+            ("quote.txt", '---\noptions: {raise: "none}\n---\nx > 0\n',
+             "quote.txt: bad front matter: while scanning a quoted scalar\n"
+             '  in "<unicode string>", line 1, column 18:\n'
+             '    options: {raise: "none}\n'
+             "                     ^\n"
+             "found unexpected end of stream\n"
+             '  in "<unicode string>", line 1, column 24:\n'
+             '    options: {raise: "none}\n'
+             "                           ^\n"),
+            ("indent.txt", "---\noptions:\n  raise: none\n na.value: FALSE\n---\nx > 0\n",
+             "indent.txt: bad front matter: while parsing a block mapping\n"
+             '  in "<unicode string>", line 1, column 1:\n'
+             "    options:\n"
+             "    ^\n"
+             "expected <block end>, but found '<block mapping start>'\n"
+             '  in "<unicode string>", line 3, column 2:\n'
+             "     na.value: FALSE\n"
+             "     ^\n"),
+        ],
+        ids=["tab", "quote", "indent", "front-tab", "front-quote", "front-indent"],
+    )
+    def test_message_has_the_source_excerpt(self, tmp_path, monkeypatch, capsys, name, text,
+                                            message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("x\n1\n")
+        (tmp_path / name).write_text(text)
+        assert cli.main(["check", "d.csv", "--rules", name]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}")
+        assert cli.main(["lint", "--rules", name]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}")
 
 
 class TestInfiniteLiteral:
@@ -775,6 +887,10 @@ class TestPackaging:
     def test_module_entry_point_runs_without_warnings(self):
         proc = _python("-W", "error::RuntimeWarning", "-m", "checkmate.cli", "--help")
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_yaml_unloaded(self):
+        proc = _python("-c", "import sys, checkmate.cli; print('yaml' in sys.modules)")
+        assert proc.stdout.strip() == "False", proc.stderr
 
     def test_package_import_leaves_cli_unloaded(self):
         proc = _python("-c", "import sys, checkmate; print('checkmate.cli' in sys.modules)")

@@ -1,6 +1,7 @@
 """Property tests over generated rule ASTs and data: rendering, variable listing,
 implication, Kleene laws, tolerance rewrites, summaries and ``na.value``."""
 
+import dataclasses
 import itertools
 
 from hypothesis import example, given, settings
@@ -87,6 +88,58 @@ def test_variables_in_first_occurrence_order(e):
         if tok.kind == "identifier" and (nxt is None or nxt.text not in ("(", "="))
     ]
     assert dsl.variables(e) == list(dict.fromkeys(expected))
+
+
+def _children_from_fields(e):
+    """Direct children read off a node's fields, left to right: the reference of
+    ``dsl.children``. A functional dependency's names count as identifiers."""
+    found = []
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, dsl.Expression):
+            found.append(value)
+        elif isinstance(value, list):
+            found += [v if isinstance(v, dsl.Expression) else dsl.Identifier(v) for v in value]
+        elif isinstance(value, dict):
+            found += value.values()
+    return found
+
+
+def _nodes(e):
+    yield e
+    for child in dsl.children(e):
+        yield from _nodes(child)
+
+
+@PINNED
+@given(rule_bodies)
+def test_children_are_the_fields(e):
+    for node in _nodes(e):
+        assert dsl.children(node) == _children_from_fields(node)
+
+
+@PINNED
+@given(rule_bodies)
+def test_rebuild_without_change_is_the_node(e):
+    for node in _nodes(e):
+        assert dsl.rebuild(node, lambda child: child) is node
+
+
+@PINNED
+@given(rule_bodies)
+def test_rewrite_implication_copies_only_implications(e):
+    out = dsl.rewrite_implication(e)
+    if not any(type(node) is dsl.Implication for node in _nodes(e)):
+        assert out is e
+    else:
+        assert not any(type(node) is dsl.Implication for node in _nodes(out))
+
+
+@PINNED
+@given(rule_bodies, st.sets(st.sampled_from(NAMES)), expressions)
+def test_substitute_unreferenced_macros_is_the_tree(e, names, body):
+    macros = {name: body for name in names if name not in dsl.variables(e)}
+    assert dsl.substitute_macros(e, macros) is e
 
 
 TRI = [True, False, None]

@@ -1,8 +1,14 @@
+import ast
+import json
 import os
+import re
 import textwrap
 from datetime import datetime
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from checkmate import rule_io
 from checkmate.errors import CycleError, RuleIOError
@@ -279,3 +285,159 @@ class TestTable:
         with pytest.raises(RuleIOError) as exc:
             rule_io.table_to_rules([{"name": "a", "rule": "x >"}])
         assert "row 1" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# libyaml and the pure-Python loader
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FRONT_MATTER_RE = re.compile(r"^---\n(.*?)\n---$", re.MULTILINE | re.DOTALL)
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+
+
+def _strings(value):
+    """Every string inside decoded JSON."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+def _candidate_texts():
+    """Every file under tests/ and sample/, every string in their JSON and in the test
+    modules' source, and the front matter of each: whatever of it is YAML."""
+    texts = []
+    for top in ("tests", "sample"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(files):
+                if not name.endswith((".py", ".json", ".txt", ".yml", ".yaml", ".csv", ".text")):
+                    continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                texts.append(text)
+                if name.endswith(".json") and text.startswith("{"):
+                    texts += _strings(json.loads(text))
+                elif name.endswith(".py"):
+                    texts += [
+                        node.value
+                        for node in ast.walk(ast.parse(text))
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    ]
+    return texts + [block for text in texts for block in FRONT_MATTER_RE.findall(text)]
+
+
+def _reference(text, stream):
+    """What the pure-Python loader alone reads: documents, or the error message."""
+    try:
+        if not stream:
+            return yaml.load(text, Loader=yaml.SafeLoader)
+        return [doc for doc in yaml.load_all(text, Loader=yaml.SafeLoader) if doc is not None]
+    except yaml.YAMLError as err:
+        return f"w: {err}"
+    except Exception as err:  # a constructor's, such as a bad date
+        return repr(err)
+
+
+def _loaded(text, stream):
+    """What rule_io reads: documents, or the error message."""
+    try:
+        return rule_io._load_yaml_text(text, "w", stream)
+    except RuleIOError as err:
+        return str(err)
+    except Exception as err:
+        return repr(err)
+
+
+@needs_libyaml
+def test_libyaml_reads_every_yaml_text_of_the_repository_alike():
+    texts = _candidate_texts()
+    for text in texts:
+        for stream in (False, True):
+            assert repr(_loaded(text, stream)) == repr(_reference(text, stream)), text
+    fast = [t for t in texts if not rule_io._LIBYAML_DIFFERS.search(t)]
+    assert len(fast) > 0.8 * len(texts)
+
+
+# pieces of YAML syntax, including those libyaml and the pure-Python loader read apart
+YAML_PIECES = [
+    *"ab1 :-\n!&*'\"#[]{},?|>%@`.\t", "!!str", "!!int", "!!float", "!!bool", "!!timestamp",
+    "!!set", "!!omap", "!foo", "%YAML 1.1\n", "%YAML 2.0\n", "%TAG ! tag:x,2000:\n", "- ", ": ",
+    "---", "...", "\n  ", "~", "null", "0x1", "1_0", "1e3", ".inf", "yes", "2018-06-05",
+    "2018-02-30", "\\", "\\t", "é", "\r\n", "\x01", "\x85", "\u2028", "\ufeff", "\U0001F600",
+    "<<", "\xa0", "|-", ">+", "|2", "&a ", "*a", "? ", "rules:", "expr: x > 0", "include:",
+]
+
+
+@needs_libyaml
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(YAML_PIECES), max_size=14).map("".join), st.booleans())
+@example("x: !", True)
+@example("[is it?]", False)
+@example("a: b\t", False)
+@example("|#\n", False)
+@example("!!int\r\n!foo+1!!bool1_0!!omap", True)
+def test_libyaml_reads_generated_yaml_text_alike(text, stream):
+    assert repr(_loaded(text, stream)) == repr(_reference(text, stream))
+
+
+_label_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+_rule_items = st.fixed_dictionaries(
+    {
+        "expr": st.sampled_from(["x > 0", "if (a > 0) b >= 1", "a + b ~ c", "m := mean(x)",
+                                 'grepl("^[a-z]+$", s)', "G := var_group(a, b)"]),
+        "name": st.from_regex(r"[A-Za-z][A-Za-z0-9._]{0,6}", fullmatch=True),
+    },
+    optional={
+        "label": _label_text,
+        "description": _label_text,
+        "created": st.sampled_from(["2018-06-05 14:44:06", "", None]),
+        "origin": _label_text,
+        "meta": st.dictionaries(st.sampled_from(["language", "severity", "x"]), _label_text,
+                                max_size=2),
+    },
+)
+_rule_files = st.fixed_dictionaries(
+    {"rules": st.lists(_rule_items, max_size=4)},
+    optional={
+        "options": st.fixed_dictionaries(
+            {},
+            optional={"raise": st.sampled_from(["none", "errors", "all"]),
+                      "lin.eq.eps": st.floats(0, 1), "na.value": st.sampled_from([None, True])},
+        ),
+        "include": st.lists(_label_text, max_size=2),
+    },
+)
+
+
+@needs_libyaml
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_rule_files, st.booleans(), st.booleans(), st.sampled_from([20, 80]))
+def test_libyaml_reads_generated_rule_files_alike(data, flow, unicode, width):
+    text = yaml.safe_dump(data, sort_keys=False, default_flow_style=flow, allow_unicode=unicode,
+                          width=width)
+    documents = _reference(text, True)
+    assert isinstance(documents, list)
+    assert _loaded(text, True) == documents
+
+
+def _rule_fields(rs):
+    return rs.local_options, [
+        (r.name, r.source(), r.label, r.description, r.origin, r.created, dict(r.meta))
+        for r in rs.rules
+    ]
+
+
+def test_pure_python_loader_reads_the_same_rules(two_file_setup, monkeypatch):
+    expected = rule_io.read_rules("rules.txt", now=NOW)
+    # as when PyYAML is built without libyaml
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    rs, warnings = rule_io.read_rules("rules.txt", now=NOW)
+    assert (_rule_fields(rs), warnings) == (_rule_fields(expected[0]), expected[1])
+    assert len(rs) == 5
