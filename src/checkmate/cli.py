@@ -316,24 +316,24 @@ def _output(args: argparse.Namespace):
 
 
 def _validation_exit_code(v: Validation, strict: bool) -> int:
-    rows = results.summarize(v)
-    if any(r.error for r in rows):
+    checked = [o.result for o in v.outcomes if o.error is None]
+    if len(checked) < len(v.outcomes):
         return 2
-    if any(r.fails for r in rows):
+    if any(False in r for r in checked):
         return 1
-    if strict and any(r.nNA for r in rows) and not any(r.passes for r in rows):
+    if strict and any(None in r for r in checked) and not any(True in r for r in checked):
         return 2
     return 0
 
 
 def banner(v: Validation) -> str:
-    rows = results.summarize(v)
+    outcomes = v.outcomes
     return "\n".join(
         [
-            f"Confrontations: {len(rows)}",
-            f"With fails    : {sum(1 for r in rows if r.fails > 0)}",
-            f"Warnings      : {sum(1 for r in rows if r.warning)}",
-            f"Errors        : {sum(1 for r in rows if r.error)}",
+            f"Confrontations: {len(outcomes)}",
+            f"With fails    : {sum(1 for o in outcomes if o.error is None and False in o.result)}",
+            f"Warnings      : {sum(1 for o in outcomes if o.warnings)}",
+            f"Errors        : {sum(1 for o in outcomes if o.error is not None)}",
         ]
     )
 

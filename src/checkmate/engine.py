@@ -106,6 +106,11 @@ def _pair(a: Value, b: Value):
     return a.values, b.values, _union(a.na, b.na)
 
 
+def _require(v: Value, kind: str, what: str):
+    if v.kind != kind:
+        raise EvalError(f"{what} expects a {kind} operand, got {v.kind}")
+
+
 # ---------------------------------------------------------------------------
 # Kleene connectives
 # ---------------------------------------------------------------------------
@@ -131,20 +136,22 @@ def kleene_not(a):
     return None if a is None else not a
 
 
-def _kleene(op: str, a: Value, b: Value) -> Value:
-    """``a & b`` or ``a | b`` over vectors: NA unless a present FALSE (for &)
-    or TRUE (for |) settles the cell.
+def _kleene(op: str, fn, a: Value, b: Value, warnings: list) -> Value:
+    """``a & b`` (``fn`` is ``operator.and_``) or ``a | b`` over vectors: NA
+    unless a present FALSE (for &) or TRUE (for |) settles the cell.
 
     A missing cell holds FALSE, so the C-level ``and``/``or`` of the values
     is already right at every cell that ends up present.
     """
+    _require(a, "logical", op)
+    _require(b, "logical", op)
     n = _length(a, b)
     a, b = _spread(a, n), _spread(b, n)
     va, vb = a.values, b.values
-    values = list(map(operator.and_ if op == "&" else operator.or_, va, vb))
+    values = list(map(fn, va, vb))
     # a cell missing on one side stays missing where the other side is missing
     # too or holds the value that does not settle it: TRUE for &, FALSE for |
-    undecided = bool if op == "&" else operator.not_
+    undecided = bool if fn is operator.and_ else operator.not_
     na = set(a.na).intersection(b.na)
     na.update(compress(a.na, map(undecided, map(vb.__getitem__, a.na))))
     na.update(compress(b.na, map(undecided, map(va.__getitem__, b.na))))
@@ -155,22 +162,24 @@ def _kleene(op: str, a: Value, b: Value) -> Value:
 # Evaluator
 # ---------------------------------------------------------------------------
 
-_CMP = {
-    "<": operator.lt,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">=": operator.ge,
-    ">": operator.gt,
-}
 
-_ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": operator.pow,
-}
+def _compare(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
+    if lhs.kind == "frame" or rhs.kind == "frame":
+        raise EvalError(f"cannot compare whole datasets with {op}")
+    if lhs.kind != rhs.kind:
+        raise EvalError(f"cannot compare {lhs.kind} with {rhs.kind}")
+    va, vb, na = _pair(lhs, rhs)
+    return Value("logical", fill(list(map(fn, va, vb)), na, False), na)
+
+
+def _member(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
+    if lhs.kind == "frame" or rhs.kind == "frame":
+        raise EvalError("cannot apply %in% to a whole dataset")
+    if lhs.kind != rhs.kind:
+        raise EvalError(f"cannot test {lhs.kind} membership in a {rhs.kind} vector")
+    members = set(_present(rhs.values, rhs.na))
+    values = list(map(members.__contains__, lhs.values))
+    return Value("logical", fill(values, lhs.na, False), lhs.na)
 
 
 def _as_r(op, a, b):
@@ -192,30 +201,57 @@ def _not_real(c) -> bool:
     return c != c or type(c) is complex
 
 
-def _arithmetic(op, lhs: Value, rhs: Value, warnings: list) -> Value:
-    """``op`` cell by cell; a NaN or complex result from present cells is
+def _arithmetic(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
+    """``fn`` cell by cell; a NaN or complex result from present cells is
     missing, and adds the warning ``NaNs produced`` to ``warnings``.
 
     Whatever the filled values at missing cells give is overwritten before
     the result is checked; for / and ^ they are 1.0 first, since a filled
     0.0 divisor or base would raise and send every cell the slow way.
     """
+    _require(lhs, "number", op)
+    _require(rhs, "number", op)
     va, vb, na = _pair(lhs, rhs)
-    if na and op in (operator.truediv, operator.pow):
+    if na and fn in (operator.truediv, operator.pow):
         va, vb = fill(list(va), na, 1.0), fill(list(vb), na, 1.0)
     try:
-        out = list(map(op, va, vb))
+        out = list(map(fn, va, vb))
     except (ZeroDivisionError, OverflowError):
-        out = list(map(partial(_as_r, op), va, vb))
+        out = list(map(partial(_as_r, fn), va, vb))
         na = _union(na, tuple(compress(range(len(out)), map(operator.is_, out, repeat(None)))))
     fill(out, na, 0.0)
     # NaN is the one float unequal to itself; complex comes only from ^
-    if any(map(operator.ne, out, out)) or (op is operator.pow and complex in map(type, out)):
+    if any(map(operator.ne, out, out)) or (fn is operator.pow and complex in map(type, out)):
         warnings.append(RuntimeWarning("NaNs produced"))
         bad = tuple(compress(range(len(out)), map(_not_real, out)))
         na = _union(na, bad)
         fill(out, bad, 0.0)
     return Value("number", out, na)
+
+
+# binary operator -> (handler, the function it applies cell by cell); the keys
+# are those of dsl._BINARY_PREC, and a handler takes the operator, that
+# function, both operands and the list the evaluation's warnings go to
+_BINARY = {
+    "|": (_kleene, operator.or_),
+    "&": (_kleene, operator.and_),
+    "<": (_compare, operator.lt),
+    "<=": (_compare, operator.le),
+    "==": (_compare, operator.eq),
+    "!=": (_compare, operator.ne),
+    ">=": (_compare, operator.ge),
+    ">": (_compare, operator.gt),
+    "%in%": (_member, None),
+    "+": (_arithmetic, operator.add),
+    "-": (_arithmetic, operator.sub),
+    "*": (_arithmetic, operator.mul),
+    "/": (_arithmetic, operator.truediv),
+    "^": (_arithmetic, operator.pow),
+}
+
+# Unary.op -> (operand kind, cell function, name in messages); the keys are
+# those of dsl._UNARY
+_UNARY = {"!": ("logical", operator.not_, "!"), "negate": ("number", operator.neg, "unary -")}
 
 
 class _Pattern(str):
@@ -290,59 +326,26 @@ class Evaluator:
 
     def eval_unary(self, e: dsl.Unary) -> Value:
         operand = self.eval(e.operand)
-        if e.op == "!":
-            self._require(operand, "logical", "!")
-            return Value("logical", fill(list(map(operator.not_, operand.values)),
-                                          operand.na, False), operand.na)
-        self._require(operand, "number", "unary -")
-        return Value("number", fill(list(map(operator.neg, operand.values)),
-                                     operand.na, 0.0), operand.na)
-
-    def _require(self, v: Value, kind: str, what: str):
-        if v.kind != kind:
-            raise EvalError(f"{what} expects a {kind} operand, got {v.kind}")
+        kind, fn, what = _UNARY[e.op]
+        _require(operand, kind, what)
+        values = fill(list(map(fn, operand.values)), operand.na, _FILL[kind])
+        return Value(kind, values, operand.na)
 
     def eval_binary(self, e: dsl.Binary) -> Value:
-        if e.op == "%in%":
-            return self.eval_in(e)
         lhs = self.eval(e.lhs)
         rhs = self.eval(e.rhs)
-        if e.op in ("&", "|"):
-            self._require(lhs, "logical", e.op)
-            self._require(rhs, "logical", e.op)
-            return _kleene(e.op, lhs, rhs)
-        if e.op in _CMP:
-            if lhs.kind == "frame" or rhs.kind == "frame":
-                raise EvalError(f"cannot compare whole datasets with {e.op}")
-            if lhs.kind != rhs.kind:
-                raise EvalError(f"cannot compare {lhs.kind} with {rhs.kind}")
-            va, vb, na = _pair(lhs, rhs)
-            return Value("logical", fill(list(map(_CMP[e.op], va, vb)), na, False), na)
-        if e.op in _ARITH:
-            self._require(lhs, "number", e.op)
-            self._require(rhs, "number", e.op)
-            return _arithmetic(_ARITH[e.op], lhs, rhs, self.warnings)
-        raise EvalError(f"unknown operator {e.op!r}")
-
-    def eval_in(self, e: dsl.Binary) -> Value:
-        lhs = self.eval(e.lhs)
-        rhs = self.eval(e.rhs)
-        if lhs.kind == "frame" or rhs.kind == "frame":
-            raise EvalError("cannot apply %in% to a whole dataset")
-        if lhs.kind != rhs.kind:
-            raise EvalError(f"cannot test {lhs.kind} membership in a {rhs.kind} vector")
-        members = set(_present(rhs.values, rhs.na))
-        values = list(map(members.__contains__, lhs.values))
-        return Value("logical", fill(values, lhs.na, False), lhs.na)
+        if e.op not in _BINARY:
+            raise EvalError(f"unknown operator {e.op!r}")
+        handler, fn = _BINARY[e.op]
+        return handler(e.op, fn, lhs, rhs, self.warnings)
 
     # -- function calls -----------------------------------------------------
 
     def eval_call(self, e: dsl.Call) -> Value:
-        fname = e.fname
-        handler = getattr(self, "_fn_" + fname.replace(".", "_"), None)
-        if handler is None:
-            raise EvalError(f"unknown function {fname!r}")
-        return handler(e)
+        builtin = BUILTINS.get(e.fname.replace(".", "_"))
+        if builtin is None:
+            raise EvalError(f"unknown function {e.fname!r}")
+        return builtin(self, e)
 
     def _positional(self, e: dsl.Call, count: int, allow_named=()) -> list[Value]:
         for k in e.named_args:
@@ -368,27 +371,19 @@ class Evaluator:
             raise EvalError(f"{e.fname} expects the dataset '.'")
         return v.frame
 
-    def _fn_nrow(self, e):
+    def _nrow(self, e):
         return Value("number", [float(self._the_frame(e).n)])
 
-    _fn_number_of_records = _fn_nrow
-
-    def _fn_ncol(self, e):
-        return Value("number", [float(len(self._the_frame(e).columns))])
-
-    def _fn_names(self, e):
-        return Value("text", list(self._the_frame(e).names))
-
-    def _fn_abs(self, e):
+    def _abs(self, e):
         (v,) = self._positional(e, 1)
-        self._require(v, "number", "abs")
+        _require(v, "number", "abs")
         return Value("number", list(map(abs, v.values)), v.na)
 
     def _reduced(self, e, kind) -> tuple[list, bool]:
         """A reduction's one argument: its present values, and whether a
         missing cell is left in (no na.rm)."""
         (v,) = self._positional(e, 1, allow_named=("na.rm",))
-        self._require(v, kind, e.fname)
+        _require(v, kind, e.fname)
         na_rm = self._na_rm(e)
         return _present(v.values, v.na), bool(v.na) and not na_rm
 
@@ -398,37 +393,16 @@ class Evaluator:
             return _scalar("logical", shortcut)
         return _scalar("logical", None if has_na else empty)
 
-    def _fn_all(self, e):
-        return self._logical_reduce(e, True, False)
-
-    def _fn_any(self, e):
-        return self._logical_reduce(e, False, True)
-
     def _numeric_aggregate(self, e, fn):
         present, has_na = self._reduced(e, "number")
         if has_na or not present:
             return _scalar("number", None)
         return Value("number", [float(fn(present))])
 
-    def _fn_mean(self, e):
-        return self._numeric_aggregate(e, statistics.fmean)
-
-    def _fn_sum(self, e):
-        return self._numeric_aggregate(e, sum)
-
-    def _fn_min(self, e):
-        return self._numeric_aggregate(e, min)
-
-    def _fn_max(self, e):
-        return self._numeric_aggregate(e, max)
-
-    def _fn_median(self, e):
-        return self._numeric_aggregate(e, statistics.median)
-
-    def _fn_cor(self, e):
+    def _cor(self, e):
         x, y = self._positional(e, 2)
-        self._require(x, "number", "cor")
-        self._require(y, "number", "cor")
+        _require(x, "number", "cor")
+        _require(y, "number", "cor")
         if len(x) != len(y):
             raise EvalError("cor expects vectors of equal length")
         na = _union(x.na, y.na)
@@ -441,11 +415,11 @@ class Evaluator:
             return _scalar("number", None)
         return Value("number", [r])
 
-    def _fn_grepl(self, e):
+    def _grepl(self, e):
         pattern, v = self._positional(e, 2)
         if pattern.kind != "text" or len(pattern) != 1 or pattern.na:
             raise EvalError("grepl expects a pattern string as first argument")
-        self._require(v, "text", "grepl")
+        _require(v, "text", "grepl")
         try:
             rx, warnings = _compiled(pattern.values[0])
         except _re.error as err:
@@ -475,48 +449,33 @@ class Evaluator:
         keys = list(map(_keys, self._key_vectors(e)))
         return keys[0] if len(keys) == 1 else list(zip(*keys))
 
-    def _fn_duplicated(self, e):
+    def _duplicated(self, e):
         rows = self._key_rows(e)
         first: dict = {}  # key -> index of its first occurrence
         index = range(len(rows))
         return Value("logical", list(map(operator.ne, map(first.setdefault, rows, index), index)))
 
-    def _fn_is_unique(self, e):
+    def _is_unique(self, e):
         rows = self._key_rows(e)
         counts = Counter(rows)
         return Value("logical", list(map(operator.eq, map(counts.__getitem__, rows), repeat(1))))
 
-    def _fn_all_unique(self, e):
-        return Value("logical", [all(self._fn_is_unique(e).values)])
-
-    def _fn_is_complete(self, e):
+    def _is_complete(self, e):
         vectors = self._key_vectors(e)
         na = set().union(*(v.na for v in vectors))
         return Value("logical", fill([True] * len(vectors[0]), na, False))
-
-    def _fn_all_complete(self, e):
-        return Value("logical", [all(self._fn_is_complete(e).values)])
 
     def _type_test(self, e, kind):
         (v,) = self._positional(e, 1)
         return Value("logical", [v.kind == kind])
 
-    def _fn_is_numeric(self, e):
-        return self._type_test(e, "number")
-
-    def _fn_is_character(self, e):
-        return self._type_test(e, "text")
-
-    def _fn_is_logical(self, e):
-        return self._type_test(e, "logical")
-
-    def _fn_is_na(self, e):
+    def _is_na(self, e):
         (v,) = self._positional(e, 1)
         if v.kind == "frame":
             raise EvalError("is.na expects a vector")
         return Value("logical", fill([False] * len(v), v.na, True))
 
-    def _fn_c(self, e):
+    def _c(self, e):
         if e.named_args:
             raise EvalError("c takes no named arguments")
         vectors = [self.eval(a) for a in e.args]
@@ -533,6 +492,36 @@ class Evaluator:
             na.extend(i + len(values) for i in v.na)
             values.extend(v.values if v.kind == kind else [_FILL[kind]] * len(v))
         return Value(kind, values, tuple(na))
+
+
+# built-in function -> fn(evaluator, call); a name's dots are spelled as
+# underscores, so is.na and is_na are one function
+BUILTINS = {
+    "nrow": Evaluator._nrow,
+    "number_of_records": Evaluator._nrow,
+    "ncol": lambda ev, e: Value("number", [float(len(ev._the_frame(e).columns))]),
+    "names": lambda ev, e: Value("text", list(ev._the_frame(e).names)),
+    "abs": Evaluator._abs,
+    "all": lambda ev, e: ev._logical_reduce(e, True, False),
+    "any": lambda ev, e: ev._logical_reduce(e, False, True),
+    "mean": lambda ev, e: ev._numeric_aggregate(e, statistics.fmean),
+    "sum": lambda ev, e: ev._numeric_aggregate(e, sum),
+    "min": lambda ev, e: ev._numeric_aggregate(e, min),
+    "max": lambda ev, e: ev._numeric_aggregate(e, max),
+    "median": lambda ev, e: ev._numeric_aggregate(e, statistics.median),
+    "cor": Evaluator._cor,
+    "grepl": Evaluator._grepl,
+    "duplicated": Evaluator._duplicated,
+    "is_unique": Evaluator._is_unique,
+    "all_unique": lambda ev, e: Value("logical", [all(ev._is_unique(e).values)]),
+    "is_complete": Evaluator._is_complete,
+    "all_complete": lambda ev, e: Value("logical", [all(ev._is_complete(e).values)]),
+    "is_numeric": lambda ev, e: ev._type_test(e, "number"),
+    "is_character": lambda ev, e: ev._type_test(e, "text"),
+    "is_logical": lambda ev, e: ev._type_test(e, "logical"),
+    "is_na": Evaluator._is_na,
+    "c": Evaluator._c,
+}
 
 
 def _unrewritten(ev: Evaluator, e: dsl.Implication) -> Value:
@@ -641,10 +630,21 @@ def prepare_rule(rule: Rule, opts: OptionSet) -> dsl.Expression:
 
 
 def _key_id(value: float) -> str:
-    """The id of a number key cell; infinities print as R's ``as.character`` does."""
+    """The id of a number key cell, as R's ``as.character`` writes it: 15
+    significant digits, in scientific notation when that is narrower (a tie
+    keeps fixed notation) or when the number has more than 15 integer digits,
+    and an exponent of at least two digits."""
+    if value != value:
+        return "NaN"
     if value in (math.inf, -math.inf):
         return "Inf" if value > 0 else "-Inf"
-    return dsl.render_number(value)
+    if value == 0:
+        return "0"
+    mantissa, exponent = f"{value:.14e}".split("e")
+    digits, exp = mantissa.lstrip("-").replace(".", "").rstrip("0"), int(exponent)
+    sci = f"{mantissa.rstrip('0').rstrip('.')}e{exp:+03d}"
+    fixed = f"{value:.{max(0, len(digits) - 1 - exp)}f}"
+    return sci if exp >= 15 or len(sci) < len(fixed) else fixed
 
 
 def confront(

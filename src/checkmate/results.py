@@ -30,7 +30,8 @@ class RecordRow:
 
 def _tally(cells: list) -> tuple[int, int, int]:
     """Passes, fails and unverifiable items among tri-state cells."""
-    return cells.count(True), cells.count(False), cells.count(None)
+    passes, nas = cells.count(True), cells.count(None)
+    return passes, len(cells) - passes - nas, nas
 
 
 def summarize(v: Validation) -> list[SummaryRow]:

@@ -16,8 +16,8 @@ import re
 from datetime import date, datetime
 
 from . import dsl
-from .errors import CycleError, LexError, ParseError, RuleIOError
-from .rules import OPTIONS, TIMESTAMP_FORMAT, RuleEntry, RuleSet, build_ruleset
+from .errors import CycleError, LexError, OptionError, ParseError, RuleIOError
+from .rules import TIMESTAMP_FORMAT, RuleEntry, RuleSet, build_ruleset, parse_option
 
 _NAME_PREFIX_RE = re.compile(r"^([A-Za-z][A-Za-z0-9._]*)\s*:(?![=])\s*(.+)$")
 
@@ -43,13 +43,15 @@ def _format_created(created: datetime | None) -> str:
 
 
 def _normalize_options(raw: dict, path: str) -> dict:
+    """The checked options of a rule file; text is read as ``--set`` reads it."""
     opts = {}
     for key, value in raw.items():
-        if key not in OPTIONS:
-            raise RuleIOError(f"{path}: unknown option {key!r}")
         if key == "na.value" and value is None:
             value = "NA"
-        opts[key] = value
+        try:
+            opts[key] = parse_option(key, value)
+        except OptionError as err:
+            raise RuleIOError(f"{path}: {err}") from err
     return opts
 
 
@@ -100,6 +102,8 @@ def _load_yaml_text(text: str, where: str, stream: bool = False):
         return load(yaml.SafeLoader)
     except yaml.YAMLError as err:
         raise RuleIOError(f"{where}: {err}") from err
+    except RecursionError as err:  # the pure-Python loader recurses once per nesting level
+        raise RuleIOError(f"{where}: nested too deeply") from err
 
 
 def _canonical(path: str) -> str:

@@ -72,9 +72,11 @@ def _check_option(name: str, value):
     OPTIONS[name].check(name, value)
 
 
-def parse_option(name: str, text: str):
-    """Checked value of an option written as text; raises OptionError."""
-    value = OPTIONS[name].parse(text) if name in OPTIONS else text
+def parse_option(name: str, value):
+    """Checked value of an option; text is read as on the command line.
+    Raises OptionError."""
+    if isinstance(value, str) and name in OPTIONS:
+        value = OPTIONS[name].parse(value)
     _check_option(name, value)
     return value
 

@@ -239,8 +239,14 @@ class TestStreamedEmit:
         _assert_streams_match_reference(v)
 
     def test_numeric_key(self):
-        v = check_that(from_dict({"k": [1.0, 2.5, 30.0], "x": [1.0, None, -1.0]}), "x > 0", key="k")
-        assert v.key_values == ["1", "2.5", "30"]
+        # ids as R's as.character prints the numbers: 15 significant digits, and
+        # scientific notation when it is narrower
+        keys = [1.0, 2.5, 30.0, 0.1 + 0.2, 1e15, 1.2345678901234568e17, 100000.0, 123456.0,
+                0.0001, 0.001]
+        xs = [1.0, None, -1.0] + [1.0] * 7
+        v = check_that(from_dict({"k": keys, "x": xs}), "x > 0", key="k")
+        assert v.key_values == ["1", "2.5", "30", "0.3", "1e+15", "1.23456789012346e+17",
+                                "1e+05", "123456", "1e-04", "0.001"]
         _assert_streams_match_reference(v)
 
     def test_non_finite_numeric_key(self, tmp_path, capsys):
@@ -284,6 +290,20 @@ class TestStreamedEmit:
         out = io.StringIO()
         cli.emit(v, "text", out)
         assert len(out.getvalue().splitlines()) == 7
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(["check", "--format", "text"], 1), (["check", "--format", "json"], 1),
+     (["check", "--format", "csv"], 0), (["summary"], 1)],
+    ids=["check-text", "check-json", "check-csv", "summary"],
+)
+def test_summarize_runs_once_per_report(monkeypatch, capsys, argv, calls):
+    summarize, seen = results.summarize, []
+    monkeypatch.setattr(results, "summarize", lambda v: seen.append(v) or summarize(v))
+    argv = [argv[0], SAMPLE_DATA, "--rules", SAMPLE_RULES, "--key", "id", *argv[1:]]
+    assert cli.main(argv) == 1
+    assert len(seen) == calls
 
 
 class TestCheckCommand:
@@ -435,7 +455,8 @@ class TestRuleTextErrors:
 
 
 class TestRuleFileValueTypes:
-    """A rule-file value of the wrong YAML type is a rule-file error naming the file and key."""
+    """A rule-file value of the wrong YAML type, an option value that ``--set`` would
+    reject, or YAML nested too deeply is a rule-file error naming the file."""
 
     @pytest.mark.parametrize(
         "name, text, message",
@@ -451,9 +472,18 @@ class TestRuleFileValueTypes:
             ("r.txt", "---\n5\n---\nx > 0\n", "expected a mapping in the front matter"),
             ("r.yml", "rules:\n- expr: x > 0\n  created: 5\n",
              "rule entry 1: bad 'created' timestamp: 5"),
+            ("r.yml", "options:\n  lin.eq.eps: abc\nrules:\n- expr: x > 0\n",
+             "lin.eq.eps must be a nonnegative number, got 'abc'"),
+            ("r.txt", "---\noptions: {lin.eq.eps: abc}\n---\nx > 0\n",
+             "lin.eq.eps must be a nonnegative number, got 'abc'"),
+            ("r.txt", "---\noptions: {raise: never}\n---\nx > 0\n",
+             "invalid value for raise: 'never'"),
+            # the tab sends the text to the pure-Python loader, which recurses per level
+            ("r.yml", "# a\tb\nrules: " + "[" * 3000 + "\n", "invalid YAML: nested too deeply"),
         ],
         ids=["rules", "rules-text", "include", "include-item", "options",
-             "front-include", "front-options", "front-scalar", "created"],
+             "front-include", "front-options", "front-scalar", "created",
+             "option-value", "front-option-value", "front-option-choice", "deep"],
     )
     def test_check_exits_three_and_lint_two(self, tmp_path, monkeypatch, capsys, name, text,
                                             message):

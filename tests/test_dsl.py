@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import os
+import re
 
 import pytest
 
-from checkmate import dsl, from_dict
+from checkmate import dsl, engine, from_dict
 from checkmate.engine import check_that, eval_expr
 from checkmate.errors import LexError, ParseError
 from checkmate.rules import new_ruleset
@@ -492,3 +494,26 @@ class TestRender:
         assert dsl.render(dsl.NumberLit(0.0001)) == "0.0001"
         assert dsl.render(dsl.NumberLit(0.5)) == "0.5"
         assert dsl.render(dsl.NumberLit(95.0)) == "95"
+
+
+class TestVocabulary:
+    """The evaluator dispatches from one table per vocabulary, and they match the parser's."""
+
+    def test_binary_operators_are_the_parsers(self):
+        assert set(engine._BINARY) == set(dsl._BINARY_PREC)
+
+    def test_prefix_operators_are_the_parsers(self):
+        assert set(engine._UNARY) == {op for op, _ in dsl._PREFIX.values()}
+
+    def test_validating_calls_are_builtins(self):
+        assert dsl.VALIDATING_CALLS <= set(engine.BUILTINS)
+
+    def test_readme_lists_every_builtin_once(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        bullet = text[text.index("- **Rule language.**"):]
+        bullet = bullet[: bullet.index("\n- **")]
+        listed = re.search(r"The built-in functions are (.*?)\.\s", bullet, re.DOTALL).group(1)
+        names = re.findall(r"`([\w.]+)`", listed)
+        assert sorted(n.replace(".", "_") for n in names) == sorted(engine.BUILTINS)

@@ -210,6 +210,19 @@ class TestYaml:
         with pytest.raises(RuleIOError):
             rule_io.read_rules(str(p))
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("r.yml", "options: {lin.eq.eps: 1e-6, na.value: 'TRUE'}\nrules:\n- expr: x > 0\n"),
+         ("r.txt", "---\noptions: {lin.eq.eps: 1e-6, na.value: 'TRUE'}\n---\nx > 0\n")],
+        ids=["yaml", "front-matter"],
+    )
+    def test_option_text_is_read_as_set_reads_it(self, tmp_path, name, text):
+        # YAML 1.1 reads 1e-6 as a string
+        p = tmp_path / name
+        p.write_text(text)
+        rs, _ = rule_io.read_rules(str(p))
+        assert rs.local_options == {"lin.eq.eps": 1e-06, "na.value": True}
+
     def test_bad_created_names_file_and_entry(self, tmp_path):
         p = tmp_path / "bad.yml"
         p.write_text("rules:\n- expr: x > 0\n- expr: y > 0\n  created: yesterday\n")
