@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import operator
 import os
@@ -341,26 +342,72 @@ def banner(v: Validation) -> str:
 def _confront_single(args: argparse.Namespace) -> Validation:
     if len(args.data) != 1:
         raise DataError(f"{args.command} needs exactly one data file")
-    df = ingest_csv(args.data[0])
     rs = _load_rules(args)
-    return confront(df, rs, key=args.key, opts=args.options)
+    return confront(ingest_csv(args.data[0]), rs, key=args.key, opts=args.options)
 
 
-def _versions(paths: list[str]) -> dict:
-    """The data files as dataset versions, each named after its file."""
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the per-version function of the pool this process works for; a forked
+# worker inherits it from its initializer's arguments, so it is never pickled
+_job = None
+
+
+def _set_job(fn) -> None:
+    global _job
+    _job = fn
+
+
+def _run_job(path: str):
+    return _job(path)
+
+
+def _per_version(fn, paths: list[str]) -> dict:
+    """``fn(path)`` of each data file, keyed by version name (the file's base name).
+
+    The files go to forked worker processes, one per usable CPU and at most
+    one per file, or are done here in turn when there is one usable CPU, one
+    file, or no ``fork``. Either way the first failing file, in the order
+    given, raises its error.
+    """
     files: dict[str, str] = {}  # version name -> data file
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
         if name in files:
             raise DataError(f"data files {files[name]} and {path} share the version name {name!r}")
         files[name] = path
-    return {name: ingest_csv(path) for name, path in files.items()}
+    workers = min(len(files), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # a forked worker would write out again what is still buffered here
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_job, initargs=(fn,),
+            )
+            try:
+                return dict(zip(files, pool.map(_run_job, files.values())))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return dict(zip(files, map(fn, files.values())))
 
 
 def _compare_validations(args: argparse.Namespace) -> StatusTable:
-    versions = _versions(args.data)
     rs = _load_rules(args)
-    return diffs.compare_validations(rs, versions, how=args.how, opts=args.options)
+
+    def confront_file(path):
+        return diffs.confront_version(ingest_csv(path), rs, args.options)
+
+    return diffs.tally_validations(_per_version(confront_file, args.data), how=args.how)
 
 
 def _check(args: argparse.Namespace) -> int:
@@ -448,7 +495,9 @@ COMMANDS = {
     "lint": _lint,
     "export": _export,
     "compare": _status_command(_compare_validations),
-    "cells": _status_command(lambda args: diffs.compare_cells(_versions(args.data), how=args.how)),
+    "cells": _status_command(
+        lambda args: diffs.compare_cells(_per_version(ingest_csv, args.data), how=args.how)
+    ),
     "plot": _plot,
 }
 
@@ -492,6 +541,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 3 if err.code not in (0, None) else 0
+    # Loaded frames and results are large and acyclic; at the default
+    # threshold the cyclic collector walks them over and over. Worker
+    # processes inherit the setting.
+    thresholds = gc.get_threshold()
+    gc.set_threshold(100_000, 50, 100)
     try:
         args.options = dict(_parse_option(s) for s in args.set) or None
         return COMMANDS[args.command](args)
@@ -502,6 +556,8 @@ def main(argv=None) -> int:
         message = str(err).replace("\n", " ")
         print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
         return 4
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from itertools import compress
 from operator import ne
 
 from .engine import confront
-from .errors import DataError
+from .errors import CheckmateError, DataError
 from .frame import DataFrame
 from .rules import RuleSet
 
@@ -58,16 +58,14 @@ class StatusTable:
         return {s: self.counts[s][i] for s in self.statuses}
 
 
-def _check_versions(versions: dict[str, DataFrame], how: str):
+def _check_versions(shapes: list[tuple[int, list[str]]], how: str):
+    """Each version's (rows, column names) must be the first one's."""
     if how not in ("sequential", "to_first"):
         raise DataError(f"unknown comparison mode {how!r}")
-    if not versions:
+    if not shapes:
         raise DataError("at least one dataset version is required")
-    frames = list(versions.values())
-    first = frames[0]
-    for f in frames[1:]:
-        if f.n != first.n or f.names != first.names:
-            raise DataError("dataset versions differ in shape or column names")
+    if any(shape != shapes[0] for shape in shapes[1:]):
+        raise DataError("dataset versions differ in shape or column names")
 
 
 def _table(statuses: tuple[str, ...], names: list[str], tallies: list[dict], how: str):
@@ -78,27 +76,36 @@ def _table(statuses: tuple[str, ...], names: list[str], tallies: list[dict], how
 _OUTCOME_STATUS = {True: "satisfied", False: "violated"}
 
 
-def compare_validations(
-    rs: RuleSet,
-    versions: dict[str, DataFrame],
-    how: str = "sequential",
-    opts: dict | None = None,
-) -> StatusTable:
-    """Count outcome transitions per version against its reference version.
+def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tuple:
+    """What ``tally_validations`` needs of one version: its (rows, column names)
+    and its rule outcomes.
 
-    ``opts`` are call-level confrontation options, as for ``confront``.
+    An error of the confrontation takes the place of the outcomes rather than
+    being raised, so that a mismatch of shapes is reported first, whichever
+    version fails.
     """
-    _check_versions(versions, how)
+    try:
+        outcomes = confront(df, rs, opts=opts).outcomes
+    except CheckmateError as err:
+        outcomes = err
+    return (df.n, df.names), outcomes
+
+
+def tally_validations(versions: dict[str, tuple], how: str = "sequential") -> StatusTable:
+    """Count outcome transitions per version against its reference version, from
+    ``confront_version`` of each version."""
+    _check_versions([shape for shape, _ in versions.values()], how)
     names = list(versions)
     results = []
-    for name in names:
-        validation = confront(versions[name], rs, opts=opts)
-        for outcome in validation.outcomes:
+    for name, (_, outcomes) in versions.items():
+        if isinstance(outcomes, CheckmateError):
+            raise outcomes
+        for outcome in outcomes:
             if outcome.error is not None:
                 raise DataError(
                     f"rule {outcome.name!r} errored on version {name!r}: {outcome.error}"
                 )
-        results.append([outcome.result for outcome in validation.outcomes])
+        results.append([outcome.result for outcome in outcomes])
     if len({tuple(map(len, r)) for r in results}) > 1:
         raise DataError("versions produced differing result counts")
 
@@ -120,9 +127,24 @@ def compare_validations(
     return _table(VALIDATION_STATUSES, names, tallies, how)
 
 
+def compare_validations(
+    rs: RuleSet,
+    versions: dict[str, DataFrame],
+    how: str = "sequential",
+    opts: dict | None = None,
+) -> StatusTable:
+    """Count outcome transitions per version against its reference version.
+
+    ``opts`` are call-level confrontation options, as for ``confront``.
+    """
+    return tally_validations(
+        {name: confront_version(df, rs, opts) for name, df in versions.items()}, how
+    )
+
+
 def compare_cells(versions: dict[str, DataFrame], how: str = "sequential") -> StatusTable:
     """Classify every data cell against its counterpart in the reference version."""
-    _check_versions(versions, how)
+    _check_versions([(f.n, f.names) for f in versions.values()], how)
     names = list(versions)
     frames = list(versions.values())
     tallies = []

@@ -590,7 +590,10 @@ def substitute_macros(e: Expression, macros: dict[str, Expression]) -> Expressio
         p = node_precedence(node) if type(node) in (Unary, Binary) else 0
         return rebuild(node, lambda child: walk(child, p, level + 1))
 
-    out = walk(e, 0, 1)
+    try:
+        out = walk(e, 0, 1)
+    finally:
+        del walk  # it refers to itself: break the cycle here, not in the cyclic collector
     if extents and nodes > MAX_NODES:
         raise ParseError(_TOO_BIG)
     return out
@@ -688,16 +691,13 @@ def _census(e: Expression) -> tuple[list[str], int]:
     """Names of all identifiers in first-occurrence order, and the number of nodes."""
     seen: dict[str, None] = {}
     nodes = 0
-
-    def walk(node: Expression):
-        nonlocal nodes
+    stack = [e]  # preorder: the leftmost child is taken next
+    while stack:
+        node = stack.pop()
         nodes += 1
         if type(node) is Identifier:
             seen.setdefault(node.name)
-        for child in children(node):
-            walk(child)
-
-    walk(e)
+        stack.extend(reversed(children(node)))
     return list(seen), nodes
 
 

@@ -1,8 +1,23 @@
 """Exception hierarchy for the checkmate package."""
 
 
+def _restore(cls, args, state):
+    err = cls.__new__(cls)
+    err.args = args
+    err.__dict__.update(state)
+    return err
+
+
 class CheckmateError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error pickles with its message and attributes as they are, without
+    calling ``__init__`` again, so it survives the trip back from a worker
+    process unchanged.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
 
 
 class LexError(CheckmateError):

@@ -36,7 +36,8 @@ def _one_of(*allowed):
 
 
 def _nonnegative(name: str, value):
-    if not isinstance(value, (int, float)) or value < 0:
+    # a NaN compares false to everything, so ``value < 0`` would let it through
+    if not isinstance(value, (int, float)) or not value >= 0:
         raise OptionError(f"{name} must be a nonnegative number, got {value!r}")
 
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import pytest
@@ -37,3 +38,27 @@ def retailer_rules():
     )
     assert not warnings
     return rs
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """A setter of the CPU count ``cli._per_version`` sees; it returns the list of
+    worker pools made since. A count above 1 is skipped where there is no fork."""
+    import concurrent.futures
+
+    made = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+
+    def set_count(n: int) -> list:
+        if n > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("worker processes need the fork start method")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+        return made
+
+    return set_count

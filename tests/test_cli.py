@@ -925,3 +925,127 @@ class TestPackaging:
     def test_package_import_leaves_cli_unloaded(self):
         proc = _python("-c", "import sys, checkmate; print('checkmate.cli' in sys.modules)")
         assert proc.stdout.strip() == "False", proc.stderr
+
+
+class TestPerVersionWorkers:
+    """``compare``, ``cells`` and multi-version ``plot`` read (and confront) the
+    versions in worker processes when there is more than one usable CPU."""
+
+    @pytest.fixture
+    def four_files(self, tmp_path):
+        paths = []
+        for i, text in enumerate(["x\n1\n", "x\n1\n2,3\n", "x\n2\n", "x\n4,5\n"], start=1):
+            path = tmp_path / f"v{i}.csv"
+            path.write_text(text)
+            paths.append(str(path))
+        rules = tmp_path / "r.txt"
+        rules.write_text("x >= 0\n")
+        return paths, str(rules)
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    @pytest.mark.parametrize("command", ["compare", "cells", "plot"])
+    def test_first_bad_file_is_reported(self, four_files, tmp_path, usable_cpus, capsys,
+                                        command, cpus):
+        usable_cpus(cpus)
+        paths, rules = four_files
+        out = tmp_path / "out.svg"
+        assert cli.main([command, *paths, "--rules", rules, "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {paths[1]}: line 3: expected 1 fields, got 2\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_worker_that_dies_is_an_internal_error(self, four_files, monkeypatch, usable_cpus,
+                                                   capsys, command):
+        pools = usable_cpus(2)
+        monkeypatch.setattr(cli, "ingest_csv", lambda path: os._exit(1))
+        paths, rules = four_files
+        assert cli.main([command, paths[0], paths[2], "--rules", rules]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal: BrokenProcessPool: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert len(pools) == 1
+
+    def test_confront_error_comes_after_every_read(self, four_files, usable_cpus, capsys):
+        # with raise=error the first version's confrontation fails, yet a file
+        # that cannot be read is reported first, as when all are read before
+        usable_cpus(2)
+        paths, _ = four_files
+        rules = os.path.join(os.path.dirname(paths[0]), "y.txt")
+        with open(rules, "w") as fh:
+            fh.write("y >= 0\n")
+        argv = ["compare", paths[0], paths[1], "--rules", rules, "--set", "raise=error"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {paths[1]}: line 3: expected 1 fields, got 2\n"
+        )
+        assert cli.main(["compare", paths[0], paths[2], "--rules", rules, "--set", "raise=error"]) == 3
+        assert capsys.readouterr().err == "error: object 'y' not found\n"
+
+
+class TestRulesBeforeData:
+    """Every command reads its rule file before its data files, so a rule-file
+    error is reported even when a data file is bad too."""
+
+    @pytest.mark.parametrize(
+        "command, versions",
+        [("check", 1), ("summary", 1), ("plot", 1), ("compare", 2), ("plot", 2)],
+    )
+    def test_rules_error_is_reported(self, tmp_path, monkeypatch, capsys, command, versions):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text("x\n1\n")
+        (tmp_path / "bad.csv").write_text("x\n1,2\n")
+        (tmp_path / "badrules.txt").write_text("x >=\n")
+        data = ["bad.csv", "a.csv"][:versions]
+        argv = [command, *data, "--rules", "badrules.txt", "--out", "out.svg"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: badrules.txt:1: ")
+
+
+class TestNanTolerance:
+    """A NaN tolerance is rejected like any other value that is not a nonnegative number."""
+
+    def test_set_exit_three(self, tmp_path, capsys):
+        (tmp_path / "n.csv").write_text("x,y\n1,1\n2,2\n")
+        (tmp_path / "n.txt").write_text("x == y\n")
+        argv = ["summary", str(tmp_path / "n.csv"), "--rules", str(tmp_path / "n.txt"),
+                "--set", "lin.eq.eps=nan"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == (
+            "", "error: lin.eq.eps must be a nonnegative number, got nan\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("r.yml", "options:\n  lin.eq.eps: .nan\nrules:\n- expr: x > 0\n"),
+         ("r.yml", "options:\n  lin.eq.eps: nan\nrules:\n- expr: x > 0\n"),
+         ("r.txt", "---\noptions: {lin.eq.eps: nan}\n---\nx > 0\n")],
+        ids=["yaml-float", "yaml-text", "front-matter"],
+    )
+    def test_rule_file_check_three_lint_two(self, tmp_path, monkeypatch, capsys, name, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("x\n1\n")
+        (tmp_path / name).write_text(text)
+        message = f"error: {name}: lin.eq.eps must be a nonnegative number, got nan\n"
+        assert cli.main(["check", "d.csv", "--rules", name]) == 3
+        assert capsys.readouterr() == ("", message)
+        assert cli.main(["lint", "--rules", name]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
+def test_cli_import_leaves_worker_modules_unloaded():
+    proc = _python(
+        "-c",
+        "import sys, checkmate.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))",
+    )
+    assert proc.stdout.strip() == "[]", proc.stderr
+
+
+def test_gc_threshold_of_the_caller_is_kept(capsys):
+    before = gc.get_threshold()
+    cli.main(["summary", SAMPLE_DATA, "--rules", SAMPLE_RULES])
+    assert gc.get_threshold() == before

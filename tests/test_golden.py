@@ -114,6 +114,19 @@ def test_command_output_is_unchanged(tmp_path, case):
     assert _run_case(CASES[case], str(tmp_path)) == expected
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+@pytest.mark.parametrize(
+    "case", sorted(c for c in CASES if c.startswith(("compare_", "cells_")) or c == "plot_two")
+)
+def test_workers_and_in_process_give_the_same_output(tmp_path, usable_cpus, case, cpus):
+    pools = usable_cpus(cpus)
+    _inputs(str(tmp_path))
+    with open(os.path.join(CASE_DIR, f"{case}.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert _run_case(CASES[case], str(tmp_path)) == expected
+    assert len(pools) == (cpus > 1)
+
+
 def _write_cases() -> None:
     os.makedirs(CASE_DIR, exist_ok=True)
     for case, args in sorted(CASES.items()):
