@@ -6,74 +6,42 @@ confront datasets with them under three-valued logic, then summarize,
 aggregate, and diff the outcomes across dataset versions.
 """
 
-from .diffs import chart_data, compare_cells, compare_validations
-from .engine import Validation, check_that, confront, eval_expr, eval_fd
-from .frame import Column, DataFrame, from_dict, ingest_csv
-from .results import (
-    aggregate_results,
-    all_pass,
-    any_fail,
-    collect_errors,
-    collect_warnings,
-    sort_results,
-    summarize,
-    to_records,
-    values,
-)
-from .rule_io import export_yaml, read_rules, rules_to_table, table_to_rules
-from .rules import (
-    OptionSet,
-    Rule,
-    RuleSet,
-    concat,
-    get_metadata,
-    global_options,
-    meta_put,
-    new_ruleset,
-    set_metadata,
-    set_options,
-    subset,
-    variables_matrix,
-)
+# public name -> the submodule that defines it; a name's submodule is imported
+# when the name is first read, so ``import checkmate`` loads none of them
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "diffs": ("chart_data", "compare_cells", "compare_validations"),
+        "engine": ("Validation", "check_that", "confront", "eval_expr", "eval_fd"),
+        "frame": ("Column", "DataFrame", "from_dict", "ingest_csv"),
+        "results": (
+            "aggregate_results", "all_pass", "any_fail", "collect_errors", "collect_warnings",
+            "sort_results", "summarize", "to_records", "values",
+        ),
+        "rule_io": ("export_yaml", "read_rules", "rules_to_table", "table_to_rules"),
+        "rules": (
+            "OptionSet", "Rule", "RuleSet", "concat", "get_metadata", "global_options",
+            "meta_put", "new_ruleset", "set_metadata", "set_options", "subset",
+            "variables_matrix",
+        ),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "Column",
-    "DataFrame",
-    "OptionSet",
-    "Rule",
-    "RuleSet",
-    "Validation",
-    "aggregate_results",
-    "all_pass",
-    "any_fail",
-    "chart_data",
-    "check_that",
-    "collect_errors",
-    "collect_warnings",
-    "compare_cells",
-    "compare_validations",
-    "concat",
-    "confront",
-    "eval_expr",
-    "eval_fd",
-    "export_yaml",
-    "from_dict",
-    "get_metadata",
-    "global_options",
-    "ingest_csv",
-    "meta_put",
-    "new_ruleset",
-    "read_rules",
-    "rules_to_table",
-    "set_metadata",
-    "set_options",
-    "sort_results",
-    "subset",
-    "summarize",
-    "table_to_rules",
-    "to_records",
-    "values",
-    "variables_matrix",
-]
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

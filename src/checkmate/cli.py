@@ -11,19 +11,25 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import json
 import operator
 import os
 import sys
 from contextlib import contextmanager
 from itertools import repeat
+from typing import TYPE_CHECKING
 
-from . import diffs, results, rule_io
-from .diffs import StatusTable
+from . import rule_io
 from .engine import Validation, confront
 from .errors import CheckmateError, DataError, ParseError, RuleIOError, RuleSetError
 from .frame import ingest_csv
 from .rules import RuleSet, parse_option
+
+if TYPE_CHECKING:
+    from .diffs import StatusTable
+
+# Each command imports what only it uses (json, diffs, results, the charts)
+# where it uses it: a command is a process of its own, and start-up is a
+# large part of its time.
 
 RULES_PATH_ENV = "CHECKMATE_RULES_PATH"
 
@@ -40,7 +46,9 @@ _SUMMARY_HEADER = ["name", "items", "passes", "fails", "nNA", "error", "warning"
 
 
 def _summary_dicts(v: Validation) -> list[dict]:
-    return [{h: getattr(r, h) for h in _SUMMARY_HEADER} for r in results.summarize(v)]
+    from .results import summarize
+
+    return [{h: getattr(r, h) for h in _SUMMARY_HEADER} for r in summarize(v)]
 
 
 def _status_dicts(table: StatusTable) -> list[dict]:
@@ -79,6 +87,8 @@ def _write_text_table(rows: list[dict], header: list[str], out) -> None:
 def _write_table(rows: list[dict], header: list[str], fmt: str, out, title: str) -> None:
     """Rows as a json object with the one member ``title``, as csv, or as aligned text."""
     if fmt == "json":
+        import json
+
         json.dump({title: rows}, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
@@ -102,6 +112,8 @@ def _write_json(v: Validation, out) -> None:
     The records are streamed rule by rule: a rule's name and expression and
     each key id are encoded once, so an item costs one table lookup.
     """
+    import json
+
     head = json.dumps({"summary": _summary_dicts(v)}, indent=2)
     out.write(head[: -len("\n}")] + ',\n  "records": [')
     ids = None
@@ -157,6 +169,8 @@ def emit(payload, fmt: str, out) -> None:
         else:
             _write_text_table(_summary_dicts(payload), _SUMMARY_HEADER, out)
         return
+    from .diffs import StatusTable
+
     if isinstance(payload, StatusTable):
         header = ["status"] + list(payload.version_names)
         _write_table(_status_dicts(payload), header, fmt, out, "statuses")
@@ -166,110 +180,6 @@ def emit(payload, fmt: str, out) -> None:
 
 def emit_summary(v: Validation, fmt: str, out) -> None:
     _write_table(_summary_dicts(v), _SUMMARY_HEADER, fmt, out, "summary")
-
-
-# ---------------------------------------------------------------------------
-# SVG charts
-# ---------------------------------------------------------------------------
-
-
-def svg_bar_chart(v: Validation, title: str = "validation results") -> str:
-    """Stacked per-rule bars of passes / fails / NA counts."""
-    rows = [r for r in results.summarize(v) if not r.error]
-    width, bar_h, gap, left, top = 640, 26, 10, 110, 50
-    plot_w = width - left - 30
-    height = top + len(rows) * (bar_h + gap) + 40
-    biggest = max((r.items for r in rows), default=1) or 1
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
-        f'<text x="{width / 2}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title}</text>',
-    ]
-    for i, row in enumerate(rows):
-        y = top + i * (bar_h + gap)
-        parts.append(
-            f'<text x="{left - 8}" y="{y + bar_h - 8}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{row.name}</text>'
-        )
-        x = left
-        for count, color in zip((row.passes, row.fails, row.nNA), PALETTE.values()):
-            if count == 0:
-                continue
-            w = plot_w * count / biggest
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{bar_h}" fill="{color}"/>'
-            )
-            parts.append(
-                f'<text x="{x + w / 2:.1f}" y="{y + bar_h - 8}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11" fill="white">{count}</text>'
-            )
-            x += w
-    legend_y = height - 18
-    x = left
-    for label, color in zip(("pass", "fail", "NA"), PALETTE.values()):
-        parts.append(f'<rect x="{x}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
-        parts.append(
-            f'<text x="{x + 16}" y="{legend_y}" font-family="sans-serif" font-size="12">{label}</text>'
-        )
-        x += 70
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-_LINE_COLORS = [
-    "#1565c0", "#2e7d32", "#c62828", "#6a1b9a", "#ef6c00", "#00838f",
-    "#9e9e9e", "#558b2f", "#ad1457", "#4527a0", "#795548",
-]
-
-
-def svg_line_chart(table: StatusTable, title: str = "status by version") -> str:
-    """One line per status across dataset versions."""
-    width, height, left, top, right, bottom = 720, 420, 60, 40, 170, 50
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    versions = table.version_names
-    biggest = max(max(col) for col in table.counts.values()) or 1
-    step = plot_w / max(len(versions) - 1, 1)
-
-    def xy(i, count):
-        x = left + i * step
-        y = top + plot_h * (1 - count / biggest)
-        return x, y
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
-        f'<text x="{(left + width - right) / 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
-        f'stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-    ]
-    for i, version in enumerate(versions):
-        x, _ = xy(i, 0)
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{version}</text>'
-        )
-    for k, status in enumerate(table.statuses):
-        color = _LINE_COLORS[k % len(_LINE_COLORS)]
-        points = " ".join(
-            "{:.1f},{:.1f}".format(*xy(i, table.counts[status][i]))
-            for i in range(len(versions))
-        )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        ly = top + 14 * k
-        parts.append(
-            f'<line x1="{width - right + 10}" y1="{ly}" x2="{width - right + 28}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{width - right + 34}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{status}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +312,20 @@ def _per_version(fn, paths: list[str]) -> dict:
 
 
 def _compare_validations(args: argparse.Namespace) -> StatusTable:
+    from . import diffs
+
     rs = _load_rules(args)
 
     def confront_file(path):
         return diffs.confront_version(ingest_csv(path), rs, args.options)
 
     return diffs.tally_validations(_per_version(confront_file, args.data), how=args.how)
+
+
+def _compare_cells(args: argparse.Namespace) -> StatusTable:
+    from .diffs import compare_cells
+
+    return compare_cells(_per_version(ingest_csv, args.data), how=args.how)
 
 
 def _check(args: argparse.Namespace) -> int:
@@ -479,8 +397,10 @@ def _status_command(table_of):
 def _plot(args: argparse.Namespace) -> int:
     if not args.out:
         raise DataError("plot needs --out")
+    from .charts import svg_bar_chart, svg_line_chart
+
     if len(args.data) == 1:
-        svg = svg_bar_chart(_confront_single(args))
+        svg = svg_bar_chart(_confront_single(args), PALETTE)
     else:
         svg = svg_line_chart(_compare_validations(args))
     with _open_out(args.out) as fh:
@@ -495,9 +415,7 @@ COMMANDS = {
     "lint": _lint,
     "export": _export,
     "compare": _status_command(_compare_validations),
-    "cells": _status_command(
-        lambda args: diffs.compare_cells(_per_version(ingest_csv, args.data), how=args.how)
-    ),
+    "cells": _status_command(_compare_cells),
     "plot": _plot,
 }
 

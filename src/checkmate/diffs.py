@@ -10,13 +10,13 @@ the first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
 from .engine import confront
 from .errors import CheckmateError, DataError
 from .frame import DataFrame
+from .record import Record
 from .rules import RuleSet
 
 VALIDATION_STATUSES = (
@@ -46,12 +46,15 @@ CELL_STATUSES = (
 )
 
 
-@dataclass
-class StatusTable:
-    statuses: tuple[str, ...]
-    version_names: list[str]
-    counts: dict[str, list[int]]  # status -> one count per version
-    mode: str  # sequential | to_first
+class StatusTable(Record):
+    __slots__ = _fields = ("statuses", "version_names", "counts", "mode")
+
+    def __init__(
+        self, statuses: tuple[str, ...], version_names: list[str], counts: dict, mode: str
+    ):
+        self.statuses, self.version_names = statuses, version_names
+        self.counts = counts  # status -> one count per version
+        self.mode = mode  # sequential | to_first
 
     def column(self, version: str) -> dict[str, int]:
         i = self.version_names.index(version)

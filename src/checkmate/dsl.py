@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import LexError, ParseError
@@ -124,94 +124,106 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-class Expression:
+class _Node:
+    """Value semantics of the tuple-backed nodes: a node equals only nodes of its
+    own type with equal fields, hashes as its fields do, refuses assignment
+    (deletion fails as on any namedtuple), and is true even without fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self):
+        return True
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # on this error path only: a slow import
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+class Expression(_Node):
     """Base class for rule-body AST nodes."""
 
-
-@dataclass(frozen=True)
-class NumberLit(Expression):
-    value: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StringLit(Expression):
-    value: str
+# Each node type is a namedtuple of its fields under the _Node semantics.
 
 
-@dataclass(frozen=True)
-class BoolLit(Expression):
-    value: bool
+class NumberLit(Expression, namedtuple("NumberLit", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MissingLit(Expression):
-    pass
+class StringLit(Expression, namedtuple("StringLit", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Identifier(Expression):
-    name: str
+class BoolLit(Expression, namedtuple("BoolLit", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DatasetRef(Expression):
-    pass
+class MissingLit(Expression, namedtuple("MissingLit", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Paren(Expression):
+class Identifier(Expression, namedtuple("Identifier", "name")):
+    __slots__ = ()
+
+
+class DatasetRef(Expression, namedtuple("DatasetRef", "")):
+    __slots__ = ()
+
+
+class Paren(Expression, namedtuple("Paren", "inner")):
     """Explicit grouping; kept in the tree so rendering is reproducible."""
 
-    inner: Expression
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unary(Expression):
-    op: str  # '!' or 'negate'
-    operand: Expression
+class Unary(Expression, namedtuple("Unary", "op operand")):
+    __slots__ = ()  # op: '!' or 'negate'
 
 
-@dataclass(frozen=True)
-class Binary(Expression):
-    op: str
-    lhs: Expression
-    rhs: Expression
+class Binary(Expression, namedtuple("Binary", "op lhs rhs")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Call(Expression):
-    fname: str
-    args: list[Expression] = field(default_factory=list)
-    named_args: dict[str, Expression] = field(default_factory=dict)
+class Call(Expression, namedtuple("Call", "fname args named_args")):
+    __slots__ = ()  # args: a list of expressions; named_args: a dict of them
+
+    def __new__(cls, fname: str, args: list | None = None, named_args: dict | None = None):
+        args = [] if args is None else args
+        return tuple.__new__(cls, (fname, args, {} if named_args is None else named_args))
 
 
-@dataclass(frozen=True)
-class Implication(Expression):
-    condition: Expression
-    consequent: Expression
+class Implication(Expression, namedtuple("Implication", "condition consequent")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FuncDep(Expression):
-    determinant: list[str]
-    dependent: list[str]
+class FuncDep(Expression, namedtuple("FuncDep", "determinant dependent")):
+    __slots__ = ()  # each side a list of variable names
 
 
-@dataclass(frozen=True)
-class MacroDef:
-    name: str
-    body: Expression
+class MacroDef(_Node, namedtuple("MacroDef", "name body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GroupDef:
-    name: str
-    members: list[str]
+class GroupDef(_Node, namedtuple("GroupDef", "name members")):
+    __slots__ = ()  # members: a list of variable names
 
 
-@dataclass(frozen=True)
-class RuleExpr:
-    body: Expression
+class RuleExpr(_Node, namedtuple("RuleExpr", "body")):
+    __slots__ = ()
 
 
 Directive = MacroDef | GroupDef | RuleExpr

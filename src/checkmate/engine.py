@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 import operator
 import re as _re
-import statistics
 import warnings as _warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime
 from functools import lru_cache, partial
 from itertools import compress, repeat
@@ -26,6 +24,7 @@ from itertools import compress, repeat
 from . import dsl
 from .errors import DataError, EvalError
 from .frame import FILLERS, DataFrame, fill
+from .record import Record
 from .rules import OptionSet, Rule, RuleSet, new_ruleset, select
 
 _KIND = {"number": "number", "text": "text", "boolean": "logical"}  # by column type
@@ -33,15 +32,19 @@ _FILL = {_KIND[t]: filler for t, filler in FILLERS.items()}  # the value at a mi
 _NA_KEY = object()  # a missing cell in a grouping key; equal to no value
 
 
-@dataclass
-class Value:
+class Value(Record):
     """An evaluation result: a typed vector of filled values and the sorted
     indices of its missing cells."""
 
-    kind: str  # logical|number|text|frame
-    values: list = field(default_factory=list)
-    na: tuple = ()
-    frame: DataFrame | None = None
+    __slots__ = _fields = ("kind", "values", "na", "frame")
+
+    def __init__(
+        self, kind: str, values: list | None = None, na: tuple = (), frame: DataFrame | None = None
+    ):
+        self.kind = kind  # logical|number|text|frame
+        self.values = [] if values is None else values
+        self.na = na
+        self.frame = frame
 
     def __len__(self):
         return len(self.values)
@@ -271,6 +274,18 @@ def _compiled(pattern: str) -> tuple[_re.Pattern, tuple[Warning, ...]]:
     return rx, tuple(w.message for w in caught)
 
 
+def _mean(values: list) -> float:
+    from statistics import fmean  # imported on first use: with fractions and decimal, 3 ms
+
+    return fmean(values)
+
+
+def _median(values: list) -> float:
+    from statistics import median
+
+    return median(values)
+
+
 class Evaluator:
     """Evaluates a rewritten expression in the scope of one data frame."""
 
@@ -409,6 +424,8 @@ class Evaluator:
         xs, ys = _present(x.values, na), _present(y.values, na)
         if len(xs) < 2:
             return _scalar("number", None)
+        import statistics  # imported on first use, as in _mean
+
         try:
             r = statistics.correlation(xs, ys)
         except statistics.StatisticsError:
@@ -504,11 +521,11 @@ BUILTINS = {
     "abs": Evaluator._abs,
     "all": lambda ev, e: ev._logical_reduce(e, True, False),
     "any": lambda ev, e: ev._logical_reduce(e, False, True),
-    "mean": lambda ev, e: ev._numeric_aggregate(e, statistics.fmean),
+    "mean": lambda ev, e: ev._numeric_aggregate(e, _mean),
     "sum": lambda ev, e: ev._numeric_aggregate(e, sum),
     "min": lambda ev, e: ev._numeric_aggregate(e, min),
     "max": lambda ev, e: ev._numeric_aggregate(e, max),
-    "median": lambda ev, e: ev._numeric_aggregate(e, statistics.median),
+    "median": lambda ev, e: ev._numeric_aggregate(e, _median),
     "cor": Evaluator._cor,
     "grepl": Evaluator._grepl,
     "duplicated": Evaluator._duplicated,
@@ -596,22 +613,29 @@ def eval_fd(fd: dsl.FuncDep, df: DataFrame) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RuleOutcome:
-    name: str
-    expression: str
-    result: list | None = None  # tri-state cells, or None when errored
-    error: str | None = None
-    warnings: list[str] = field(default_factory=list)
+class RuleOutcome(Record):
+    __slots__ = _fields = ("name", "expression", "result", "error", "warnings")
+
+    def __init__(
+        self, name: str, expression: str, result: list | None = None, error: str | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.name = name
+        self.expression = expression
+        self.result = result  # tri-state cells, or None when errored
+        self.error = error
+        self.warnings = [] if warnings is None else warnings
 
 
-@dataclass
-class Validation:
-    outcomes: list[RuleOutcome]
-    key_name: str | None = None
-    key_values: list[str] | None = None
-    created: datetime | None = None
-    n_records: int = 0
+class Validation(Record):
+    __slots__ = _fields = ("outcomes", "key_name", "key_values", "created", "n_records")
+
+    def __init__(
+        self, outcomes: list[RuleOutcome], key_name: str | None = None,
+        key_values: list[str] | None = None, created: datetime | None = None, n_records: int = 0,
+    ):
+        self.outcomes, self.key_name, self.key_values = outcomes, key_name, key_values
+        self.created, self.n_records = created, n_records
 
     def __len__(self):
         return len(self.outcomes)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import gc
-from dataclasses import dataclass, field
 from itertools import compress, filterfalse
 from operator import lt
 
 from .errors import DataError
+from .record import Record
 
 COLUMN_TYPES = ("number", "text", "boolean")
 FILLERS = {"number": 0.0, "text": "", "boolean": False}
@@ -26,19 +26,19 @@ def fill(values: list, na, filler) -> list:
     return values
 
 
-@dataclass
-class Column:
-    name: str
-    type: str  # number|text|boolean
-    values: list  # FILLERS[type] at missing cells
-    na: tuple = ()  # sorted row indices of the missing cells
+class Column(Record):
+    """A named column of one type (number, text or boolean): ``values`` holds
+    ``FILLERS[type]`` at the missing cells, whose sorted row indices are ``na``."""
 
-    def __post_init__(self):
-        if self.type not in COLUMN_TYPES:
-            raise DataError(f"unknown column type {self.type!r}")
-        self.na = na = tuple(self.na)
-        if na and not (0 <= na[0] and na[-1] < len(self.values) and all(map(lt, na, na[1:]))):
-            raise DataError(f"column {self.name!r}: missing-cell indices out of order or range")
+    __slots__ = _fields = ("name", "type", "values", "na")
+
+    def __init__(self, name: str, type: str, values: list, na=()):
+        if type not in COLUMN_TYPES:
+            raise DataError(f"unknown column type {type!r}")
+        na = tuple(na)
+        if na and not (0 <= na[0] and na[-1] < len(values) and all(map(lt, na, na[1:]))):
+            raise DataError(f"column {name!r}: missing-cell indices out of order or range")
+        self.name, self.type, self.values, self.na = name, type, values, na
 
     @property
     def missing(self) -> list[bool]:
@@ -53,14 +53,17 @@ class Column:
         return fill(list(self.values), self.na, None)
 
 
-@dataclass
-class DataFrame:
-    columns: list[Column] = field(default_factory=list)
+class DataFrame(Record):
+    _fields = ("columns",)
+    __slots__ = (*_fields, "_by_name")
 
-    def __post_init__(self):
+    def __init__(self, columns: list[Column] | None = None):
+        self.columns = [] if columns is None else columns
         self._by_name = {c.name: c for c in self.columns}
         if len(self._by_name) != len(self.columns):
-            raise DataError("duplicate column names")
+            # the first column whose name a later column takes again
+            name = next(c.name for c in self.columns if self._by_name[c.name] is not c)
+            raise DataError(f"duplicate column name {name!r}")
         lengths = {len(c.values) for c in self.columns}
         if len(lengths) > 1:
             raise DataError("columns differ in length")
@@ -138,14 +141,15 @@ def ingest_csv(path: str) -> DataFrame:
 
     A column is boolean when every non-empty cell is true/false (either case),
     number when every non-empty cell parses as a decimal, text otherwise.
-    Empty cells and the literal NA are missing.
+    Empty cells and the literal NA are missing. A leading UTF-8 byte-order
+    mark is skipped.
     """
     # the row lists hold only strings, so the cyclic collector's passes over
     # them find nothing; it is paused while they exist
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -163,4 +167,7 @@ def ingest_csv(path: str) -> DataFrame:
     finally:
         if enabled:
             gc.enable()
-    return DataFrame([_column(name, cells) for name, cells in zip(header, raw)])
+    try:
+        return DataFrame([_column(name, cells) for name, cells in zip(header, raw)])
+    except DataError as err:  # a header that names a column twice
+        raise DataError(f"{path}: {err}") from None

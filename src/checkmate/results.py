@@ -2,30 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import Validation, kleene_not
 from .errors import DataError
+from .record import Record
 
 
-@dataclass
-class SummaryRow:
-    name: str
-    items: int
-    passes: int
-    fails: int
-    nNA: int
-    error: bool
-    warning: bool
-    expression: str
+class SummaryRow(Record):
+    __slots__ = _fields = (
+        "name", "items", "passes", "fails", "nNA", "error", "warning", "expression"
+    )
+
+    def __init__(
+        self, name: str, items: int, passes: int, fails: int, nNA: int, error: bool,
+        warning: bool, expression: str,
+    ):
+        self.name, self.items, self.passes, self.fails = name, items, passes, fails
+        self.nNA, self.error, self.warning, self.expression = nNA, error, warning, expression
 
 
-@dataclass
-class RecordRow:
-    id: str | None
-    name: str
-    value: bool | None
-    expression: str
+class RecordRow(Record):
+    __slots__ = _fields = ("id", "name", "value", "expression")
+
+    def __init__(self, id: str | None, name: str, value: bool | None, expression: str):
+        self.id, self.name, self.value, self.expression = id, name, value, expression
 
 
 def _tally(cells: list) -> tuple[int, int, int]:
@@ -63,12 +62,14 @@ def any_fail(v: Validation, na_rm: bool = False):
     return kleene_not(all_pass(v, na_rm))
 
 
-@dataclass
-class ResultMatrix:
+class ResultMatrix(Record):
     """Column-per-rule matrix of tri-state cells, all sharing one length."""
 
-    rule_names: list[str]
-    rows: list[list]  # length x len(rule_names)
+    __slots__ = _fields = ("rule_names", "rows")
+
+    def __init__(self, rule_names: list[str], rows: list[list]):
+        self.rule_names = rule_names
+        self.rows = rows  # length x len(rule_names)
 
     @property
     def n_rows(self):
@@ -97,12 +98,12 @@ def values(v: Validation, simplify: bool = True):
     return by_length
 
 
-@dataclass
-class AggregateRow:
-    key: str  # rule name, or record key / 1-based index
-    npass: int
-    nfail: int
-    nNA: int
+class AggregateRow(Record):
+    __slots__ = _fields = ("key", "npass", "nfail", "nNA")
+
+    def __init__(self, key: str, npass: int, nfail: int, nNA: int):
+        self.key = key  # rule name, or record key / 1-based index
+        self.npass, self.nfail, self.nNA = npass, nfail, nNA
 
     @property
     def total(self):

@@ -4,26 +4,30 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import NamedTuple
 
 from . import dsl
 from .errors import CheckmateError, OptionError, RuleSetError
+from .record import Record
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
 DEFAULT_META = {"language": "dsl/1", "severity": "error"}
 
 
-@dataclass
-class OptionSet:
+class OptionSet(Record):
     """Confrontation options; ``None`` fields inherit from the next level up."""
 
-    na_value: bool | None | str = "NA"  # "NA", True, or False
-    raise_: str = "none"  # none|error|all
-    lin_eq_eps: float = 1e-8
-    lin_ineq_eps: float = 1e-8
+    __slots__ = _fields = ("na_value", "raise_", "lin_eq_eps", "lin_ineq_eps")
+
+    def __init__(
+        self, na_value: bool | None | str = "NA", raise_: str = "none",
+        lin_eq_eps: float = 1e-8, lin_ineq_eps: float = 1e-8,
+    ):
+        self.na_value = na_value  # "NA", True, or False
+        self.raise_ = raise_  # none|error|all
+        self.lin_eq_eps, self.lin_ineq_eps = lin_eq_eps, lin_ineq_eps
 
 
 def _one_of(*allowed):
@@ -131,15 +135,31 @@ class _GlobalOptions:
 global_options = _GlobalOptions()
 
 
-@dataclass
-class Rule:
-    body: dsl.Expression
-    name: str
-    label: str = ""
-    description: str = ""
-    origin: str = "command-line"
-    created: datetime | None = None
-    meta: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_META))
+class Rule(Record):
+    __slots__ = _fields = ("body", "name", "label", "description", "origin", "created", "meta")
+
+    def __init__(
+        self, body: dsl.Expression, name: str, label: str = "", description: str = "",
+        origin: str = "command-line", created: datetime | None = None,
+        meta: dict[str, str] | None = None,
+    ):
+        self.body = body
+        self.name = name
+        self.label = label
+        self.description = description
+        self.origin = origin
+        self.created = created
+        self.meta = dict(DEFAULT_META) if meta is None else meta
+
+    def copy(self, **changes) -> Rule:
+        """A copy with a ``meta`` dict of its own and the fields ``changes`` names set."""
+        out = Rule(
+            self.body, self.name, self.label, self.description, self.origin, self.created,
+            dict(self.meta),
+        )
+        for name, value in changes.items():
+            setattr(out, name, value)
+        return out
 
     def variables(self) -> list[str]:
         return dsl.variables(self.body)
@@ -148,10 +168,12 @@ class Rule:
         return dsl.render(self.body)
 
 
-@dataclass
-class RuleSet:
-    rules: list[Rule] = field(default_factory=list)
-    local_options: dict | None = None
+class RuleSet(Record):
+    __slots__ = _fields = ("rules", "local_options")
+
+    def __init__(self, rules: list[Rule] | None = None, local_options: dict | None = None):
+        self.rules = [] if rules is None else rules
+        self.local_options = local_options
 
     def __len__(self):
         return len(self.rules)
@@ -179,18 +201,26 @@ def _check_unique(names):
         seen.add(n)
 
 
-@dataclass
-class RuleEntry:
+class RuleEntry(Record):
     """One candidate rule, parsed by its producer, before directive processing and naming."""
 
-    source: str
-    directive: dsl.Directive
-    name: str | None = None
-    label: str = ""
-    description: str = ""
-    origin: str = "command-line"
-    created: datetime | None = None
-    meta: dict[str, str] | None = None
+    __slots__ = _fields = (
+        "source", "directive", "name", "label", "description", "origin", "created", "meta"
+    )
+
+    def __init__(
+        self, source: str, directive: dsl.Directive, name: str | None = None, label: str = "",
+        description: str = "", origin: str = "command-line", created: datetime | None = None,
+        meta: dict[str, str] | None = None,
+    ):
+        self.source = source
+        self.directive = directive
+        self.name = name
+        self.label = label
+        self.description = description
+        self.origin = origin
+        self.created = created
+        self.meta = meta
 
 
 def build_ruleset(
@@ -289,7 +319,7 @@ def select(items: list, names: list[str], selector, error: type[CheckmateError])
 def subset(rs: RuleSet, selector) -> RuleSet:
     """New rule set with the selected rules; selector is index or name list."""
     picked = select(rs.rules, rs.names(), selector, RuleSetError)
-    return rs.with_rules([replace(r, meta=dict(r.meta)) for r in picked])
+    return rs.with_rules([r.copy() for r in picked])
 
 
 METADATA_FIELDS = ("name", "label", "description", "origin", "created")
@@ -306,7 +336,7 @@ def set_metadata(rs: RuleSet, fieldname: str, values) -> RuleSet:
     if fieldname == "name":
         _check_unique(values)
     return rs.with_rules(
-        [replace(r, meta=dict(r.meta), **{fieldname: v}) for r, v in zip(rs.rules, values)]
+        [r.copy(**{fieldname: v}) for r, v in zip(rs.rules, values)]
     )
 
 
@@ -320,7 +350,7 @@ def meta_put(rs: RuleSet, key: str, values) -> RuleSet:
     values = list(values)
     if len(values) != len(rs.rules):
         raise RuleSetError(f"expected {len(rs.rules)} values, got {len(values)}")
-    return rs.with_rules([replace(r, meta={**r.meta, key: v}) for r, v in zip(rs.rules, values)])
+    return rs.with_rules([r.copy(meta={**r.meta, key: v}) for r, v in zip(rs.rules, values)])
 
 
 def variables_matrix(rs: RuleSet) -> tuple[list[str], list[list[bool]]]:
@@ -340,13 +370,13 @@ def variables_matrix(rs: RuleSet) -> tuple[list[str], list[list[bool]]]:
 def concat(a: RuleSet, b: RuleSet) -> RuleSet:
     """Rules of a followed by b; colliding names in b get a '.1' suffix."""
     taken = set(r.name for r in a.rules)
-    merged = [replace(r, meta=dict(r.meta)) for r in a.rules]
+    merged = [r.copy() for r in a.rules]
     for r in b.rules:
         name = r.name
         if name in taken:
             name = name + ".1"
         taken.add(name)
-        merged.append(replace(r, name=name, meta=dict(r.meta)))
+        merged.append(r.copy(name=name))
     return (a if a.local_options is not None else b).with_rules(merged)
 
 

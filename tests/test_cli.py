@@ -1,9 +1,12 @@
+import ast
 import contextlib
 import csv
 import gc
+import glob
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -136,6 +139,38 @@ class TestIngestCsv:
             ("text", ["", "a", ""], (0, 2)),
             ("boolean", [True, False, False], (1, 2)),
         ]
+
+
+class TestCsvHeader:
+    @pytest.fixture
+    def rules(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("x > 0\n")
+        return str(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, rules, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,x\na,1\nb,-1\n")
+        assert cli.ingest_csv(str(path)).names == ["id", "x"]
+        code = cli.main(["check", str(path), "--rules", rules, "--key", "id", "--format", "csv"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.endswith("id,name,value,expression\na,V1,TRUE,(x - 0) > -1e-08\n"
+                            "b,V1,FALSE,(x - 0) > -1e-08\n")
+
+    def test_duplicate_column_is_named(self, tmp_path, rules, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,x,x\na,1,2\n")
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: duplicate column name 'x'") + "$"):
+            cli.ingest_csv(str(path))
+        assert cli.main(["check", str(path), "--rules", rules]) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: duplicate column name 'x'\n")
+
+    def test_frame_names_the_first_name_taken_twice(self):
+        columns = [checkmate.Column(n, "number", [1.0]) for n in ("a", "b", "c", "b", "a")]
+        with pytest.raises(DataError, match="^duplicate column name 'a'$"):
+            checkmate.DataFrame(columns)
 
 
 class TestEmit:
@@ -925,6 +960,47 @@ class TestPackaging:
     def test_package_import_leaves_cli_unloaded(self):
         proc = _python("-c", "import sys, checkmate; print('checkmate.cli' in sys.modules)")
         assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_cli_import_leaves_unused_modules_unloaded(self):
+        # each costs start-up that a command which does not use it would pay
+        unused = ("dataclasses", "inspect", "statistics", "json", "checkmate.diffs",
+                  "checkmate.results", "checkmate.charts")
+        proc = _python(
+            "-c", f"import sys, checkmate.cli; print([m for m in {unused!r} if m in sys.modules])"
+        )
+        assert proc.stdout.strip() == "[]", proc.stderr
+
+    def test_package_import_loads_no_submodule(self):
+        proc = _python(
+            "-c",
+            "import sys, checkmate; print([m for m in sys.modules if m.startswith('checkmate.')])",
+        )
+        assert proc.stdout.strip() == "[]", proc.stderr
+
+    def test_public_names_resolve(self):
+        proc = _python(
+            "-c",
+            "import checkmate\n"
+            "names = {n: getattr(checkmate, n) for n in checkmate.__all__}\n"
+            "assert set(checkmate.__all__) <= set(dir(checkmate))\n"
+            "scope = {}\n"
+            "exec('from checkmate import *', scope)\n"
+            "assert all(scope[n] is names[n] for n in checkmate.__all__)\n"
+            "print(len(names))",
+        )
+        assert proc.stdout.strip() == str(len(checkmate.__all__)), proc.stderr
+
+    def test_sources_parse_as_python_3_10(self):
+        # the oldest Python that pyproject.toml admits; the grammar check is best-effort
+        paths = sorted(glob.glob(os.path.join(SRC, "checkmate", "*.py")))
+        assert paths
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                ast.parse(fh.read(), path, feature_version=(3, 10))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            checkmate.nope
 
 
 class TestPerVersionWorkers:

@@ -1,7 +1,6 @@
 """Property tests over generated rule ASTs and data: rendering, variable listing,
 implication, Kleene laws, tolerance rewrites, summaries and ``na.value``."""
 
-import dataclasses
 import itertools
 
 from hypothesis import example, given, settings
@@ -94,8 +93,8 @@ def _children_from_fields(e):
     """Direct children read off a node's fields, left to right: the reference of
     ``dsl.children``. A functional dependency's names count as identifiers."""
     found = []
-    for f in dataclasses.fields(e):
-        value = getattr(e, f.name)
+    for name in e._fields:
+        value = getattr(e, name)
         if isinstance(value, dsl.Expression):
             found.append(value)
         elif isinstance(value, list):
