@@ -97,11 +97,6 @@ def _write_table(rows: list[dict], header: list[str], fmt: str, out, title: str)
         _write_text_table(rows, header, out)
 
 
-def _aligned(v: Validation, cells: list) -> bool:
-    """Whether a rule's items are the records, so each carries its key id."""
-    return v.key_values is not None and len(cells) == v.n_records
-
-
 _JSON_VALUE = {True: "true", False: "false", None: "null"}
 _CSV_VALUE = {True: "TRUE", False: "FALSE", None: "NA"}
 
@@ -128,7 +123,7 @@ def _write_json(v: Validation, out) -> None:
             f'\n      "expression": {json.dumps(o.expression)}\n    }}'
             for cell, text in _JSON_VALUE.items()
         }
-        if _aligned(v, o.result):
+        if v.aligned(o.result):
             items = map(operator.add, ids, map(tails.__getitem__, o.result))
         else:
             unkeyed = {cell: '\n    {\n      "id": null' + t for cell, t in tails.items()}
@@ -148,7 +143,7 @@ def _write_csv_records(v: Validation, out) -> None:
         if o.result is None:
             continue
         values = map(_CSV_VALUE.__getitem__, o.result)
-        if _aligned(v, o.result):
+        if v.aligned(o.result):
             writer.writerows(zip(ids, repeat(o.name), values, repeat(o.expression)))
         else:
             writer.writerows(zip(repeat("NA"), repeat(o.name), values, repeat(o.expression)))

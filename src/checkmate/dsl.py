@@ -309,14 +309,26 @@ def rebuild(e: Expression, fn) -> Expression:
     return make(e, fn) if make else e
 
 
-def extent(e: Expression) -> tuple[int, int]:
-    """Levels and nodes in the tree of ``e``, counted no further than level ``MAX_DEPTH + 1``."""
-    level, levels, nodes = [e], 0, 0
-    while level and levels <= MAX_DEPTH:
-        levels += 1
-        nodes += len(level)
-        level = [child for node in level for child in children(node)]
-    return levels, nodes
+def census(e: Expression) -> tuple[list[str], int, int]:
+    """Names of the identifiers in ``e`` in first-occurrence order, the levels of
+    its tree and its nodes, in one preorder walk."""
+    names: dict[str, None] = {}
+    levels = nodes = 0
+    stack = [(e, 1)]  # preorder: the leftmost child is taken next
+    while stack:
+        node, level = stack.pop()
+        nodes += 1
+        levels = max(levels, level)
+        if type(node) is Identifier:
+            names[node.name] = None
+        else:
+            stack.extend([(child, level + 1) for child in reversed(children(node))])
+    return list(names), levels, nodes
+
+
+def variables(e: Expression) -> list[str]:
+    """Names of all identifiers in first-occurrence order."""
+    return census(e)[0]
 
 
 def node_precedence(e: Expression) -> int:
@@ -385,7 +397,7 @@ class _Parser:
     def shallow(self, e: Expression) -> Expression:
         """``e``, read in full, once its tree is known to be at most ``MAX_DEPTH`` levels deep."""
         # every level of a tree takes a token of its own
-        if self.pos > MAX_DEPTH and extent(e)[0] > MAX_DEPTH:
+        if self.pos > MAX_DEPTH and census(e)[1] > MAX_DEPTH:
             raise ParseError(_TOO_DEEP)
         return e
 
@@ -569,69 +581,73 @@ def classify(d: Directive) -> str:
 # ---------------------------------------------------------------------------
 
 
-def substitute_macros(e: Expression, macros: dict[str, Expression]) -> Expression:
-    """Replace identifiers that name a macro by the macro body.
+def _wraps(body: Expression, parent: Expression | None) -> bool:
+    """Whether ``body`` needs parentheses as a child of ``parent``: only operators
+    pass their binding strength down; any other parent delimits its children."""
+    prec = node_precedence(parent) if type(parent) in (Unary, Binary) else 0
+    return isinstance(body, (Binary, Implication)) and prec >= node_precedence(body)
 
-    Bodies are inserted once, without re-scanning; a binary body is wrapped in
-    parentheses when the surrounding operator binds at least as tightly. A
-    result nested deeper than ``MAX_DEPTH`` levels, or one that inserts a body
-    and has more than ``MAX_NODES`` nodes, is a ``ParseError``. The result
-    shares each body among its uses, so the raise comes before any pass
-    copies them.
+
+def _substitute(e: Expression, table: dict, parent: Expression | None = None) -> Expression:
+    """``e`` with each identifier that ``table`` names replaced by its entry."""
+    if type(e) is not Identifier:
+        return rebuild(e, lambda child: _substitute(child, table, e))
+    body = table.get(e.name, e)
+    return Paren(body) if _wraps(body, parent) else body
+
+
+def expand(e: Expression, macros: dict, groups: dict[str, list[str]]) -> list[Expression]:
+    """The rules ``e`` stands for, with macros inserted and variable groups expanded.
+
+    ``macros`` maps a name to its body followed by the body's ``census``. A
+    macro's name becomes its body, not re-scanned, in parentheses when the
+    operator around it binds at least as tightly; in a functional dependency,
+    which lists plain names, only a body that is a name renames. The result
+    comes back once per combination of the members of the groups it names,
+    the first group named varying slowest.
+
+    One walk finds the result's names and size before anything is built. A
+    result deeper than ``MAX_DEPTH`` levels is a ``ParseError``, and so is one
+    that inserts more than ``MAX_NODES`` nodes (a body a functional dependency
+    keeps as a name counts) or whose copies have more than that in all.
     """
-    if not macros:
-        return e
-    extents: dict[str, tuple[int, int]] = {}  # macro name -> levels and nodes of its body
-    nodes = 0
-
-    def walk(node: Expression, parent_prec: int, level: int) -> Expression:
-        nonlocal nodes
-        if type(node) is Identifier and node.name in macros:
-            body = macros[node.name]
-            wrap = isinstance(body, (Binary, Implication)) and parent_prec >= node_precedence(body)
-            if node.name not in extents:
-                extents[node.name] = extent(body)
-            levels, size = extents[node.name]
+    if not macros and not groups:
+        return [e]
+    names: dict[str, None] = {}  # the result's identifiers, first occurrence first
+    inserted: dict[str, Expression] = {}  # macro name -> body, for the macros named
+    nodes = kept = 0  # the result's nodes; the nodes of the bodies kept out of it
+    stack = [(e, None, 1)]  # (node, parent, level) in preorder, as in census
+    while stack:
+        node, parent, level = stack.pop()
+        nodes += 1
+        if type(node) is not Identifier:
+            stack.extend([(child, node, level + 1) for child in reversed(children(node))])
+        elif node.name not in macros:
+            names[node.name] = None
+        else:
+            body, body_names, levels, size = macros[node.name]
+            wrap = _wraps(body, parent)
             if level + wrap + levels - 1 > MAX_DEPTH:
                 raise ParseError(_TOO_DEEP)
-            nodes += wrap + size
-            return Paren(body) if wrap else body
-        nodes += 1
-        # only operators pass their binding strength down; any other parent
-        # (parentheses, call arguments, if) already delimits its children
-        p = node_precedence(node) if type(node) in (Unary, Binary) else 0
-        return rebuild(node, lambda child: walk(child, p, level + 1))
-
-    try:
-        out = walk(e, 0, 1)
-    finally:
-        del walk  # it refers to itself: break the cycle here, not in the cyclic collector
-    if extents and nodes > MAX_NODES:
-        raise ParseError(_TOO_BIG)
-    return out
-
-
-def expand_groups(e: Expression, groups: dict[str, list[str]]) -> list[Expression]:
-    """Expand variable-group references over the Cartesian product of members.
-
-    The first referenced group varies slowest; an expression referencing no
-    group comes back as a one-element list. An expansion into more than
-    ``MAX_NODES`` nodes in all is a ``ParseError``, raised before any copy is
-    built.
-    """
-    if not groups:
-        return [e]
-    names, nodes = _census(e)
+            inserted[node.name] = body
+            if type(parent) is FuncDep and type(body) is not Identifier:
+                names[node.name] = None
+                kept += wrap + size - 1
+            else:
+                names.update(dict.fromkeys(body_names))
+                nodes += wrap + size - 1
     referenced = [name for name in names if name in groups]
+    copies = math.prod(len(groups[g]) for g in referenced)
+    if (inserted and nodes + kept > MAX_NODES) or (referenced and copies * nodes > MAX_NODES):
+        raise ParseError(_TOO_BIG)
+    if inserted:
+        e = _substitute(e, inserted)
     if not referenced:
         return [e]
-    if math.prod(len(groups[g]) for g in referenced) * nodes > MAX_NODES:
-        raise ParseError(_TOO_BIG)
-    out = []
-    for combo in itertools.product(*(groups[g] for g in referenced)):
-        mapping = {g: Identifier(m) for g, m in zip(referenced, combo)}
-        out.append(substitute_macros(e, mapping))
-    return out
+    return [
+        _substitute(e, {g: Identifier(m) for g, m in zip(referenced, combo)})
+        for combo in itertools.product(*(groups[g] for g in referenced))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -692,30 +708,6 @@ def rewrite_tolerance(e: Expression, eps_eq: float, eps_ineq: float) -> Expressi
         return Binary("<", Call("abs", [diff]), NumberLit(eps))
     slack = NumberLit(-eps) if op in (">=", ">") else NumberLit(eps)
     return Binary(op, Paren(diff), slack)
-
-
-# ---------------------------------------------------------------------------
-# Variable listing
-# ---------------------------------------------------------------------------
-
-
-def _census(e: Expression) -> tuple[list[str], int]:
-    """Names of all identifiers in first-occurrence order, and the number of nodes."""
-    seen: dict[str, None] = {}
-    nodes = 0
-    stack = [e]  # preorder: the leftmost child is taken next
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        if type(node) is Identifier:
-            seen.setdefault(node.name)
-        stack.extend(reversed(children(node)))
-    return list(seen), nodes
-
-
-def variables(e: Expression) -> list[str]:
-    """Names of all identifiers in first-occurrence order."""
-    return _census(e)[0]
 
 
 # ---------------------------------------------------------------------------

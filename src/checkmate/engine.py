@@ -640,6 +640,10 @@ class Validation(Record):
     def __len__(self):
         return len(self.outcomes)
 
+    def aligned(self, cells: list) -> bool:
+        """Whether a rule's items are the records, so each carries its key id."""
+        return self.key_values is not None and len(cells) == self.n_records
+
     def subset(self, selector) -> "Validation":
         """Select outcomes by 1-based index or by rule name."""
         names = [o.name for o in self.outcomes]

@@ -149,12 +149,11 @@ def sort_results(v: Validation, by: str = "rule", decreasing: bool = False) -> l
 
 def to_records(v: Validation) -> list[RecordRow]:
     """One row per rule-item; record-aligned outcomes carry the key id."""
-    n = v.n_records
     rows = []
     for o in v.outcomes:
         if o.result is None:
             continue
-        aligned = len(o.result) == n and v.key_values is not None
+        aligned = v.aligned(o.result)
         for i, cell in enumerate(o.result):
             rid = v.key_values[i] if aligned else None
             rows.append(RecordRow(rid, o.name, cell, o.expression))

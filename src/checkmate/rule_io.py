@@ -175,8 +175,8 @@ class _Loader:
     # -- text ---------------------------------------------------------------
 
     def _load_text(self, path: str):
-        content = self._read(path)
-        lines = content.splitlines()
+        # a byte-order mark (Notepad's "UTF-8 with BOM") is not part of the first line
+        lines = self._read(path).removeprefix("\ufeff").splitlines()
         i = 0
         # optional front matter between --- delimiters at the top
         while i < len(lines) and not lines[i].strip():

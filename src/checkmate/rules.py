@@ -236,7 +236,7 @@ def build_ruleset(
     rule named R becomes R.1, R.2, ...
     """
     now = now or datetime.now()
-    macros: dict[str, dsl.Expression] = {}
+    macros: dict[str, tuple] = {}  # name -> body, then the body's dsl.census
     groups: dict[str, list[str]] = {}
     rules: list[Rule] = []
     invalid: list[tuple[int, str]] = []
@@ -246,7 +246,8 @@ def build_ruleset(
         directive = entry.directive
         kind = dsl.classify(directive)
         if kind == "macro":
-            macros[directive.name] = dsl.substitute_macros(directive.body, macros)
+            [body] = dsl.expand(directive.body, macros, {})
+            macros[directive.name] = (body, *dsl.census(body))
             continue
         if kind == "group":
             groups[directive.name] = list(directive.members)
@@ -254,8 +255,7 @@ def build_ruleset(
         if kind == "invalid":
             invalid.append((index, entry.source.strip()))
             continue
-        body = dsl.substitute_macros(directive.body, macros)
-        expanded = dsl.expand_groups(body, groups)
+        expanded = dsl.expand(directive.body, macros, groups)
         if entry.name is None:
             counter += 1
             base = f"V{counter}"

@@ -359,6 +359,15 @@ class TestCheckCommand:
         rules.write_text("x > 0\n")
         assert cli.main(["check", str(data), "--rules", str(rules)]) == 0
 
+    def test_rule_file_with_byte_order_mark(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x\n1\n2\n")
+        rules = tmp_path / "r.txt"
+        rules.write_bytes(b"\xef\xbb\xbfr1: x > 0\n")
+        assert cli.main(["summary", str(data), "--rules", str(rules)]) == 0
+        captured = capsys.readouterr()
+        assert "r1" in captured.out and captured.err == ""
+
     def test_set_option_changes_outcome(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("x\n1\nNA\n")

@@ -244,9 +244,9 @@ class TestNodeLimit:
     def test_largest_group_expansion_under_the_bound(self):
         # each expansion of G > 0 has 3 nodes
         members = [f"x{i}" for i in range(dsl.MAX_NODES // 3)]
-        assert len(dsl.expand_groups(body("G > 0"), {"G": members})) == len(members)
+        assert len(dsl.expand(body("G > 0"), {}, {"G": members})) == len(members)
         with pytest.raises(ParseError) as exc:
-            dsl.expand_groups(body("G > 0"), {"G": [*members, "y"]})
+            dsl.expand(body("G > 0"), {}, {"G": [*members, "y"]})
         assert str(exc.value) == TOO_BIG
 
     def test_rule_at_the_bound_confronts(self):
@@ -293,19 +293,25 @@ class TestClassify:
         assert dsl.classify(dsl.parse(source)) == expected
 
 
+def macro_table(**sources):
+    """Macro table of ``dsl.expand``: each name's body and the body's census."""
+    bodies = {name: body(src) for name, src in sources.items()}
+    return {name: (e, *dsl.census(e)) for name, e in bodies.items()}
+
+
 class TestMacros:
     def test_fraction_example(self):
-        macros = {"fraction": body('mean(Species == "versicolor")')}
-        e = dsl.substitute_macros(body("fraction >= 0.25"), macros)
+        macros = macro_table(fraction='mean(Species == "versicolor")')
+        [e] = dsl.expand(body("fraction >= 0.25"), macros, {})
         assert dsl.render(e) == 'mean(Species == "versicolor") >= 0.25'
 
     def test_empty_table_is_identity(self):
         e = body("x > 0")
-        assert dsl.render(dsl.substitute_macros(e, {})) == "x > 0"
+        assert [dsl.render(out) for out in dsl.expand(e, {}, {})] == ["x > 0"]
 
     def test_binary_body_is_parenthesized(self):
-        macros = {"m": body("a + b")}
-        e = dsl.substitute_macros(body("m + m > 2"), macros)
+        macros = macro_table(m="a + b")
+        [e] = dsl.expand(body("m + m > 2"), macros, {})
         assert dsl.render(e) == "(a + b) + (a + b) > 2"
         # oracle: both forms agree on a one-row frame
         df = from_dict({"a": [3.0], "b": [4.0]})
@@ -313,34 +319,33 @@ class TestMacros:
         assert eval_expr(e, df).cells == direct
 
     def test_macro_names_never_leak(self):
-        macros = {"m": body("a + b")}
-        e = dsl.substitute_macros(body("m > c"), macros)
+        [e] = dsl.expand(body("m > c"), macro_table(m="a + b"), {})
         assert dsl.variables(e) == ["a", "b", "c"]
 
     def test_body_is_shared_and_frozen(self):
-        macros = {"m": body("a + b")}
-        e = dsl.substitute_macros(body("m > c"), macros)
-        assert e.lhs is macros["m"]
+        macros = macro_table(m="a + b")
+        [e] = dsl.expand(body("m > c"), macros, {})
+        assert e.lhs is macros["m"][0]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            macros["m"].op = "-"
+            macros["m"][0].op = "-"
 
 
 class TestGroups:
     def test_single_group(self):
-        out = dsl.expand_groups(body("G >= 0"), {"G": ["x", "y", "z"]})
+        out = dsl.expand(body("G >= 0"), {}, {"G": ["x", "y", "z"]})
         assert [dsl.render(e) for e in out] == ["x >= 0", "y >= 0", "z >= 0"]
 
     def test_no_group_referenced(self):
-        out = dsl.expand_groups(body("x > 0"), {"G": ["a", "b"]})
+        out = dsl.expand(body("x > 0"), {}, {"G": ["a", "b"]})
         assert [dsl.render(e) for e in out] == ["x > 0"]
 
     def test_cartesian_product_row_major(self):
-        out = dsl.expand_groups(body("G < H"), {"G": ["a", "b"], "H": ["c", "d"]})
+        out = dsl.expand(body("G < H"), {}, {"G": ["a", "b"], "H": ["c", "d"]})
         assert [dsl.render(e) for e in out] == ["a < c", "a < d", "b < c", "b < d"]
 
     def test_length_is_product_of_sizes(self):
         groups = {"G": ["a", "b", "c"], "H": ["d", "e"]}
-        out = dsl.expand_groups(body("G + H > 0"), groups)
+        out = dsl.expand(body("G + H > 0"), {}, groups)
         assert len(out) == 6
 
 

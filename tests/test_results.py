@@ -186,6 +186,14 @@ class TestToRecords:
         scalar = [r for r in rows if r.name == "mn"]
         assert len(scalar) == 1 and scalar[0].id is None
 
+    def test_aligned_rules_are_the_keyed_ones(self, sample_validation):
+        v = sample_validation
+        keyed = {r.name for r in to_records(v) if r.id is not None}
+        assert keyed == {o.name for o in v.outcomes if v.aligned(o.result)}
+        assert len(keyed) == 5
+        unkeyed = Validation(v.outcomes, n_records=v.n_records)
+        assert not any(unkeyed.aligned(o.result) for o in v.outcomes)
+
     def test_values_round_trip(self, sample_validation):
         rows = to_records(sample_validation)
         st_values = [r.value for r in rows if r.name == "st"]

@@ -143,6 +143,30 @@ class TestTextInclude:
             rule_io.read_rules(str(p))
         assert "bad.txt:2" in str(exc.value)
 
+    def test_byte_order_mark_before_a_rule_line(self, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(b"\xef\xbb\xbfr1: x > 0\ny >\n")
+        with pytest.raises(RuleIOError) as exc:
+            rule_io.read_rules(str(p))
+        # the line numbers do not move
+        assert str(exc.value).startswith(f"{p}:2: ")
+        p.write_bytes(b"\xef\xbb\xbfr1: x > 0\n")
+        rs, _ = rule_io.read_rules(str(p), now=NOW)
+        assert [(r.name, r.source()) for r in rs.rules] == [("r1", "x > 0")]
+
+    def test_byte_order_mark_before_front_matter(self, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(b"\xef\xbb\xbf---\noptions:\n  lin.eq.eps: 0.5\n---\nr1: x == 0\n")
+        rs, _ = rule_io.read_rules(str(p), now=NOW)
+        assert rs.names() == ["r1"]
+        assert rs.local_options == {"lin.eq.eps": 0.5}
+
+    def test_byte_order_mark_before_yaml(self, tmp_path):
+        p = tmp_path / "bom.yml"
+        p.write_bytes(b"\xef\xbb\xbfrules:\n- expr: x > 0\n  name: r1\n")
+        rs, _ = rule_io.read_rules(str(p), now=NOW)
+        assert [(r.name, r.source()) for r in rs.rules] == [("r1", "x > 0")]
+
 
 class TestCycles:
     def test_two_file_cycle(self, tmp_path, monkeypatch):

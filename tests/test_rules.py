@@ -1,3 +1,4 @@
+import gc
 import itertools
 from datetime import datetime
 
@@ -70,6 +71,60 @@ class TestNewRuleset:
             'mean(Species == "versicolor") >= 0.25',
             'mean(Species == "versicolor") <= 0.5',
         ]
+
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            # a macro whose body is not a name stays a plain name in a functional
+            # dependency, so the groups its body names do not count
+            (["G := var_group(a, b)", "m := G + 1", "fd: m ~ z"], [("fd", "m ~ z")]),
+            (
+                ["G := var_group(a, b)", "m := G * 2", "r: m > 0"],
+                [("r.1", "a * 2 > 0"), ("r.2", "b * 2 > 0")],
+            ),
+            (
+                ["G := var_group(a, b)", "H := var_group(c, d)", "m := H + 1", "r: m * G > 0"],
+                [
+                    ("r.1", "(c + 1) * a > 0"),
+                    ("r.2", "(c + 1) * b > 0"),
+                    ("r.3", "(d + 1) * a > 0"),
+                    ("r.4", "(d + 1) * b > 0"),
+                ],
+            ),
+            # a group defined after the macro that names it still expands
+            (
+                ["m := G * 2", "G := var_group(a, b)", "r: m > 0"],
+                [("r.1", "a * 2 > 0"), ("r.2", "b * 2 > 0")],
+            ),
+            (
+                ["G := var_group(a, b)", "m := x", "fd: m + G ~ z"],
+                [("fd.1", "x + a ~ z"), ("fd.2", "x + b ~ z")],
+            ),
+        ],
+        ids=["fd-keeps-macro", "group-in-macro", "groups-in-and-out", "group-after", "fd-rename"],
+    )
+    def test_macros_and_groups_together(self, entries, expected):
+        pairs = [entry.split(": ") if ": " in entry else (None, entry) for entry in entries]
+        rs, _ = make(pairs)
+        assert [(r.name, r.source()) for r in rs.rules] == expected
+
+    def test_loading_leaves_no_reference_cycles(self):
+        entries = [
+            (None, "G := var_group(a, b)"),
+            (None, "m := G * 2 + x"),
+            (None, "n := if (m > 0) y > 0"),
+            ("r", "m > 0 & !n"),
+            ("fd", "m + G ~ z"),
+            ("plain", "x >= 0"),
+        ]
+        make(entries)  # imports anything loading imports on first use
+        gc.disable()
+        try:
+            gc.collect()
+            make(entries)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_parse_error_aborts(self):
         with pytest.raises(ParseError):
