@@ -257,27 +257,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the per-version function of the pool this process works for; a forked
-# worker inherits it from its initializer's arguments, so it is never pickled
-_job = None
-
-
-def _set_job(fn) -> None:
-    global _job
-    _job = fn
-
-
-def _run_job(path: str):
-    return _job(path)
-
-
 def _per_version(fn, paths: list[str]) -> dict:
     """``fn(path)`` of each data file, keyed by version name (the file's base name).
 
-    The files go to forked worker processes, one per usable CPU and at most
-    one per file, or are done here in turn when there is one usable CPU, one
-    file, or no ``fork``. Either way the first failing file, in the order
-    given, raises its error.
+    With more than one usable CPU and file and with ``fork``, ``_forked`` shares
+    them out; otherwise they are done here in turn. Either way the first
+    failing file, in the order given, raises its error.
     """
     files: dict[str, str] = {}  # version name -> data file
     for path in paths:
@@ -286,24 +271,58 @@ def _per_version(fn, paths: list[str]) -> dict:
             raise DataError(f"data files {files[name]} and {path} share the version name {name!r}")
         files[name] = path
     workers = min(len(files), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a forked worker would write out again what is still buffered here
-            sys.stdout.flush()
-            sys.stderr.flush()
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_job, initargs=(fn,),
-            )
-            try:
-                return dict(zip(files, pool.map(_run_job, files.values())))
-            finally:
-                pool.shutdown(cancel_futures=True)
+    if workers > 1 and hasattr(os, "fork"):
+        return dict(zip(files, _forked(fn, list(files.values()), workers)))
     return dict(zip(files, map(fn, files.values())))
+
+
+def _forked(fn, paths: list[str], workers: int) -> list:
+    """``fn`` of each path, in order, from at most ``workers`` runs of the paths:
+    this process does the first while a forked child does each other one and
+    sends back through a pipe one pickle of its results or of its first error."""
+    import pickle
+    import signal
+
+    size = -(-len(paths) // workers)  # files per run, rounded up
+    # a child would write out again what is still buffered here
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, sent, codes = [], [], []  # (pid, read end of its pipe); its bytes; its exit code
+    results = None
+    try:
+        for start in range(size, len(paths), size):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: it leaves only through os._exit
+                try:
+                    # pickled whole before the write, which waits for the parent to read
+                    try:
+                        data = pickle.dumps(list(map(fn, paths[start : start + size])))
+                    except Exception as err:  # the parent raises it after the files before it
+                        data = pickle.dumps(err)
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, r))
+        results = list(map(fn, paths[:size]))  # an error here comes before any child's
+    finally:
+        for pid, r in children:
+            if results is None:  # left early: stop the children still at work
+                os.kill(pid, signal.SIGKILL)
+            with open(r, "rb") as pipe:
+                sent.append(pipe.read())
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for code, data in zip(codes, sent):
+        if code or not data:
+            raise RuntimeError(f"a worker process exited with code {code} and no result")
+        done = pickle.loads(data)
+        if isinstance(done, Exception):
+            raise done
+        results += done
+    return results
 
 
 def _compare_validations(args: argparse.Namespace) -> StatusTable:

@@ -9,7 +9,6 @@ the first.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import compress
 from operator import ne
 
@@ -76,19 +75,30 @@ def _table(statuses: tuple[str, ...], names: list[str], tallies: list[dict], how
     return StatusTable(statuses, names, {s: [t[s] for t in tallies] for s in statuses}, how)
 
 
-_OUTCOME_STATUS = {True: "satisfied", False: "violated"}
+_OUTCOME_STATUSES = ("satisfied", "violated", "unverifiable")
+_CELL_BYTE = {True: 0, False: 1, None: 2}  # the byte of a cell of each status, in order
+_STATUS_BYTES = [bytes(b == code for b in range(256)) for code in range(3)]
+
+
+def _bitsets(result: list) -> list[int]:
+    """Per status, an int with bit 8i set where cell i has it: built in C, a byte a cell."""
+    cells = bytes(map(_CELL_BYTE.__getitem__, result))
+    return [int.from_bytes(cells.translate(table), "little") for table in _STATUS_BYTES]
 
 
 def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tuple:
     """What ``tally_validations`` needs of one version: its (rows, column names)
-    and its rule outcomes.
+    and, per rule outcome, its name, error, item count and ``_bitsets``.
 
     An error of the confrontation takes the place of the outcomes rather than
     being raised, so that a mismatch of shapes is reported first, whichever
     version fails.
     """
     try:
-        outcomes = confront(df, rs, opts=opts).outcomes
+        outcomes = [
+            (o.name, o.error, len(o.result or ()), _bitsets(o.result or ()))
+            for o in confront(df, rs, opts=opts).outcomes
+        ]
     except CheckmateError as err:
         outcomes = err
     return (df.n, df.names), outcomes
@@ -103,27 +113,23 @@ def tally_validations(versions: dict[str, tuple], how: str = "sequential") -> St
     for name, (_, outcomes) in versions.items():
         if isinstance(outcomes, CheckmateError):
             raise outcomes
-        for outcome in outcomes:
-            if outcome.error is not None:
-                raise DataError(
-                    f"rule {outcome.name!r} errored on version {name!r}: {outcome.error}"
-                )
-        results.append([outcome.result for outcome in outcomes])
-    if len({tuple(map(len, r)) for r in results}) > 1:
+        for rule, error, _, _ in outcomes:
+            if error is not None:
+                raise DataError(f"rule {rule!r} errored on version {name!r}: {error}")
+        results.append(outcomes)
+    if len({tuple(items for _, _, items, _ in r) for r in results}) > 1:
         raise DataError("versions produced differing result counts")
 
     tallies = []
     for i, cur in enumerate(results):
         ref = results[max(i - 1, 0) if how == "sequential" else 0]
-        pairs = Counter()  # (current, reference) outcome pair -> cells; at most 9 pairs
-        for cells, ref_cells in zip(cur, ref):
-            pairs.update(zip(cells, ref_cells))
         tally = dict.fromkeys(VALIDATION_STATUSES, 0)
-        for (now, before), n in pairs.items():
-            status = _OUTCOME_STATUS.get(now, "unverifiable")
-            tally[status] += n
-            same = status == _OUTCOME_STATUS.get(before, "unverifiable")
-            tally[("still_" if same else "new_") + status] += n
+        for (*_, bits), (*_, ref_bits) in zip(cur, ref):
+            for status, now, before in zip(_OUTCOME_STATUSES, bits, ref_bits):
+                tally[status] += now.bit_count()
+                tally["still_" + status] += (now & before).bit_count()
+        for status in _OUTCOME_STATUSES:
+            tally["new_" + status] = tally[status] - tally["still_" + status]
         tally["verifiable"] = tally["satisfied"] + tally["violated"]
         tally["validations"] = tally["verifiable"] + tally["unverifiable"]
         tallies.append(tally)

@@ -150,7 +150,7 @@ class _Loader:
         try:
             with open(path, encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise RuleIOError(f"cannot read {path}: {err}") from err
 
     def _load_header(self, header: dict, allowed: set, what: str, path: str):

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 
 import pytest
@@ -43,21 +42,20 @@ def retailer_rules():
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """A setter of the CPU count ``cli._per_version`` sees; it returns the list of
-    worker pools made since. A count above 1 is skipped where there is no fork."""
-    import concurrent.futures
-
+    batches of worker processes forked since. A count above 1 is skipped where
+    there is no fork."""
     made = []
+    forked = cli._forked
 
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
+    def recorded(fn, paths, workers):
+        made.append(workers)
+        return forked(fn, paths, workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(cli, "_forked", recorded)
 
     def set_count(n: int) -> list:
-        if n > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("worker processes need the fork start method")
+        if n > 1 and not hasattr(os, "fork"):
+            pytest.skip("worker processes need fork")
         monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
         return made
 

@@ -1044,14 +1044,61 @@ class TestPerVersionWorkers:
     def test_worker_that_dies_is_an_internal_error(self, four_files, monkeypatch, usable_cpus,
                                                    capsys, command):
         pools = usable_cpus(2)
-        monkeypatch.setattr(cli, "ingest_csv", lambda path: os._exit(1))
+        # this process takes a share of the files too; only the forked child dies
+        test_pid, ingest = os.getpid(), cli.ingest_csv
+        monkeypatch.setattr(
+            cli, "ingest_csv", lambda path: ingest(path) if os.getpid() == test_pid else os._exit(1)
+        )
         paths, rules = four_files
         assert cli.main([command, paths[0], paths[2], "--rules", rules]) == 4
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: internal: BrokenProcessPool: ")
+        assert err == "error: internal: RuntimeError: a worker process exited with code 1 and no result\n"
         assert err.count("\n") == 1 and "Traceback" not in err
         assert len(pools) == 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("bad", [(1, 3), (3, 5), (2, 4, 5), (5,)])
+    def test_first_bad_file_of_any_share_is_reported(self, tmp_path, usable_cpus, capsys,
+                                                     cpus, bad):
+        # the files are cut into runs of 3 (2 CPUs) or 2 (3 CPUs); this process takes the first
+        pools = usable_cpus(cpus)
+        paths = []
+        for i in range(6):
+            path = tmp_path / f"v{i}.csv"
+            path.write_text("x\n1\n2,3\n" if i in bad else "x\n1\n")
+            paths.append(str(path))
+        assert cli.main(["cells", *paths]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {paths[min(bad)]}: line 3: expected 1 fields, got 2\n"
+        )
+        assert len(pools) == 1
+
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_no_child_process_is_left(self, four_files, usable_cpus, capsys, command):
+        pools = usable_cpus(2)
+        paths, rules = four_files
+        # a bad file in this process's share, then in the child's, then none
+        for files, code in [(paths[1:], 3), (paths[:2], 3), (paths[:1] + paths[2:3], 0)]:
+            assert cli.main([command, *files, "--rules", rules]) == code
+        assert len(pools) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_workers_leave_pool_modules_unloaded(self, four_files, command):
+        paths, rules = four_files
+        proc = _python(
+            "-c",
+            "import sys\n"
+            "from checkmate import cli\n"
+            "cli._usable_cpus, forked, batches = (lambda: 2), cli._forked, []\n"
+            "cli._forked = lambda *args: batches.append(args[2]) or forked(*args)\n"
+            f"code = cli.main([{command!r}, {paths[0]!r}, {paths[2]!r}, '--rules', {rules!r}])\n"
+            "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "print(code, batches, loaded)",
+        )
+        assert proc.stdout.splitlines()[-1] == "0 [2] []", proc.stderr
 
     def test_confront_error_comes_after_every_read(self, four_files, usable_cpus, capsys):
         # with raise=error the first version's confrontation fails, yet a file
@@ -1119,6 +1166,30 @@ class TestNanTolerance:
         assert capsys.readouterr() == ("", message)
         assert cli.main(["lint", "--rules", name]) == 2
         assert capsys.readouterr() == ("", message)
+
+
+class TestUndecodableRuleFile:
+    """A rule file that is not UTF-8 is a rule-file error, as one that cannot be opened."""
+
+    @pytest.mark.parametrize(
+        "name, files, unreadable",
+        [("r.txt", {"r.txt": b"x > 0 # caf\xe9\n"}, "r.txt"),
+         ("r.yml", {"r.yml": b"rules:\n- expr: x > 0\n  description: caf\xe9\n"}, "r.yml"),
+         ("r.txt", {"r.txt": b"---\ninclude: i.txt\n---\nx > 0\n", "i.txt": b"caf\xe9 > 0\n"},
+          os.path.join(".", "i.txt"))],
+        ids=["text", "yaml", "included"],
+    )
+    def test_check_three_lint_two(self, tmp_path, monkeypatch, capsys, name, files, unreadable):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("x\n1\n")
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        message = f"error: cannot read {unreadable}: 'utf-8' codec can't decode byte 0xe9 in position "
+        assert cli.main(["check", "d.csv", "--rules", name]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+        assert cli.main(["lint", "--rules", name]) == 2
+        assert capsys.readouterr() == (out, err)
 
 
 def test_cli_import_leaves_worker_modules_unloaded():
