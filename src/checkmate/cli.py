@@ -116,14 +116,14 @@ def _write_json(v: Validation, out) -> None:
         ids = ['\n    {\n      "id": ' + json.dumps(k) for k in v.key_values]
     separator = ""
     for o in v.outcomes:
-        if not o.result:
+        if not o.values:
             continue
         tails = {
             cell: f',\n      "name": {json.dumps(o.name)},\n      "value": {text},'
             f'\n      "expression": {json.dumps(o.expression)}\n    }}'
             for cell, text in _JSON_VALUE.items()
         }
-        if v.aligned(o.result):
+        if v.aligned(o.values):
             items = map(operator.add, ids, map(tails.__getitem__, o.result))
         else:
             unkeyed = {cell: '\n    {\n      "id": null' + t for cell, t in tails.items()}
@@ -140,10 +140,10 @@ def _write_csv_records(v: Validation, out) -> None:
     writer.writerow(["id", "name", "value", "expression"])
     ids = [_plain(k) for k in v.key_values] if v.key_values is not None else None
     for o in v.outcomes:
-        if o.result is None:
+        if o.values is None:
             continue
         values = map(_CSV_VALUE.__getitem__, o.result)
-        if v.aligned(o.result):
+        if v.aligned(o.values):
             writer.writerows(zip(ids, repeat(o.name), values, repeat(o.expression)))
         else:
             writer.writerows(zip(repeat("NA"), repeat(o.name), values, repeat(o.expression)))
@@ -222,14 +222,12 @@ def _output(args: argparse.Namespace):
 
 
 def _validation_exit_code(v: Validation, strict: bool) -> int:
-    checked = [o.result for o in v.outcomes if o.error is None]
-    if len(checked) < len(v.outcomes):
+    if any(o.error is not None for o in v.outcomes):
         return 2
-    if any(False in r for r in checked):
+    _, passes, fails, nas = map(sum, zip((0, 0, 0, 0), *(o.tally() for o in v.outcomes)))
+    if fails:
         return 1
-    if strict and any(None in r for r in checked) and not any(True in r for r in checked):
-        return 2
-    return 0
+    return 2 if strict and nas and not passes else 0
 
 
 def banner(v: Validation) -> str:
@@ -237,7 +235,7 @@ def banner(v: Validation) -> str:
     return "\n".join(
         [
             f"Confrontations: {len(outcomes)}",
-            f"With fails    : {sum(1 for o in outcomes if o.error is None and False in o.result)}",
+            f"With fails    : {sum(1 for o in outcomes if o.tally()[2])}",
             f"Warnings      : {sum(1 for o in outcomes if o.warnings)}",
             f"Errors        : {sum(1 for o in outcomes if o.error is not None)}",
         ]

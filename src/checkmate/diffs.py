@@ -14,7 +14,7 @@ from operator import ne
 
 from .engine import confront
 from .errors import CheckmateError, DataError
-from .frame import DataFrame
+from .frame import DataFrame, fill
 from .record import Record
 from .rules import RuleSet
 
@@ -76,14 +76,14 @@ def _table(statuses: tuple[str, ...], names: list[str], tallies: list[dict], how
 
 
 _OUTCOME_STATUSES = ("satisfied", "violated", "unverifiable")
-_CELL_BYTE = {True: 0, False: 1, None: 2}  # the byte of a cell of each status, in order
-_STATUS_BYTES = [bytes(b == code for b in range(256)) for code in range(3)]
 
 
-def _bitsets(result: list) -> list[int]:
-    """Per status, an int with bit 8i set where cell i has it: built in C, a byte a cell."""
-    cells = bytes(map(_CELL_BYTE.__getitem__, result))
-    return [int.from_bytes(cells.translate(table), "little") for table in _STATUS_BYTES]
+def _bitsets(values: list, na: tuple) -> list[int]:
+    """Per status, an int with bit 8i set where item i has it: built in C, a byte an item."""
+    passes = int.from_bytes(bytes(values), "little")  # False at an unverifiable item
+    nas = int.from_bytes(fill(bytearray(len(values)), na, 1), "little")
+    every = int.from_bytes(b"\x01" * len(values), "little")
+    return [passes, every ^ passes ^ nas, nas]
 
 
 def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tuple:
@@ -96,7 +96,7 @@ def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tu
     """
     try:
         outcomes = [
-            (o.name, o.error, len(o.result or ()), _bitsets(o.result or ()))
+            (o.name, o.error, o.tally()[0], _bitsets(o.values or (), o.na))
             for o in confront(df, rs, opts=opts).outcomes
         ]
     except CheckmateError as err:

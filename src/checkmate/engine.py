@@ -614,7 +614,11 @@ def eval_fd(fd: dsl.FuncDep, df: DataFrame) -> list:
 
 
 class RuleOutcome(Record):
-    __slots__ = _fields = ("name", "expression", "result", "error", "warnings")
+    """A rule's result: ``values`` holds one bool per item, False at the
+    unverifiable items, whose sorted indices are ``na``; None and () when errored."""
+
+    _fields = ("name", "expression", "result", "error", "warnings")
+    __slots__ = ("name", "expression", "values", "na", "error", "warnings")
 
     def __init__(
         self, name: str, expression: str, result: list | None = None, error: str | None = None,
@@ -622,9 +626,21 @@ class RuleOutcome(Record):
     ):
         self.name = name
         self.expression = expression
-        self.result = result  # tri-state cells, or None when errored
+        self.na = () if result is None else tuple(i for i, c in enumerate(result) if c is None)
+        self.values = None if result is None else fill(list(result), self.na, False)
         self.error = error
         self.warnings = [] if warnings is None else warnings
+
+    @property
+    def result(self) -> list | None:
+        """The tri-state cells (None = unverifiable), a new list per read; None when errored."""
+        return None if self.values is None else fill(list(self.values), self.na, None)
+
+    def tally(self) -> tuple[int, int, int, int]:
+        """Items, passes, fails and unverifiable items; all 0 when errored."""
+        values = self.values or ()
+        items, passes, nas = len(values), values.count(True), len(self.na)
+        return items, passes, items - passes - nas, nas
 
 
 class Validation(Record):
@@ -692,7 +708,9 @@ def confront(
         col = df.column(key)
         if col.na:
             raise DataError(f"key column {key!r} has missing cells")
-        key_values = list(map(_key_id if col.type == "number" else str, col.values))
+        # ids as R's as.character writes the cells
+        to_id = {"number": _key_id, "boolean": ("FALSE", "TRUE").__getitem__}.get(col.type, str)
+        key_values = list(map(to_id, col.values))
 
     outcomes = []
     for rule in rs.rules:
@@ -707,7 +725,9 @@ def confront(
                     f"rule {rule.name!r} does not evaluate to a logical value"
                 )
             na_cell = resolved.na_value if resolved.na_value in (True, False) else None
-            outcome.result = fill(list(value.values), value.na, na_cell)
+            # a copy: a logical vector may hold TRUE at a missing cell
+            outcome.values = fill(list(value.values), value.na, na_cell or False)
+            outcome.na = value.na if na_cell is None else ()  # else na.value settles them
             outcome.warnings = [str(w) for w in evaluator.warnings]
             if outcome.warnings and resolved.raise_ == "all":
                 raise EvalError(outcome.warnings[0])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import gc
-from itertools import compress, filterfalse
+from itertools import chain, compress, filterfalse
 from operator import lt
 
 from .errors import DataError
@@ -136,6 +136,14 @@ def _column(name: str, raw: tuple[str, ...]) -> Column:
     return Column(name, "text", fill(list(raw), na, ""), na)
 
 
+def _line_after(records: list[list[str]]) -> int:
+    """The physical line after a file's first CSV ``records``: each record takes
+    one line, and one more for each line break (\\n, \\r or \\r\\n, as the file
+    is read) in its quoted fields."""
+    fields = chain.from_iterable(records)
+    return 1 + len(records) + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in fields)
+
+
 def ingest_csv(path: str) -> DataFrame:
     """Read an RFC-4180 CSV with a header row, inferring column types.
 
@@ -158,8 +166,9 @@ def ingest_csv(path: str) -> DataFrame:
             rows = list(reader)
         width = len(header)
         if set(map(len, rows)) - {width}:
-            lineno, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != width)
-            raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+            i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
+            line = _line_after([header, *rows[:i]])
+            raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
         raw = list(zip(*rows)) if rows else [()] * width
         del rows
     except (OSError, UnicodeDecodeError, csv.Error) as err:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from .engine import Validation, kleene_not
 from .errors import DataError
 from .record import Record
@@ -27,32 +29,19 @@ class RecordRow(Record):
         self.id, self.name, self.value, self.expression = id, name, value, expression
 
 
-def _tally(cells: list) -> tuple[int, int, int]:
-    """Passes, fails and unverifiable items among tri-state cells."""
-    passes, nas = cells.count(True), cells.count(None)
-    return passes, len(cells) - passes - nas, nas
-
-
 def summarize(v: Validation) -> list[SummaryRow]:
-    rows = []
-    for o in v.outcomes:
-        if o.error is not None:
-            rows.append(SummaryRow(o.name, 0, 0, 0, 0, True, bool(o.warnings), o.expression))
-            continue
-        rows.append(
-            SummaryRow(
-                o.name, len(o.result), *_tally(o.result), False, bool(o.warnings), o.expression
-            )
-        )
-    return rows
+    return [
+        SummaryRow(o.name, *o.tally(), o.error is not None, bool(o.warnings), o.expression)
+        for o in v.outcomes
+    ]
 
 
 def all_pass(v: Validation, na_rm: bool = False):
     """Kleene conjunction over every result cell of every rule."""
-    cells = [o.result for o in v.outcomes if o.result is not None]
-    if any(False in c for c in cells):
+    tallies = [o.tally() for o in v.outcomes]
+    if any(fails for _, _, fails, _ in tallies):
         return False
-    if not na_rm and any(None in c for c in cells):
+    if not na_rm and any(nas for *_, nas in tallies):
         return None
     return True
 
@@ -82,17 +71,14 @@ def values(v: Validation, simplify: bool = True):
     With ``simplify`` a single matrix comes back when all outcomes share one
     length; otherwise (and always without ``simplify``) a dict keyed by length.
     """
-    by_length: dict[int, ResultMatrix] = {}
+    groups: dict[int, list] = {}  # length -> the outcomes of that length
     for o in v.outcomes:
-        if o.result is None:
-            continue
-        m = len(o.result)
-        if m not in by_length:
-            by_length[m] = ResultMatrix([], [[] for _ in range(m)])
-        matrix = by_length[m]
-        matrix.rule_names.append(o.name)
-        for i, cell in enumerate(o.result):
-            matrix.rows[i].append(cell)
+        if o.values is not None:
+            groups.setdefault(len(o.values), []).append(o)
+    by_length = {
+        m: ResultMatrix([o.name for o in g], list(map(list, zip(*(o.result for o in g)))))
+        for m, g in groups.items()
+    }
     if simplify and len(by_length) == 1:
         return next(iter(by_length.values()))
     return by_length
@@ -125,20 +111,19 @@ class AggregateRow(Record):
 def aggregate_results(v: Validation, by: str = "rule") -> list[AggregateRow]:
     """Pass/fail/NA counts and proportions per rule or per record."""
     if by == "rule":
-        return [
-            AggregateRow(o.name, *_tally(o.result)) for o in v.outcomes if o.result is not None
-        ]
+        return [AggregateRow(o.name, *o.tally()[1:]) for o in v.outcomes if o.values is not None]
     if by != "record":
         raise DataError(f"unknown aggregation {by!r}")
     n = v.n_records
-    aligned = [o for o in v.outcomes if o.result is not None and len(o.result) == n]
+    aligned = [o for o in v.outcomes if o.values is not None and len(o.values) == n]
     if not aligned:
         raise DataError("no record-aligned outcomes to aggregate by record")
-    rows = []
-    for i in range(n):
-        key = v.key_values[i] if v.key_values else str(i + 1)
-        rows.append(AggregateRow(key, *_tally([o.result[i] for o in aligned])))
-    return rows
+    passes = map(sum, zip(*(o.values for o in aligned)))  # False at an unverifiable item
+    nas = [0] * n
+    for i in chain.from_iterable(o.na for o in aligned):
+        nas[i] += 1
+    keys = v.key_values or [str(i + 1) for i in range(n)]
+    return [AggregateRow(k, p, len(aligned) - p - q, q) for k, p, q in zip(keys, passes, nas)]
 
 
 def sort_results(v: Validation, by: str = "rule", decreasing: bool = False) -> list[AggregateRow]:
@@ -151,12 +136,9 @@ def to_records(v: Validation) -> list[RecordRow]:
     """One row per rule-item; record-aligned outcomes carry the key id."""
     rows = []
     for o in v.outcomes:
-        if o.result is None:
-            continue
-        aligned = v.aligned(o.result)
-        for i, cell in enumerate(o.result):
-            rid = v.key_values[i] if aligned else None
-            rows.append(RecordRow(rid, o.name, cell, o.expression))
+        if o.values is not None:
+            ids = v.key_values if v.aligned(o.values) else repeat(None)
+            rows += map(RecordRow, ids, repeat(o.name), o.result, repeat(o.expression))
     return rows
 
 

@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import checkmate
@@ -79,6 +79,36 @@ class TestIngestCsv:
         with pytest.raises(DataError) as exc:
             cli.ingest_csv(path)
         assert "line 3" in str(exc.value)
+
+    def test_ragged_row_after_multiline_field_reports_its_physical_line(self, tmp_path):
+        path = self.write(tmp_path, 'a,b\n1,"x\ny"\n2,z,extra\n')
+        with pytest.raises(DataError) as exc:
+            cli.ingest_csv(path)
+        assert str(exc.value) == f"{path}: line 4: expected 2 fields, got 3"
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.lists(st.lists(st.sampled_from(["a", ",", '"', "\n", "\r", "\r\n"]),
+                                   max_size=3).map("".join), min_size=1, max_size=3),
+                 min_size=1, max_size=5),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_ragged_row_line_is_where_the_csv_reader_starts_it(self, tmp_path, rows, eol):
+        p = tmp_path / "data.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator=eol).writerows([["h1", "h2"], *rows, ["1", "2", "3"]])
+        with open(p, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            line = reader.line_num + 1
+            for record in reader:
+                if len(record) != 2:
+                    break
+                line = reader.line_num + 1
+        with pytest.raises(DataError) as exc:
+            cli.ingest_csv(str(p))
+        assert str(exc.value) == f"{p}: line {line}: expected 2 fields, got {len(record)}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -294,6 +324,22 @@ class TestStreamedEmit:
         out = capsys.readouterr().out
         ids = [row["id"] for row in csv.DictReader(io.StringIO(out[out.index("id,"):]))]
         assert ids == ["1", "Inf", "NaN", "1e+20", "-Inf"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_boolean_key(self, tmp_path, capsys, fmt):
+        # ids as R's as.character prints logicals, as the value column does
+        (tmp_path / "k.csv").write_text("k,x\ntrue,1\nfalse,2\n")
+        (tmp_path / "k.txt").write_text("x > 0\n")
+        argv = ["check", str(tmp_path / "k.csv"), "--rules", str(tmp_path / "k.txt"), "--key", "k",
+                "--format", fmt]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        body = out[out.index("id," if fmt == "csv" else "{"):]
+        if fmt == "csv":
+            ids = [row["id"] for row in csv.DictReader(io.StringIO(body))]
+        else:
+            ids = [row["id"] for row in json.loads(body)["records"]]
+        assert ids == ["TRUE", "FALSE"]
 
     def test_every_rule_errored_gives_no_records(self):
         v = check_that(from_dict({"x": [1.0, 2.0]}), "y > 0", "z > 0")

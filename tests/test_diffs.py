@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from checkmate import from_dict
 from checkmate.diffs import (
@@ -9,6 +12,8 @@ from checkmate.diffs import (
     chart_data,
     compare_cells,
     compare_validations,
+    confront_version,
+    tally_validations,
 )
 from checkmate.errors import DataError
 from checkmate.rules import new_ruleset
@@ -73,6 +78,50 @@ class TestCompareValidations:
                         assert col[status] == (
                             col["still_" + status] + col["new_" + status]
                         )
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n),
+                         min_size=2, max_size=2),
+                min_size=1, max_size=4,
+            )
+        ),
+        st.sampled_from(["NA", True, False]),
+        st.sampled_from(["sequential", "to_first"]),
+    )
+    def test_counts_match_a_per_cell_reference(self, versions, na_value, how):
+        # two boolean columns per version; the rules are one per column and one
+        # dataset-level rule, so outcomes of n items (none when n is 0) and of 1
+        rs = rules("a & TRUE", "b | FALSE", "all(a)")
+        frames = {
+            f"v{k}": from_dict({"a": a, "b": b}, {"a": "boolean", "b": "boolean"})
+            for k, (a, b) in enumerate(versions)
+        }
+        settle = {None: None if na_value == "NA" else na_value}
+        outcomes = [
+            [[settle.get(c, c) for c in cells]
+             for cells in (a, b, [False if False in a else None if None in a else True])]
+            for a, b in versions
+        ]
+        opts = {"na.value": na_value}
+        want = {s: [] for s in VALIDATION_STATUSES}
+        for i, cur in enumerate(outcomes):
+            ref = outcomes[max(i - 1, 0) if how == "sequential" else 0]
+            pairs = Counter(p for r, c in zip(ref, cur) for p in zip(r, c))
+            now = Counter(c for _, c in pairs.elements())
+            for status, cell in (("satisfied", True), ("violated", False),
+                                 ("unverifiable", None)):
+                want[status].append(now[cell])
+                want["still_" + status].append(pairs[cell, cell])
+                want["new_" + status].append(now[cell] - pairs[cell, cell])
+            want["verifiable"].append(now[True] + now[False])
+            want["validations"].append(sum(now.values()))
+        table = compare_validations(rs, frames, how=how, opts=opts)
+        assert table.counts == want
+        per_version = {name: confront_version(df, rs, opts) for name, df in frames.items()}
+        assert tally_validations(per_version, how).counts == want
 
     def test_sequential_and_to_first_agree_on_first_two_versions(self):
         rng = random.Random(11)

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from checkmate import from_dict
-from checkmate.engine import RuleOutcome, Validation, check_that, confront
+from checkmate import cli, from_dict
+from checkmate.diffs import compare_validations
+from checkmate.engine import RuleOutcome, Validation, Value, check_that, confront
 from checkmate.errors import DataError
+from checkmate.frame import Column, DataFrame
 from checkmate.results import (
     ResultMatrix,
     aggregate_results,
@@ -17,7 +19,7 @@ from checkmate.results import (
     to_records,
     values,
 )
-from checkmate.rules import subset
+from checkmate.rules import new_ruleset, subset
 
 
 @pytest.fixture
@@ -221,3 +223,45 @@ class TestCollect:
 
     def test_no_warnings(self, sample_validation):
         assert collect_warnings(sample_validation) == []
+
+
+class TestTrueAtAMissingCell:
+    """A logical vector may hold TRUE at a missing cell (a user-built column or
+    reference vector, or ``&``/``|`` over one): every count sees an NA there."""
+
+    @pytest.fixture
+    def df(self):
+        return DataFrame([Column("b", "boolean", [True, True], na=(1,))])
+
+    @pytest.fixture
+    def rs(self):
+        rs, _ = new_ruleset([(None, s) for s in ("b & TRUE", "b | FALSE", "r & TRUE", "r | FALSE")])
+        return rs
+
+    def test_one_pass_and_one_na_everywhere(self, df, rs):
+        v = confront(df, rs, ref={"r": Value("logical", [True, True], (1,))})
+        assert [o.result for o in v.outcomes] == [[True, None]] * 4
+        assert [o.tally() for o in v.outcomes] == [(2, 1, 0, 1)] * 4
+        assert [(r.items, r.passes, r.fails, r.nNA) for r in summarize(v)] == [(2, 1, 0, 1)] * 4
+        assert [(r.npass, r.nfail, r.nNA) for r in aggregate_results(v, "record")] == [
+            (4, 0, 0), (0, 0, 4)
+        ]
+        assert all_pass(v) is None and all_pass(v, na_rm=True) is True
+        assert cli._validation_exit_code(v, strict=False) == 0
+        assert cli._validation_exit_code(v, strict=True) == 0
+        assert "With fails    : 0" in cli.banner(v)
+        table = compare_validations(subset(rs, [1, 2]), {"v1": df, "v2": df})
+        col = table.column("v2")
+        assert (col["validations"], col["satisfied"], col["violated"], col["unverifiable"]) == (
+            4, 2, 0, 2
+        )
+        assert col["still_satisfied"] == 2 and col["still_unverifiable"] == 2
+
+    @pytest.mark.parametrize("na_value", [True, False])
+    def test_na_value_settles_the_missing_cell(self, df, rs, na_value):
+        v = confront(df, rs, ref={"r": Value("logical", [True, True], (1,))},
+                     opts={"na.value": na_value})
+        assert [o.result for o in v.outcomes] == [[True, na_value]] * 4
+        passes = 1 + na_value
+        assert [o.tally() for o in v.outcomes] == [(2, passes, 2 - passes, 0)] * 4
+        assert all_pass(v) is na_value
