@@ -16,12 +16,13 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import repeat
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import rule_io
 from .engine import Validation, confront
 from .errors import CheckmateError, DataError, ParseError, RuleIOError, RuleSetError
-from .frame import ingest_csv
+from .frame import fill, ingest_csv
 from .rules import RuleSet, parse_option
 
 if TYPE_CHECKING:
@@ -45,27 +46,10 @@ PALETTE = {"pass": "#2e7d32", "fail": "#c62828", "na": "#9e9e9e"}
 _SUMMARY_HEADER = ["name", "items", "passes", "fails", "nNA", "error", "warning", "expression"]
 
 
-def _summary_dicts(v: Validation) -> list[dict]:
+def _summary_rows(v: Validation) -> list[list]:
     from .results import summarize
 
-    return [{h: getattr(r, h) for h in _SUMMARY_HEADER} for r in summarize(v)]
-
-
-def _status_dicts(table: StatusTable) -> list[dict]:
-    out = []
-    for status in table.statuses:
-        row = {"status": status}
-        for i, version in enumerate(table.version_names):
-            row[version] = table.counts[status][i]
-        out.append(row)
-    return out
-
-
-def _write_csv(rows: list[dict], header: list[str], out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_plain(row[h]) for h in header])
+    return [[getattr(r, h) for h in _SUMMARY_HEADER] for r in summarize(v)]
 
 
 def _plain(value):
@@ -76,77 +60,80 @@ def _plain(value):
     return value
 
 
-def _write_text_table(rows: list[dict], header: list[str], out) -> None:
-    cells = [[str(_plain(row[h])) for h in header] for row in rows]
-    widths = [max([len(h)] + [len(r[i]) for r in cells]) for i, h in enumerate(header)]
-    out.write("  ".join(h.rjust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-    for r in cells:
-        out.write("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() + "\n")
-
-
-def _write_table(rows: list[dict], header: list[str], fmt: str, out, title: str) -> None:
-    """Rows as a json object with the one member ``title``, as csv, or as aligned text."""
-    if fmt == "json":
-        import json
-
-        json.dump({title: rows}, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        _write_csv(rows, header, out)
-    else:
-        _write_text_table(rows, header, out)
-
-
-_JSON_VALUE = {True: "true", False: "false", None: "null"}
-_CSV_VALUE = {True: "TRUE", False: "FALSE", None: "NA"}
-
-
-def _write_json(v: Validation, out) -> None:
-    """Write {"summary": ..., "records": ...} as json.dump(..., indent=2) lays it out.
-
-    The records are streamed rule by rule: a rule's name and expression and
-    each key id are encoded once, so an item costs one table lookup.
-    """
+def _json_table(header: list[str], rows: list[list], title: str) -> str:
+    """A json object whose one member ``title`` lists the rows as objects, as
+    json.dumps(..., indent=2) lays it out."""
     import json
 
-    head = json.dumps({"summary": _summary_dicts(v)}, indent=2)
-    out.write(head[: -len("\n}")] + ',\n  "records": [')
-    ids = None
-    if v.key_values is not None:
-        ids = ['\n    {\n      "id": ' + json.dumps(k) for k in v.key_values]
-    separator = ""
+    return json.dumps({title: [dict(zip(header, row)) for row in rows]}, indent=2)
+
+
+def _write_table(header: list[str], rows: list[list], fmt: str, out, title: str) -> None:
+    """Rows as ``_json_table``, as csv, or as right-aligned text."""
+    if fmt == "json":
+        out.write(_json_table(header, rows, title) + "\n")
+        return
+    lines = [header] + [[str(_plain(cell)) for cell in row] for row in rows]
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(lines)
+        return
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    for line in lines:
+        out.write("  ".join(map(str.rjust, line, widths)).rstrip() + "\n")
+
+
+def _write_records(v: Validation, out, id_text, tail_text, sep: str) -> bool:
+    """Write a record per rule item, rule by rule, joined by ``sep``; whether any was written.
+
+    A record is ``id_text(key id)``, or ``id_text(None)`` where the rule's
+    items are not the records, followed by ``tail_text(outcome, cell)`` for
+    its cell: True, False or None (unverifiable). Each id's text is made once
+    per validation and each rule's tail once per cell, so an item costs one
+    lookup and one concatenation.
+    """
+    ids = None if v.key_values is None else list(map(id_text, v.key_values))
+    unkeyed = repeat(id_text(None))
+    written = False
     for o in v.outcomes:
         if not o.values:
             continue
-        tails = {
-            cell: f',\n      "name": {json.dumps(o.name)},\n      "value": {text},'
+        tails = {cell: tail_text(o, cell) for cell in (True, False, None)}
+        cells = fill(list(map(tails.__getitem__, o.values)), o.na, tails[None])
+        if written:
+            out.write(sep)
+        out.write(sep.join(map(operator.add, ids if v.aligned(o.values) else unkeyed, cells)))
+        written = True
+    return written
+
+
+def _write_json(v: Validation, out) -> None:
+    """Write {"summary": ..., "records": ...} as json.dump(..., indent=2) lays it out."""
+    import json
+
+    def id_text(key):
+        return '\n    {\n      "id": ' + json.dumps(key)
+
+    def tail_text(o, cell):
+        return (
+            f',\n      "name": {json.dumps(o.name)},\n      "value": {json.dumps(cell)},'
             f'\n      "expression": {json.dumps(o.expression)}\n    }}'
-            for cell, text in _JSON_VALUE.items()
-        }
-        if v.aligned(o.values):
-            items = map(operator.add, ids, map(tails.__getitem__, o.result))
-        else:
-            unkeyed = {cell: '\n    {\n      "id": null' + t for cell, t in tails.items()}
-            items = map(unkeyed.__getitem__, o.result)
-        out.write(separator)
-        out.write(",".join(items))
-        separator = ","
-    out.write("\n  ]\n}\n" if separator else "]\n}\n")
+        )
+
+    head = _json_table(_SUMMARY_HEADER, _summary_rows(v), "summary")
+    out.write(head[: -len("\n}")] + ',\n  "records": [')
+    any_records = _write_records(v, out, id_text, tail_text, ",")
+    out.write("\n  ]\n}\n" if any_records else "]\n}\n")
 
 
 def _write_csv_records(v: Validation, out) -> None:
-    """One (id, name, value, expression) row per rule item, streamed rule by rule."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "name", "value", "expression"])
-    ids = [_plain(k) for k in v.key_values] if v.key_values is not None else None
-    for o in v.outcomes:
-        if o.values is None:
-            continue
-        values = map(_CSV_VALUE.__getitem__, o.result)
-        if v.aligned(o.values):
-            writer.writerows(zip(ids, repeat(o.name), values, repeat(o.expression)))
-        else:
-            writer.writerows(zip(repeat("NA"), repeat(o.name), values, repeat(o.expression)))
+    """One (id, name, value, expression) row per rule item."""
+    # writerow returns what its file's write returns, here the row's text
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    out.write("id,name,value,expression\n")
+    _write_records(
+        v, out, lambda key: line([_plain(key), ""])[:-1],
+        lambda o, cell: line([o.name, _plain(cell), o.expression]), "",
+    )
 
 
 def emit(payload, fmt: str, out) -> None:
@@ -162,19 +149,21 @@ def emit(payload, fmt: str, out) -> None:
         elif fmt == "csv":
             _write_csv_records(payload, out)
         else:
-            _write_text_table(_summary_dicts(payload), _SUMMARY_HEADER, out)
+            emit_summary(payload, fmt, out)
         return
     from .diffs import StatusTable
 
     if isinstance(payload, StatusTable):
-        header = ["status"] + list(payload.version_names)
-        _write_table(_status_dicts(payload), header, fmt, out, "statuses")
+        if "status" in payload.version_names:
+            raise DataError("a version named 'status' would share the name of the status column")
+        rows = [[s, *payload.counts[s]] for s in payload.statuses]
+        _write_table(["status", *payload.version_names], rows, fmt, out, "statuses")
         return
     raise DataError(f"cannot emit {type(payload).__name__}")
 
 
 def emit_summary(v: Validation, fmt: str, out) -> None:
-    _write_table(_summary_dicts(v), _SUMMARY_HEADER, fmt, out, "summary")
+    _write_table(_SUMMARY_HEADER, _summary_rows(v), fmt, out, "summary")
 
 
 # ---------------------------------------------------------------------------

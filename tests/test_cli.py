@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import checkmate
-from checkmate import cli, from_dict, results
-from checkmate.engine import check_that, confront
+from checkmate import cli, diffs, from_dict, results
+from checkmate.engine import RuleOutcome, check_that, confront
 from checkmate.errors import DataError
 
 from conftest import SAMPLE_DATA, SAMPLE_RULES, SAMPLE_V2
@@ -288,6 +288,10 @@ class TestStreamedEmit:
     def test_sample_keyed_and_unkeyed(self, retailers, retailer_rules):
         _assert_streams_match_reference(confront(retailers, retailer_rules, key="id"))
         _assert_streams_match_reference(confront(retailers, retailer_rules))
+        for settled in (True, False):  # na.value settles the NA cells
+            v = confront(retailers, retailer_rules, key="id", opts={"na.value": settled})
+            assert all(not o.na for o in v.outcomes)
+            _assert_streams_match_reference(v)
 
     @pytest.mark.parametrize("key", ["k", None])
     def test_awkward_key_text_and_mixed_rules(self, awkward, key):
@@ -355,11 +359,15 @@ class TestStreamedEmit:
     @given(
         st.lists(st.text(max_size=6), min_size=1, max_size=6),
         st.lists(st.sampled_from([1.0, -1.0, None]), min_size=6, max_size=6),
+        st.sampled_from(["NA", True, False]),
     )
-    def test_random_key_text(self, keys, xs):
+    def test_random_key_text(self, keys, xs, na_value):
         df = from_dict({"k": keys, "x": xs[: len(keys)]})
         for key in ("k", None):
-            _assert_streams_match_reference(check_that(df, *MIXED_RULES, key=key))
+            v = check_that(df, *MIXED_RULES, key=key, opts={"na.value": na_value})
+            if na_value != "NA":  # na.value settles the NA cells
+                assert all(not o.na for o in v.outcomes)
+            _assert_streams_match_reference(v)
 
     def test_text_builds_no_records(self, monkeypatch, retailers, retailer_rules):
         v = confront(retailers, retailer_rules, key="id")
@@ -371,6 +379,25 @@ class TestStreamedEmit:
         out = io.StringIO()
         cli.emit(v, "text", out)
         assert len(out.getvalue().splitlines()) == 7
+
+    def test_emit_builds_no_tri_state_list(self, monkeypatch, retailers, retailer_rules):
+        v = confront(retailers, retailer_rules, key="id")
+
+        def emitted():
+            outs = []
+            for write in (cli.emit, cli.emit_summary):
+                for fmt in ("csv", "json", "text"):
+                    out = io.StringIO()
+                    write(v, fmt, out)
+                    outs.append(out.getvalue())
+            return outs
+
+        def refuse(_):
+            raise AssertionError("emit must read values and na, not build tri-state lists")
+
+        want = emitted()
+        monkeypatch.setattr(RuleOutcome, "result", property(refuse))
+        assert emitted() == want
 
 
 @pytest.mark.parametrize(
@@ -749,6 +776,31 @@ class TestCompareCommands:
         assert rows["imputed"]["v2"] == 1
         assert rows["adapted"]["v2"] == 1
 
+    @pytest.fixture
+    def status_and_b(self, tmp_path):
+        """Two versions, the first named like the status column, and a rule file."""
+        for name in ("status", "b"):
+            (tmp_path / f"{name}.csv").write_text("x\n1\n-1\n")
+        (tmp_path / "r.txt").write_text("x >= 0\n")
+        return [str(tmp_path / "status.csv"), str(tmp_path / "b.csv")], str(tmp_path / "r.txt")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_version_named_status_exit_three(self, status_and_b, capsys, command, fmt):
+        # its counts would take the place of the status names
+        data, rules = status_and_b
+        assert cli.main([command, *data, "--rules", rules, "--format", fmt]) == 3
+        assert capsys.readouterr() == (
+            "", "error: a version named 'status' would share the name of the status column\n"
+        )
+
+    @pytest.mark.parametrize("versions", [1, 2])
+    def test_plot_of_a_version_named_status(self, status_and_b, tmp_path, versions):
+        data, rules = status_and_b
+        out = tmp_path / "chart.svg"
+        assert cli.main(["plot", *data[:versions], "--rules", rules, "--out", str(out)]) == 0
+        assert out.read_text().startswith("<svg")
+
     def test_compare_needs_two_files(self, two_versions, capsys):
         v1, _, rules = two_versions
         assert cli.main(["compare", v1, "--rules", rules]) == 3
@@ -768,6 +820,58 @@ class TestCompareCommands:
         err = capsys.readouterr().err
         assert "Invalid syntax detected" in err
         assert "[002] x + 1" in err
+
+
+def _reference_status_table(table, fmt):
+    """The status table as the writer over one dict per row wrote it, which
+    keyed each row by "status" and by the version names."""
+    rows = []
+    for status in table.statuses:
+        row = {"status": status}
+        for i, version in enumerate(table.version_names):
+            row[version] = table.counts[status][i]
+        rows.append(row)
+    header = ["status"] + list(table.version_names)
+    out = io.StringIO()
+    if fmt == "json":
+        json.dump({"statuses": rows}, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([row[h] for h in header])
+    else:
+        cells = [[str(row[h]) for h in header] for row in rows]
+        widths = [max([len(h)] + [len(r[i]) for r in cells]) for i, h in enumerate(header)]
+        out.write("  ".join(h.rjust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+        for r in cells:
+            out.write("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    return out.getvalue()
+
+
+AWKWARD_VERSIONS = [",", 'say "hi"', "two\nlines", "caf\u00e9 \u2603", "NA", " v ", ""]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(
+        st.sampled_from(AWKWARD_VERSIONS) | st.text(max_size=6).filter(lambda t: t != "status"),
+        min_size=1, max_size=5, unique=True,
+    ),
+    st.sampled_from([diffs.VALIDATION_STATUSES, diffs.CELL_STATUSES]),
+    st.data(),
+)
+def test_status_table_matches_the_dict_row_writer(versions, statuses, data):
+    counts = {
+        s: data.draw(st.lists(st.integers(0, 10**9), min_size=len(versions), max_size=len(versions)))
+        for s in statuses
+    }
+    table = diffs.StatusTable(statuses, versions, counts, "sequential")
+    for fmt in ("csv", "json", "text"):
+        out = io.StringIO()
+        cli.emit(table, fmt, out)
+        assert out.getvalue() == _reference_status_table(table, fmt), fmt
 
 
 class TestPlotCommand:
