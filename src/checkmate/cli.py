@@ -154,12 +154,16 @@ def emit(payload, fmt: str, out) -> None:
     from .diffs import StatusTable
 
     if isinstance(payload, StatusTable):
-        if "status" in payload.version_names:
-            raise DataError("a version named 'status' would share the name of the status column")
-        rows = [[s, *payload.counts[s]] for s in payload.statuses]
-        _write_table(["status", *payload.version_names], rows, fmt, out, "statuses")
+        _write_table(*_status_rows(payload), fmt, out, "statuses")
         return
     raise DataError(f"cannot emit {type(payload).__name__}")
+
+
+def _status_rows(table: StatusTable) -> tuple[list[str], list[list]]:
+    """A status table's header and rows; a version named ``status`` is refused."""
+    if "status" in table.version_names:
+        raise DataError("a version named 'status' would share the name of the status column")
+    return ["status", *table.version_names], [[s, *table.counts[s]] for s in table.statuses]
 
 
 def emit_summary(v: Validation, fmt: str, out) -> None:
@@ -193,9 +197,12 @@ def _load_rules(args: argparse.Namespace) -> RuleSet:
     return rs
 
 
+@contextmanager
 def _open_out(path: str, **kwargs):
+    """``path`` open for writing; failing to open, write or close it is a DataError."""
     try:
-        return open(path, "w", encoding="utf-8", **kwargs)
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
     except OSError as err:
         raise DataError(f"cannot write {path}: {err}") from err
 
@@ -387,9 +394,9 @@ def _status_command(table_of):
     def command(args: argparse.Namespace) -> int:
         if len(args.data) < 2:
             raise DataError(f"{args.command} needs at least two data files")
-        table = table_of(args)
+        header, rows = _status_rows(table_of(args))  # refused before --out is opened
         with _output(args) as out:
-            emit(table, args.format, out)
+            _write_table(header, rows, args.format, out, "statuses")
         return 0
 
     return command

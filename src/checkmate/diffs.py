@@ -172,7 +172,7 @@ def compare_cells(versions: dict[str, DataFrame], how: str = "sequential") -> St
             a, b = col.values, ref_col.values
             changed = set(compress(range(len(a)), map(ne, a, b))) - gone
             adapted = len(changed)
-            if col.type == ref_col.type == "number":
+            if col.kind == ref_col.kind == "number":
                 # NaN is unequal to itself, yet a cell NaN in both versions is unchanged
                 adapted -= sum(1 for j in changed if a[j] != a[j] and b[j] != b[j])
             tally["adapted"] += adapted

@@ -4,8 +4,9 @@ Results are tri-state per item: True, False, or None for unverifiable.
 Logical connectives follow Kleene strong three-valued logic; arithmetic and
 comparisons propagate missing values.
 
-A vector holds its values with missing cells filled, as a frame column
-does, next to the sorted indices of its missing cells. An operation maps
+Every operand and result is a ``frame.Value``, the vector type of a frame
+column: its values with missing cells filled, next to the sorted indices of
+its missing cells. A column is read without conversion. An operation maps
 over the values in C and settles missingness with set operations on the
 indices.
 """
@@ -23,41 +24,28 @@ from itertools import compress, repeat
 
 from . import dsl
 from .errors import DataError, EvalError
-from .frame import FILLERS, DataFrame, fill
+from .frame import FILLERS, DataFrame, Value, fill
 from .record import Record
 from .rules import OptionSet, Rule, RuleSet, new_ruleset, select
 
-_KIND = {"number": "number", "text": "text", "boolean": "logical"}  # by column type
-_FILL = {_KIND[t]: filler for t, filler in FILLERS.items()}  # the value at a missing cell
 _NA_KEY = object()  # a missing cell in a grouping key; equal to no value
 
 
-class Value(Record):
-    """An evaluation result: a typed vector of filled values and the sorted
-    indices of its missing cells."""
+class _Dataset(Value):
+    """The value of ``.`` or of a reference frame: a whole frame, of kind
+    ``frame`` and with no cells."""
 
-    __slots__ = _fields = ("kind", "values", "na", "frame")
+    __slots__ = ("frame",)
+    _fields = ("kind", "frame")
 
-    def __init__(
-        self, kind: str, values: list | None = None, na: tuple = (), frame: DataFrame | None = None
-    ):
-        self.kind = kind  # logical|number|text|frame
-        self.values = [] if values is None else values
-        self.na = na
+    def __init__(self, frame: DataFrame):
+        super().__init__("frame")
         self.frame = frame
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def cells(self) -> list:
-        """The values with None at missing cells."""
-        return fill(list(self.values), self.na, None)
 
 
 def _scalar(kind: str, cell) -> Value:
     """A one-cell vector from a tri-state cell (None = missing)."""
-    return Value(kind, [_FILL[kind]], (0,)) if cell is None else Value(kind, [cell])
+    return Value(kind, [FILLERS[kind]], (0,)) if cell is None else Value(kind, [cell])
 
 
 def _union(p: tuple, q: tuple) -> tuple:
@@ -73,10 +61,7 @@ def _present(values: list, na) -> list:
     """The values outside the missing indices ``na``."""
     if not na:
         return values
-    keep = bytearray(b"\x01") * len(values)
-    for i in na:
-        keep[i] = 0
-    return list(compress(values, keep))
+    return list(compress(values, fill(bytearray(b"\x01") * len(values), na, 0)))
 
 
 def _keys(v) -> list:
@@ -117,22 +102,6 @@ def _require(v: Value, kind: str, what: str):
 # ---------------------------------------------------------------------------
 # Kleene connectives
 # ---------------------------------------------------------------------------
-
-
-def kleene_and(a, b):
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
-
-
-def kleene_or(a, b):
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
 
 
 def kleene_not(a):
@@ -274,16 +243,11 @@ def _compiled(pattern: str) -> tuple[_re.Pattern, tuple[Warning, ...]]:
     return rx, tuple(w.message for w in caught)
 
 
-def _mean(values: list) -> float:
-    from statistics import fmean  # imported on first use: with fractions and decimal, 3 ms
+def _statistics():
+    """The ``statistics`` module, imported on first use: with fractions and decimal, 3 ms."""
+    import statistics
 
-    return fmean(values)
-
-
-def _median(values: list) -> float:
-    from statistics import median
-
-    return median(values)
+    return statistics
 
 
 class Evaluator:
@@ -291,31 +255,23 @@ class Evaluator:
 
     def __init__(self, df: DataFrame, ref=None):
         self.df = df
-        self.ref = self._normalize_ref(ref)
+        # names -> frames, vectors or cell lists; or a frame, whose columns are the names
+        self.ref = ref if isinstance(ref, DataFrame) else dict(ref or {})
         self.warnings: list[Warning] = []  # what the evaluation warned of, in order
-
-    @staticmethod
-    def _normalize_ref(ref):
-        if ref is None:
-            return {}
-        if isinstance(ref, DataFrame):
-            return {c.name: Value(_KIND[c.type], c.values, c.na) for c in ref.columns}
-        return dict(ref)
 
     # -- scope --------------------------------------------------------------
 
     def lookup(self, name: str) -> Value:
-        if self.df.has_column(name):
-            col = self.df.column(name)
-            return Value(_KIND[col.type], col.values, col.na)
-        if name in self.ref:
-            value = self.ref[name]
-            if isinstance(value, DataFrame):
-                return Value("frame", frame=value)
-            if isinstance(value, Value):
-                return value
-            return self._vector_from_list(list(value))
-        raise EvalError(f"object {name!r} not found")
+        value = self.df.get(name)
+        if value is None:
+            value = self.ref.get(name)
+            if value is None:
+                raise EvalError(f"object {name!r} not found")
+        if isinstance(value, Value):  # a column's or vector's own lists, without a name
+            return Value(value.kind, value.values, value.na)
+        if isinstance(value, DataFrame):
+            return _Dataset(value)
+        return self._vector_from_list(list(value))
 
     @staticmethod
     def _vector_from_list(cells: list) -> Value:
@@ -329,7 +285,7 @@ class Evaluator:
         else:
             raise EvalError("reference vector mixes cell types")
         na = tuple(i for i, c in enumerate(cells) if c is None)
-        return Value(kind, fill(cells, na, _FILL[kind]), na)
+        return Value(kind, fill(cells, na, FILLERS[kind]), na)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -343,7 +299,7 @@ class Evaluator:
         operand = self.eval(e.operand)
         kind, fn, what = _UNARY[e.op]
         _require(operand, kind, what)
-        values = fill(list(map(fn, operand.values)), operand.na, _FILL[kind])
+        values = fill(list(map(fn, operand.values)), operand.na, FILLERS[kind])
         return Value(kind, values, operand.na)
 
     def eval_binary(self, e: dsl.Binary) -> Value:
@@ -424,8 +380,7 @@ class Evaluator:
         xs, ys = _present(x.values, na), _present(y.values, na)
         if len(xs) < 2:
             return _scalar("number", None)
-        import statistics  # imported on first use, as in _mean
-
+        statistics = _statistics()
         try:
             r = statistics.correlation(xs, ys)
         except statistics.StatisticsError:
@@ -507,7 +462,7 @@ class Evaluator:
             if v.kind == "frame":
                 raise EvalError("c expects vectors")
             na.extend(i + len(values) for i in v.na)
-            values.extend(v.values if v.kind == kind else [_FILL[kind]] * len(v))
+            values.extend(v.values if v.kind == kind else [FILLERS[kind]] * len(v))
         return Value(kind, values, tuple(na))
 
 
@@ -521,11 +476,11 @@ BUILTINS = {
     "abs": Evaluator._abs,
     "all": lambda ev, e: ev._logical_reduce(e, True, False),
     "any": lambda ev, e: ev._logical_reduce(e, False, True),
-    "mean": lambda ev, e: ev._numeric_aggregate(e, _mean),
+    "mean": lambda ev, e: ev._numeric_aggregate(e, _statistics().fmean),
     "sum": lambda ev, e: ev._numeric_aggregate(e, sum),
     "min": lambda ev, e: ev._numeric_aggregate(e, min),
     "max": lambda ev, e: ev._numeric_aggregate(e, max),
-    "median": lambda ev, e: ev._numeric_aggregate(e, _median),
+    "median": lambda ev, e: ev._numeric_aggregate(e, _statistics().median),
     "cor": Evaluator._cor,
     "grepl": Evaluator._grepl,
     "duplicated": Evaluator._duplicated,
@@ -551,7 +506,7 @@ _EVAL = {
     dsl.BoolLit: lambda ev, e: Value("logical", [e.value]),
     dsl.MissingLit: lambda ev, e: _scalar("logical", None),
     dsl.Identifier: lambda ev, e: ev.lookup(e.name),
-    dsl.DatasetRef: lambda ev, e: Value("frame", frame=ev.df),
+    dsl.DatasetRef: lambda ev, e: _Dataset(ev.df),
     dsl.Paren: lambda ev, e: ev.eval(e.inner),
     dsl.Unary: Evaluator.eval_unary,
     dsl.Binary: Evaluator.eval_binary,
@@ -709,7 +664,7 @@ def confront(
         if col.na:
             raise DataError(f"key column {key!r} has missing cells")
         # ids as R's as.character writes the cells
-        to_id = {"number": _key_id, "boolean": ("FALSE", "TRUE").__getitem__}.get(col.type, str)
+        to_id = {"number": _key_id, "logical": ("FALSE", "TRUE").__getitem__}.get(col.kind, str)
         key_values = list(map(to_id, col.values))
 
     outcomes = []

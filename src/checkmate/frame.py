@@ -1,8 +1,9 @@
 """Minimal typed data frame and its CSV input.
 
-A frame holds named equal-length columns. Each column stores its values with
-missing cells filled (``0.0``, ``""`` or ``False``) next to the sorted row
-indices of its missing cells.
+A vector (``Value``) has a kind, ``number``, ``text`` or ``logical``, and
+stores its values with missing cells filled (``0.0``, ``""`` or ``False``)
+next to the sorted indices of its missing cells. A frame holds named
+equal-length columns, each a vector with a name.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from operator import lt
 from .errors import DataError
 from .record import Record
 
-COLUMN_TYPES = ("number", "text", "boolean")
-FILLERS = {"number": 0.0, "text": "", "boolean": False}
+FILLERS = {"number": 0.0, "text": "", "logical": False}  # by kind: the value at a missing cell
+_KIND_OF_TYPE = {"number": "number", "text": "text", "boolean": "logical"}  # column type -> kind
 
 
 def fill(values: list, na, filler) -> list:
@@ -26,31 +27,52 @@ def fill(values: list, na, filler) -> list:
     return values
 
 
-class Column(Record):
-    """A named column of one type (number, text or boolean): ``values`` holds
-    ``FILLERS[type]`` at the missing cells, whose sorted row indices are ``na``."""
+class Value(Record):
+    """A typed vector: ``values`` holds ``FILLERS[kind]`` at the missing cells,
+    whose sorted indices are ``na``."""
 
-    __slots__ = _fields = ("name", "type", "values", "na")
+    __slots__ = _fields = ("kind", "values", "na")
+    frame = None  # a whole dataset, for the evaluator's value of '.'; a vector has none
+
+    def __init__(self, kind: str, values: list | None = None, na: tuple = ()):
+        self.kind = kind
+        self.values = [] if values is None else values
+        self.na = na
+
+    def __len__(self):
+        return len(self.values)
+
+    @property
+    def cells(self) -> list:
+        """The values with None at missing cells."""
+        return fill(list(self.values), self.na, None)
+
+
+class Column(Value):
+    """A named vector, made from its column type: number, text or boolean
+    (kind ``logical``)."""
+
+    __slots__ = ("name",)
+    _fields = ("name", "type", "values", "na")
 
     def __init__(self, name: str, type: str, values: list, na=()):
-        if type not in COLUMN_TYPES:
+        if type not in _KIND_OF_TYPE:
             raise DataError(f"unknown column type {type!r}")
         na = tuple(na)
         if na and not (0 <= na[0] and na[-1] < len(values) and all(map(lt, na, na[1:]))):
             raise DataError(f"column {name!r}: missing-cell indices out of order or range")
-        self.name, self.type, self.values, self.na = name, type, values, na
+        self.name, self.kind, self.values, self.na = name, _KIND_OF_TYPE[type], values, na
+
+    @property
+    def type(self) -> str:
+        return "boolean" if self.kind == "logical" else self.kind
 
     @property
     def missing(self) -> list[bool]:
         """Per-cell missingness, derived from ``na``."""
-        mask = [False] * len(self.values)
-        for i in self.na:
-            mask[i] = True
-        return mask
+        return fill([False] * len(self.values), self.na, True)
 
-    def cells(self) -> list:
-        """Values with missing cells replaced by None."""
-        return fill(list(self.values), self.na, None)
+    cells = Value.cells.fget  # on a column a method: column.cells()
 
 
 class DataFrame(Record):
@@ -85,12 +107,15 @@ class DataFrame(Record):
     def has_column(self, name: str) -> bool:
         return name in self._by_name
 
+    def get(self, name: str) -> Column | None:
+        """The column named ``name``, or None."""
+        return self._by_name.get(name)
+
 
 def _infer_type(cells: list) -> str:
     present = [v for v in cells if v is not None]
-    if all(isinstance(v, bool) for v in present):
-        if present:
-            return "boolean"
+    if present and all(isinstance(v, bool) for v in present):
+        return "boolean"
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in present):
         return "number"
     if all(isinstance(v, str) for v in present):
@@ -104,7 +129,7 @@ def from_dict(data: dict[str, list], types: dict[str, str] | None = None) -> Dat
     cols = []
     for name, cells in data.items():
         ctype = types.get(name) or _infer_type(cells)
-        filler = FILLERS.get(ctype)
+        filler = FILLERS.get(_KIND_OF_TYPE.get(ctype))
         na = tuple(i for i, v in enumerate(cells) if v is None)
         cols.append(Column(name, ctype, [filler if v is None else v for v in cells], na))
     return DataFrame(cols)

@@ -794,6 +794,16 @@ class TestCompareCommands:
             "", "error: a version named 'status' would share the name of the status column\n"
         )
 
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_version_named_status_leaves_out_as_it_was(
+        self, status_and_b, tmp_path, capsys, command
+    ):
+        data, rules = status_and_b
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"keep\n")
+        assert cli.main([command, *data, "--rules", rules, "--out", str(out)]) == 3
+        assert out.read_bytes() == b"keep\n"
+
     @pytest.mark.parametrize("versions", [1, 2])
     def test_plot_of_a_version_named_status(self, status_and_b, tmp_path, versions):
         data, rules = status_and_b
@@ -904,25 +914,37 @@ class TestPlotCommand:
 CHECK = [SAMPLE_DATA, "--rules", SAMPLE_RULES]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", *CHECK],
-        ["summary", *CHECK],
-        ["compare", SAMPLE_DATA, SAMPLE_V2, "--rules", SAMPLE_RULES],
-        ["cells", SAMPLE_DATA, SAMPLE_V2],
-        ["plot", *CHECK],
-        ["plot", SAMPLE_DATA, SAMPLE_V2, "--rules", SAMPLE_RULES],
-        ["export", "--rules", SAMPLE_RULES],
-    ],
-    ids=["check", "summary", "compare", "cells", "plot", "plot-versions", "export"],
-)
+# a command line of each command that writes --out, by test id
+OUT_COMMANDS = {
+    "check": ["check", *CHECK],
+    "check-csv": ["check", *CHECK, "--format", "csv"],
+    "check-json": ["check", *CHECK, "--format", "json"],  # more than one buffer's worth
+    "summary": ["summary", *CHECK],
+    "compare": ["compare", SAMPLE_DATA, SAMPLE_V2, "--rules", SAMPLE_RULES],
+    "cells": ["cells", SAMPLE_DATA, SAMPLE_V2],
+    "plot": ["plot", *CHECK],
+    "plot-versions": ["plot", SAMPLE_DATA, SAMPLE_V2, "--rules", SAMPLE_RULES],
+    "export": ["export", "--rules", SAMPLE_RULES],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=list(OUT_COMMANDS))
 def test_out_into_missing_directory_exit_three(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "out.txt"
     assert cli.main([*argv, "--out", str(target)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=list(OUT_COMMANDS))
+def test_out_to_a_full_device_exit_three(capsys, argv):
+    # the device opens but fails every write: at a write past the buffer, or at
+    # the flush on close for a smaller output
+    assert cli.main([*argv, "--out", "/dev/full"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
 
 
 class TestVersionNames:

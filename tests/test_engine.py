@@ -11,9 +11,7 @@ from checkmate.engine import (
     confront,
     eval_expr,
     eval_fd,
-    kleene_and,
     kleene_not,
-    kleene_or,
 )
 from checkmate.errors import DataError, EvalError
 from checkmate.results import summarize
@@ -29,33 +27,40 @@ def cells(source, df, ref=None):
 
 
 class TestKleene:
+    """The evaluator's ``&``, ``|`` and ``!`` on all nine (P, Q) cell pairs,
+    one pair per row, in the order of ``PAIRS``."""
+
     T, F, N = True, False, None
+    PAIRS = list(itertools.product([T, F, N], repeat=2))
+    DF = from_dict(
+        {"P": [p for p, _ in PAIRS], "Q": [q for _, q in PAIRS]}, {"P": "boolean", "Q": "boolean"}
+    )
+
+    def table(self, source):
+        """The cells of ``source`` by (P, Q) pair, each cell with its type."""
+        return {pq: (c, type(c)) for pq, c in zip(self.PAIRS, cells(source, self.DF))}
+
+    def expect(self, *column):
+        return {pq: (c, type(c)) for pq, c in zip(self.PAIRS, column)}
 
     def test_and(self):
-        assert kleene_and(self.T, self.T) is True
-        assert kleene_and(self.T, self.F) is False
-        assert kleene_and(self.F, self.N) is False
-        assert kleene_and(self.N, self.F) is False
-        assert kleene_and(self.T, self.N) is None
-        assert kleene_and(self.N, self.N) is None
+        T, F, N = self.T, self.F, self.N
+        # rows P = T, F, NA; columns Q = T, F, NA
+        assert self.table("P & Q") == self.expect(T, F, N, F, F, F, N, F, N)
 
     def test_or(self):
-        assert kleene_or(self.F, self.F) is False
-        assert kleene_or(self.T, self.N) is True
-        assert kleene_or(self.N, self.T) is True
-        assert kleene_or(self.F, self.N) is None
-        assert kleene_or(self.N, self.N) is None
+        T, F, N = self.T, self.F, self.N
+        assert self.table("P | Q") == self.expect(T, T, T, T, F, N, T, N, N)
 
     def test_not(self):
-        assert kleene_not(self.T) is False
-        assert kleene_not(self.F) is True
-        assert kleene_not(self.N) is None
+        T, F, N = self.T, self.F, self.N
+        assert self.table("!P") == self.expect(F, F, F, T, T, T, N, N, N)
+        # the cell function results.any_fail uses
+        assert [kleene_not(c) for c in (T, F, N)] == [F, T, N]
 
     def test_de_morgan(self):
-        for a, b in itertools.product([True, False, None], repeat=2):
-            assert kleene_not(kleene_and(a, b)) == kleene_or(
-                kleene_not(a), kleene_not(b)
-            )
+        assert self.table("!(P & Q)") == self.table("!P | !Q")
+        assert self.table("!(P | Q)") == self.table("!P & !Q")
 
 
 class TestEvalExpr:
@@ -184,6 +189,41 @@ class TestEvalExpr:
         df = from_dict({"x": [1.0]})
         other = from_dict({"a": [1.0], "b": [2.0], "c": [3.0]})
         assert cells("ncol(ext) == 3", df, ref={"ext": other}) == [True]
+
+
+class TestReferenceFrame:
+    """``ref`` given as a whole frame: its columns are names of the scope."""
+
+    DATA = from_dict({"x": [1.0, 2.0, 3.0], "shared": [1.0, 1.0, 1.0]})
+    REF = from_dict(
+        {"y": [2.0, None], "shared": [5.0, 5.0], "flag": [True, None], "code": ["a", None]}
+    )
+
+    def test_a_reference_column_is_found_by_name(self):
+        assert cells("y", self.DATA, self.REF) == [2.0, None]
+        assert cells("x > mean(y, na.rm = TRUE)", self.DATA, self.REF) == [False, False, True]
+        assert cells('"a" %in% code', self.DATA, self.REF) == [True]
+
+    def test_a_reference_column_keeps_its_kind(self):
+        kinds = {name: eval_expr(expr(name), self.DATA, self.REF).kind for name in self.REF.names}
+        assert kinds == {"y": "number", "shared": "number", "flag": "logical", "code": "text"}
+        assert cells("flag & TRUE", self.DATA, self.REF) == [True, None]
+
+    def test_a_data_column_shadows_a_reference_column(self):
+        assert cells("shared", self.DATA, self.REF) == [1.0, 1.0, 1.0]
+
+    def test_nrow_counts_the_data(self):
+        assert cells("nrow(.)", self.DATA, self.REF) == [3.0]
+        assert cells("number_of_records()", self.DATA, self.REF) == [3.0]
+
+    def test_a_name_in_neither_is_not_found(self):
+        with pytest.raises(EvalError, match="object 'nosuch' not found"):
+            cells("nosuch", self.DATA, self.REF)
+
+    def test_confront_reads_the_frame_for_every_rule(self):
+        rs, _ = new_ruleset([("a", "x >= max(y, na.rm = TRUE)"), ("b", "sum(shared) == 3")])
+        v = confront(self.DATA, rs, ref=self.REF)
+        assert [o.result for o in v.outcomes] == [[False, True, True], [True]]
 
 
 class TestBuiltins:

@@ -1,13 +1,18 @@
 """Property tests over generated rule ASTs and data: rendering, variable listing,
-implication, Kleene laws, tolerance rewrites, summaries and ``na.value``."""
+implication, Kleene laws, tolerance rewrites, summaries, ``na.value`` and
+operands left unchanged by evaluation."""
 
 import itertools
+import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from checkmate import dsl, from_dict, summarize
-from checkmate.engine import check_that, eval_expr, kleene_not, kleene_or
+from checkmate.engine import check_that, eval_expr
+from checkmate.frame import DataFrame
+from legacy_engine import kleene_not, kleene_or
+from test_evaluator_differential import EXPRESSIONS, TRAP_REF, TRAPS, frames, refs
 
 # fixed seed and size: the same examples every run, a few seconds in total
 PINNED = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -282,3 +287,51 @@ def test_na_value_changes_exactly_the_missing_cells(sources, df, na_value):
     forced = check_that(df, *sources, opts={"na.value": na_value})
     for plain, settled in zip(default.outcomes, forced.outcomes):
         assert settled.result == [na_value if c is None else c for c in plain.result]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation reads its operands and never writes them
+# ---------------------------------------------------------------------------
+
+
+def _trap(source, split=0, whole_frame=False):
+    """An example over the frame and references with missing, zero and NaN
+    cells where a write to an operand would show."""
+    return example(dsl.parse_expression(source), TRAPS, TRAP_REF, split, whole_frame)
+
+
+@PINNED
+@given(EXPRESSIONS, frames(), refs(), st.integers(0, 6), st.booleans())
+@_trap("x ^ y")
+@_trap("y / x + x / z", 2, True)
+@_trap("-abs(x) * one > z - one")
+@_trap("c(x, NA) ^ c(NA, y)", 1, True)
+@_trap('!b & grepl("a", s) | t < "b"', 4, True)
+@_trap('x %in% z | s %in% c("b", NA) | flags | "" %in% codes')
+@_trap('is_unique(t) & !duplicated(s, t) | is_complete(t, "") | is.na(y)', 3, True)
+@_trap("mean(x, na.rm = TRUE) + sum(z) + median(nums, na.rm = TRUE) > cor(x, y)")
+@_trap("t + b ~ s + z")
+def test_evaluation_leaves_every_column_as_it_was(e, df, ref, split, whole_frame):
+    """A result may share a column's lists, so no operation may write to an
+    operand: every data and reference column keeps its ``values`` and ``na``,
+    and every reference cell list its cells. With ``whole_frame`` the
+    reference is a frame, holding the data's columns from ``split`` on."""
+    if whole_frame:
+        df, ref = DataFrame(df.columns[:split]), DataFrame(df.columns[split:])
+        columns, lists = [*df.columns, *ref.columns], []
+    else:
+        columns = [*df.columns, *ref["ext"].columns]
+        lists = [v for v in ref.values() if isinstance(v, list)]
+
+    def state():
+        # copies hold the same cell objects, so a NaN cell equals its copy
+        return [(list(c.values), c.na) for c in columns], [list(v) for v in lists]
+
+    before = state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            eval_expr(e, df, ref)
+        except Exception:  # an ill-typed expression fails, and must leave them as well
+            pass
+    assert state() == before

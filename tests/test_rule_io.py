@@ -474,7 +474,7 @@ def test_pure_python_loader_reads_the_same_rules(two_file_setup, monkeypatch):
     expected = rule_io.read_rules("rules.txt", now=NOW)
     # as when PyYAML is built without libyaml
     monkeypatch.setattr(yaml, "__with_libyaml__", False)
-    monkeypatch.delattr(yaml, "CSafeLoader")
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     rs, warnings = rule_io.read_rules("rules.txt", now=NOW)
     assert (_rule_fields(rs), warnings) == (_rule_fields(expected[0]), expected[1])
     assert len(rs) == 5
