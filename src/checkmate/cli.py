@@ -14,7 +14,7 @@ import gc
 import operator
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -193,28 +193,40 @@ def _load_rules(args: argparse.Namespace) -> RuleSet:
     """The --rules file's rule set; its warnings go to stderr."""
     rs, warnings = rule_io.read_rules(_rules_path(args))
     for w in warnings:
-        print(w, file=sys.stderr)
+        _say(w)
     return rs
 
 
-@contextmanager
-def _open_out(path: str, **kwargs):
-    """``path`` open for writing; failing to open, write or close it is a DataError."""
+def _to_null(stream) -> None:
+    """Point a stream that failed a write at the null device, so that Python's
+    flush of it at exit cannot fail again and make the exit code 120."""
     try:
-        with open(path, "w", encoding="utf-8", **kwargs) as fh:
-            yield fh
-    except OSError as err:
-        raise DataError(f"cannot write {path}: {err}") from err
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), stream.fileno())
+    except (OSError, ValueError):  # a stream without a descriptor, as under a test
+        pass
+
+
+def _say(line: str) -> None:
+    """Write ``line`` to standard error, or drop it: nothing is left to report a failure to."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null(sys.stderr)
 
 
 @contextmanager
-def _output(args: argparse.Namespace):
-    """The --out file, or stdout when none is given."""
-    if not args.out:
-        yield sys.stdout
-        return
-    with _open_out(args.out) as fh:
-        yield fh
+def _output(path: str | None, **kwargs):
+    """``path`` open for writing, or else standard output, flushed at the end;
+    failing to open, write, flush or close it is a DataError."""
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) if path else nullcontext(sys.stdout) as out:
+            yield out
+            out.flush()  # standard output is not closed, so a failed write shows here
+    except OSError as err:
+        if not path:
+            _to_null(sys.stdout)
+        raise DataError(f"cannot write {path or 'standard output'}: {err}") from err
 
 
 def _validation_exit_code(v: Validation, strict: bool) -> int:
@@ -338,15 +350,16 @@ def _compare_cells(args: argparse.Namespace) -> StatusTable:
 
 def _check(args: argparse.Namespace) -> int:
     v = _confront_single(args)
-    print(banner(v))
-    with _output(args) as out:
+    with _output(None) as out:
+        out.write(banner(v) + "\n")
+    with _output(args.out) as out:
         emit(v, args.format, out)
     return _validation_exit_code(v, args.strict)
 
 
 def _summary(args: argparse.Namespace) -> int:
     v = _confront_single(args)
-    with _output(args) as out:
+    with _output(args.out) as out:
         emit_summary(v, args.format, out)
     return _validation_exit_code(v, args.strict)
 
@@ -357,11 +370,12 @@ def _lint(args: argparse.Namespace) -> int:
     try:
         rs, warnings = rule_io.read_rules(path)
     except (ParseError, RuleIOError, RuleSetError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _say(f"error: {err}")
         return 2
     for w in warnings:
-        print(w, file=sys.stderr)
-    print(f"{len(rs)} rule(s) parsed")
+        _say(w)
+    with _output(None) as out:
+        out.write(f"{len(rs)} rule(s) parsed\n")
     return 2 if warnings else 0
 
 
@@ -374,12 +388,12 @@ def _export(args: argparse.Namespace) -> int:
         rule_io.export_yaml(rs, args.out)
     elif lower.endswith(".csv"):
         rows = rule_io.rules_to_table(rs)
-        with _open_out(args.out, newline="") as fh:
+        with _output(args.out, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rule_io.TABLE_COLUMNS), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
     else:
-        with _open_out(args.out) as fh:
+        with _output(args.out) as fh:
             for r in rs.rules:
                 if r.description:
                     for line in r.description.splitlines():
@@ -395,7 +409,7 @@ def _status_command(table_of):
         if len(args.data) < 2:
             raise DataError(f"{args.command} needs at least two data files")
         header, rows = _status_rows(table_of(args))  # refused before --out is opened
-        with _output(args) as out:
+        with _output(args.out) as out:
             _write_table(header, rows, args.format, out, "statuses")
         return 0
 
@@ -411,7 +425,7 @@ def _plot(args: argparse.Namespace) -> int:
         svg = svg_bar_chart(_confront_single(args), PALETTE)
     else:
         svg = svg_line_chart(_compare_validations(args))
-    with _open_out(args.out) as fh:
+    with _output(args.out) as fh:
         fh.write(svg + "\n")
     return 0
 
@@ -476,11 +490,11 @@ def main(argv=None) -> int:
         args.options = dict(_parse_option(s) for s in args.set) or None
         return COMMANDS[args.command](args)
     except CheckmateError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _say(f"error: {err}")
         return 3
     except Exception as err:  # a defect of checkmate: report it without a traceback
         message = str(err).replace("\n", " ")
-        print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
+        _say(f"error: internal: {type(err).__name__}: {message}")
         return 4
     finally:
         gc.set_threshold(*thresholds)

@@ -24,7 +24,7 @@ from itertools import compress, repeat
 
 from . import dsl
 from .errors import DataError, EvalError
-from .frame import FILLERS, DataFrame, Value, fill
+from .frame import FILLERS, DataFrame, Value, fill, from_dict
 from .record import Record
 from .rules import OptionSet, Rule, RuleSet, new_ruleset, select
 
@@ -267,25 +267,14 @@ class Evaluator:
             value = self.ref.get(name)
             if value is None:
                 raise EvalError(f"object {name!r} not found")
-        if isinstance(value, Value):  # a column's or vector's own lists, without a name
-            return Value(value.kind, value.values, value.na)
         if isinstance(value, DataFrame):
             return _Dataset(value)
-        return self._vector_from_list(list(value))
-
-    @staticmethod
-    def _vector_from_list(cells: list) -> Value:
-        present = [c for c in cells if c is not None]
-        if all(isinstance(c, bool) for c in present):
-            kind = "logical"
-        elif all(isinstance(c, (int, float)) for c in present):
-            kind = "number"
-        elif all(isinstance(c, str) for c in present):
-            kind = "text"
-        else:
-            raise EvalError("reference vector mixes cell types")
-        na = tuple(i for i, c in enumerate(cells) if c is None)
-        return Value(kind, fill(cells, na, FILLERS[kind]), na)
+        if not isinstance(value, Value):  # a cell list, typed as from_dict types a column
+            try:
+                (value,) = from_dict({name: list(value)}).columns
+            except DataError:
+                raise EvalError("reference vector mixes cell types") from None
+        return Value(value.kind, value.values, value.na)  # its own lists, without a name
 
     # -- dispatch -----------------------------------------------------------
 

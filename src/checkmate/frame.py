@@ -112,7 +112,8 @@ class DataFrame(Record):
         return self._by_name.get(name)
 
 
-def _infer_type(cells: list) -> str:
+def _infer_type(name: str, cells: list) -> str:
+    """The type the present cells share; number when no cell is present."""
     present = [v for v in cells if v is not None]
     if present and all(isinstance(v, bool) for v in present):
         return "boolean"
@@ -120,17 +121,22 @@ def _infer_type(cells: list) -> str:
         return "number"
     if all(isinstance(v, str) for v in present):
         return "text"
-    raise DataError("mixed cell types in one column")
+    raise DataError(f"column {name!r}: mixed cell types")
 
 
 def from_dict(data: dict[str, list], types: dict[str, str] | None = None) -> DataFrame:
-    """Build a frame from name -> cell-list pairs; None marks a missing cell."""
+    """Build a frame from name -> cell-list pairs; None marks a missing cell.
+
+    A type given in ``types`` must be the one the column's present cells share."""
     types = types or {}
     cols = []
     for name, cells in data.items():
-        ctype = types.get(name) or _infer_type(cells)
-        filler = FILLERS.get(_KIND_OF_TYPE.get(ctype))
+        inferred = _infer_type(name, cells)
+        ctype = types.get(name) or inferred
         na = tuple(i for i, v in enumerate(cells) if v is None)
+        if ctype != inferred and ctype in _KIND_OF_TYPE and len(na) < len(cells):
+            raise DataError(f"column {name!r}: declared {ctype}, but its cells are {inferred}")
+        filler = FILLERS.get(_KIND_OF_TYPE.get(ctype))
         cols.append(Column(name, ctype, [filler if v is None else v for v in cells], na))
     return DataFrame(cols)
 
@@ -151,7 +157,7 @@ def _column(name: str, raw: tuple[str, ...]) -> Column:
     first = next(filterfalse(_MISSING_TOKENS.__contains__, raw), None)
     if first in _BOOL_TOKENS and all(map(_BOOL_CELLS.__contains__, raw)):
         return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, raw)), na)
-    if first is not None and first not in _BOOL_TOKENS:
+    if first not in _BOOL_TOKENS:
         try:
             values = list(map(float, fill(list(raw), na, "0") if na else raw))
         except ValueError:
@@ -172,10 +178,10 @@ def _line_after(records: list[list[str]]) -> int:
 def ingest_csv(path: str) -> DataFrame:
     """Read an RFC-4180 CSV with a header row, inferring column types.
 
-    A column is boolean when every non-empty cell is true/false (either case),
-    number when every non-empty cell parses as a decimal, text otherwise.
-    Empty cells and the literal NA are missing. A leading UTF-8 byte-order
-    mark is skipped.
+    Empty cells and the literal NA are missing. A column is boolean when its
+    other cells are true/false (either case) and there is one, number when
+    they parse as decimals (or there is none, as in ``from_dict``), text
+    otherwise. A leading UTF-8 byte-order mark is skipped.
     """
     # the row lists hold only strings, so the cyclic collector's passes over
     # them find nothing; it is paused while they exist

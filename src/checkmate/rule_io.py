@@ -119,31 +119,27 @@ def _resolve_include(parent: str, include: str) -> str:
 class _Loader:
     """Depth-first include resolution with cycle detection."""
 
-    def __init__(self, now: datetime | None):
-        self.now = now
-        self.stack: list[str] = []  # display paths of files being read
-        self.stack_keys: list[str] = []
+    def __init__(self):
+        self.stack: dict[str, str] = {}  # canonical path -> path as given, of the files being read
         self.loaded: set[str] = set()
         self.entries: list[RuleEntry] = []
         self.options: dict = {}
 
     def load(self, path: str):
         key = _canonical(path)
-        if key in self.stack_keys:
-            start = self.stack_keys.index(key)
-            raise CycleError(self.stack[start:] + [path])
+        if key in self.stack:
+            start = list(self.stack).index(key)
+            raise CycleError(list(self.stack.values())[start:] + [path])
         if key in self.loaded:
             return
-        self.stack.append(path)
-        self.stack_keys.append(key)
+        self.stack[key] = path
         try:
             if path.lower().endswith(_YAML_EXTENSIONS):
                 self._load_yaml(path)
             else:
                 self._load_text(path)
         finally:
-            self.stack.pop()
-            self.stack_keys.pop()
+            self.stack.popitem()
         self.loaded.add(key)
 
     def _read(self, path: str) -> str:
@@ -218,7 +214,6 @@ class _Loader:
                     name=name,
                     description="\n".join(comment_block),
                     origin=path,
-                    created=self.now,
                 )
             )
             comment_block = []
@@ -259,7 +254,7 @@ class _Loader:
                     label=str(item.get("label") or ""),
                     description=str(item.get("description") or "").strip(),
                     origin=str(item.get("origin") or "") or path,
-                    created=created or self.now,
+                    created=created or None,
                     meta=meta,
                 )
             )
@@ -267,7 +262,7 @@ class _Loader:
 
 def read_rules(path: str, now: datetime | None = None) -> tuple[RuleSet, list[str]]:
     """Read a rule file (text or YAML), resolving includes depth-first."""
-    loader = _Loader(now)
+    loader = _Loader()
     loader.load(path)
     return build_ruleset(loader.entries, now=now, local_options=loader.options or None)
 
@@ -344,7 +339,7 @@ def table_to_rules(rows: list[dict], now: datetime | None = None) -> RuleSet:
                 label=row.get("label") or "",
                 description=row.get("description") or "",
                 origin=row.get("origin") or "table",
-                created=created or now,
+                created=created,
             )
         )
     rs, _ = build_ruleset(entries, now=now)

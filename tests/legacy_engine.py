@@ -141,7 +141,9 @@ class Evaluator:
     @staticmethod
     def _vector_from_list(cells: list) -> Value:
         present = [c for c in cells if c is not None]
-        if all(isinstance(c, bool) for c in present):
+        # changed since it was replaced: a list with no present cell is a
+        # number vector, as frame.from_dict types it (it used to be logical)
+        if present and all(isinstance(c, bool) for c in present):
             return _logical(cells)
         if all(isinstance(c, (int, float)) for c in present):
             return _number(cells)

@@ -64,15 +64,26 @@ class TestIngestCsv:
         assert col.values == [True, False, False, False]
         assert col.missing == [False, True, False, True]
 
-    def test_all_missing_column_is_text(self, tmp_path):
+    def test_all_missing_column_is_number(self, tmp_path):
         path = self.write(tmp_path, "x,y\nNA,1\n,2\n")
         col = cli.ingest_csv(path).column("x")
-        assert (col.type, col.values, col.missing) == ("text", ["", ""], [True, True])
+        assert (col.type, col.values, col.missing) == ("number", [0.0, 0.0], [True, True])
+
+    def test_all_missing_column_gives_na_to_a_numeric_rule(self, tmp_path, capsys):
+        path = self.write(tmp_path, "x,y\nNA,1\n,2\n")
+        rules = tmp_path / "r.txt"
+        rules.write_text("x > 0\n")
+        out = tmp_path / "out.json"
+        argv = ["check", path, "--rules", str(rules), "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == 0
+        [row] = json.loads(out.read_text())["summary"]
+        assert (row["items"], row["nNA"], row["error"]) == (2, 2, False)
 
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "a,b\n")
         df = cli.ingest_csv(path)
         assert df.names == ["a", "b"] and df.n == 0
+        assert [c.type for c in df.columns] == ["number", "number"]
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n3\n")
@@ -947,6 +958,67 @@ def test_out_to_a_full_device_exit_three(capsys, argv):
     assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
 
 
+@pytest.fixture(params=[True, False], ids=["unbuffered", "buffered"])
+def stdio_env(request):
+    """This process's environment with PYTHONUNBUFFERED set, or unset (as users
+    normally run): unset, a failed write may only show at a flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if request.param:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@contextlib.contextmanager
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed already, so that every
+    write to it fails and none races a reader."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        yield w
+    finally:
+        os.close(w)
+
+
+class TestFailedWriteToStandardStreams:
+    """A failed write to standard output or error is exit 3, whether or not the
+    streams are buffered; a child process, as in-process capsys has no descriptor."""
+
+    CHECK_JSON = ["check", SAMPLE_DATA, "--rules", SAMPLE_RULES, "--format", "json"]
+
+    def run(self, argv, env, **streams):
+        return _python("-m", "checkmate.cli", *argv, env=env, **streams)
+
+    def assert_one_error_line(self, proc):
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1 and "Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize(
+        "argv", [["summary", SAMPLE_DATA, "--rules", SAMPLE_RULES], ["lint", "--rules", SAMPLE_RULES]],
+        ids=["summary", "lint"],
+    )
+    def test_stdout_to_a_full_device(self, stdio_env, argv):
+        with open("/dev/full", "w") as full:
+            self.assert_one_error_line(self.run(argv, stdio_env, stdout=full))
+
+    def test_stdout_into_a_closed_pipe(self, stdio_env):
+        with _closed_pipe() as w:
+            self.assert_one_error_line(self.run(self.CHECK_JSON, stdio_env, stdout=w))
+
+    def test_stdout_and_stderr_into_a_closed_pipe(self, stdio_env):
+        with _closed_pipe() as w:
+            assert self.run(self.CHECK_JSON, stdio_env, stdout=w, stderr=w).returncode == 3
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_stderr_to_a_full_device(self, stdio_env):
+        argv = ["check", "nope.csv", "--rules", SAMPLE_RULES]
+        with open("/dev/full", "w") as full:
+            proc = self.run(argv, stdio_env, stderr=full)
+        assert (proc.returncode, proc.stdout) == (3, "")
+
+
 class TestVersionNames:
     @pytest.mark.parametrize("command", ["compare", "cells", "plot"])
     def test_two_files_with_one_name_exit_three(self, tmp_path, capsys, command):
@@ -1122,11 +1194,13 @@ class TestUsage:
 SRC = os.path.dirname(os.path.dirname(checkmate.__file__))
 
 
-def _python(*args):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
-    )
+def _python(*args, env=None, **streams):
+    """``python args`` with the package importable, in ``env`` (by default this
+    process's environment); stdout and stderr are captured unless ``streams``
+    sends them elsewhere."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, *args], env=env, text=True, timeout=60, **streams)
 
 
 class TestPackaging:
