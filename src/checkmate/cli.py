@@ -15,7 +15,7 @@ import operator
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import repeat
+from itertools import islice, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -82,6 +82,9 @@ def _write_table(header: list[str], rows: list[list], fmt: str, out, title: str)
         out.write("  ".join(map(str.rjust, line, widths)).rstrip() + "\n")
 
 
+_RECORDS_PER_WRITE = 4096  # records per write: a rule's records are never all held as text
+
+
 def _write_records(v: Validation, out, id_text, tail_text, sep: str) -> bool:
     """Write a record per rule item, rule by rule, joined by ``sep``; whether any was written.
 
@@ -89,7 +92,8 @@ def _write_records(v: Validation, out, id_text, tail_text, sep: str) -> bool:
     items are not the records, followed by ``tail_text(outcome, cell)`` for
     its cell: True, False or None (unverifiable). Each id's text is made once
     per validation and each rule's tail once per cell, so an item costs one
-    lookup and one concatenation.
+    lookup and one concatenation. Records are joined and written
+    ``_RECORDS_PER_WRITE`` at a time.
     """
     ids = None if v.key_values is None else list(map(id_text, v.key_values))
     unkeyed = repeat(id_text(None))
@@ -99,10 +103,12 @@ def _write_records(v: Validation, out, id_text, tail_text, sep: str) -> bool:
             continue
         tails = {cell: tail_text(o, cell) for cell in (True, False, None)}
         cells = fill(list(map(tails.__getitem__, o.values)), o.na, tails[None])
-        if written:
-            out.write(sep)
-        out.write(sep.join(map(operator.add, ids if v.aligned(o.values) else unkeyed, cells)))
-        written = True
+        records = map(operator.add, ids if v.aligned(o.values) else unkeyed, cells)
+        while part := sep.join(islice(records, _RECORDS_PER_WRITE)):
+            if written:
+                out.write(sep)
+            out.write(part)
+            written = True
     return written
 
 
@@ -455,8 +461,17 @@ def _parse_option(text: str) -> tuple[str, object]:
     return name, parse_option(name, raw.strip())
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        """Write help or a usage error as argparse does, but let a failed write
+        raise: argparse would drop its OSError and exit 0 after a --help that
+        reached no one."""
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="checkmate", description="Validate tabular data against a rule file."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -479,8 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as err:
-        return 3 if err.code not in (0, None) else 0
+    except (SystemExit, OSError) as err:  # argparse wrote help or a usage error, or failed to
+        code = 0 if isinstance(err, SystemExit) and err.code in (0, None) else 3
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()  # buffered, a failed write shows here
+            except OSError:
+                _to_null(stream)
+                code = 3
+        return code
     # Loaded frames and results are large and acyclic; at the default
     # threshold the cyclic collector walks them over and over. Worker
     # processes inherit the setting.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import gc
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress, islice
 from operator import lt
 
 from .errors import DataError
@@ -146,25 +146,55 @@ def from_dict(data: dict[str, list], types: dict[str, str] | None = None) -> Dat
 # ---------------------------------------------------------------------------
 
 _MISSING_TOKENS = frozenset(("", "NA"))
-_BOOL_TOKENS = {"true": True, "TRUE": True, "false": False, "FALSE": False}
-# each token mapped to its value, missing tokens to the filler
-_BOOL_CELLS = {**_BOOL_TOKENS, **dict.fromkeys(_MISSING_TOKENS, False)}
+# each cell of a boolean column mapped to its value, missing tokens to the filler
+_BOOL_CELLS = {"true": True, "TRUE": True, "false": False, "FALSE": False,
+               **dict.fromkeys(_MISSING_TOKENS, False)}
+_BLOCK_ROWS = 4096  # rows read and converted at a time; only one block is held as strings
 
 
-def _column(name: str, raw: tuple[str, ...]) -> Column:
-    """Classify and convert one column of CSV text, each step one C-level pass."""
-    na = tuple(compress(range(len(raw)), map(_MISSING_TOKENS.__contains__, raw)))
-    first = next(filterfalse(_MISSING_TOKENS.__contains__, raw), None)
-    if first in _BOOL_TOKENS and all(map(_BOOL_CELLS.__contains__, raw)):
-        return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, raw)), na)
-    if first not in _BOOL_TOKENS:
-        try:
-            values = list(map(float, fill(list(raw), na, "0") if na else raw))
-        except ValueError:
-            pass
-        else:
-            return Column(name, "number", values, na)
-    return Column(name, "text", fill(list(raw), na, ""), na)
+class _ColumnReader:
+    """One CSV column, converted a block of cells at a time.
+
+    A column is a number column until a cell that is not missing fails to
+    parse as a decimal. Until then it keeps each block's cells joined by NUL,
+    which no decimal holds; from those it becomes a text column, whose cells
+    go through ``distinct`` so that each distinct text is one object. At the
+    end a text column whose cells are all true/false or missing is boolean.
+    """
+
+    __slots__ = ("na", "values", "joined", "distinct")
+
+    def __init__(self):
+        self.na: list[int] = []
+        self.values: list = []  # floats, or texts once the column is text
+        self.joined: list[str] | None = []  # a number column's cells, a string per block
+        self.distinct: dict[str, str] = {}
+
+    def add(self, raw: tuple[str, ...]) -> None:
+        start = len(self.values)
+        missing = list(compress(range(len(raw)), map(_MISSING_TOKENS.__contains__, raw)))
+        self.na += map(start.__add__, missing)
+        if self.joined is not None:
+            try:
+                numbers = list(map(float, fill(list(raw), missing, "0") if missing else raw))
+            except ValueError:  # a text column from here on, its cells so far rebuilt
+                cells = list(chain.from_iterable(s.split("\0") for s in self.joined))
+                self.joined = None
+                self.values = list(map(self.distinct.setdefault, cells, cells))
+            else:
+                self.values += numbers
+                self.joined.append("\0".join(raw))
+                return
+        self.values += map(self.distinct.setdefault, raw, raw)
+
+    def column(self, name: str) -> Column:
+        """The column read, typed now that every cell is known."""
+        na = tuple(self.na)
+        if self.joined is not None:
+            return Column(name, "number", self.values, na)
+        if self.distinct.keys() <= _BOOL_CELLS.keys():  # true/false never parses as a decimal
+            return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, self.values)), na)
+        return Column(name, "text", fill(self.values, na, ""), na)
 
 
 def _line_after(records: list[list[str]]) -> int:
@@ -181,10 +211,11 @@ def ingest_csv(path: str) -> DataFrame:
     Empty cells and the literal NA are missing. A column is boolean when its
     other cells are true/false (either case) and there is one, number when
     they parse as decimals (or there is none, as in ``from_dict``), text
-    otherwise. A leading UTF-8 byte-order mark is skipped.
+    otherwise. A leading UTF-8 byte-order mark is skipped. The file is read
+    once, front to back, ``_BLOCK_ROWS`` rows at a time, so it may be a pipe.
     """
-    # the row lists hold only strings, so the cyclic collector's passes over
-    # them find nothing; it is paused while they exist
+    # the blocks and columns hold only strings and floats, so the cyclic
+    # collector's passes over them find nothing; it is paused while they grow
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -194,20 +225,28 @@ def ingest_csv(path: str) -> DataFrame:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
-        width = len(header)
-        if set(map(len, rows)) - {width}:
-            i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
-            line = _line_after([header, *rows[:i]])
-            raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
-        raw = list(zip(*rows)) if rows else [()] * width
-        del rows
+            width = len(header)
+            columns = [_ColumnReader() for _ in header]
+            while True:
+                start = reader.line_num  # the physical lines before the block
+                block = list(islice(reader, _BLOCK_ROWS))
+                if not block:
+                    break
+                if set(map(len, block)) - {width}:
+                    i, row = next((i, r) for i, r in enumerate(block) if len(r) != width)
+                    line = start + _line_after(block[:i])
+                    for _ in reader:  # an unreadable cell further on is reported instead
+                        pass
+                    raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+                for column, raw in zip(columns, zip(*block)):
+                    column.add(raw)
+                del block  # freed before the next block is read, not after
+        try:
+            return DataFrame([c.column(name) for c, name in zip(columns, header)])
+        except DataError as err:  # a header that names a column twice
+            raise DataError(f"{path}: {err}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     finally:
         if enabled:
             gc.enable()
-    try:
-        return DataFrame([_column(name, cells) for name, cells in zip(header, raw)])
-    except DataError as err:  # a header that names a column twice
-        raise DataError(f"{path}: {err}") from None

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -237,6 +238,20 @@ class TestEmit:
         assert lines[0] == "id,name,value,expression"
         assert len(lines) == 302
         assert lines[1].startswith("RET01,st,")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("per_write", [1, 2, 59, 60, 61])
+    def test_records_written_in_slices_are_the_same_bytes(self, validation, monkeypatch, fmt,
+                                                          per_write):
+        # 60 records per rule but one for the mean's; the default slice holds them all
+        whole = io.StringIO()
+        cli.emit(validation, fmt, whole)
+        monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", per_write)
+        writes = []
+        cli.emit(validation, fmt, SimpleNamespace(write=writes.append))
+        assert "".join(writes) == whole.getvalue()
+        records = [w for w in writes if "RET" in w]
+        assert max(w.count("RET") for w in records) == min(per_write, 60)
 
     def test_text_table_alignment(self, validation):
         out = io.StringIO()
@@ -1010,6 +1025,19 @@ class TestFailedWriteToStandardStreams:
     def test_stdout_and_stderr_into_a_closed_pipe(self, stdio_env):
         with _closed_pipe() as w:
             assert self.run(self.CHECK_JSON, stdio_env, stdout=w, stderr=w).returncode == 3
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize(
+        "argv, stream",
+        [(["--help"], "stdout"), (["check", "-h"], "stdout"), (["bogus"], "stderr"),
+         (["check", "--format", "xml"], "stderr")],
+        ids=["help", "command help", "unknown command", "bad choice"],
+    )
+    def test_argparse_output_to_a_full_device(self, stdio_env, argv, stream):
+        with open("/dev/full", "w") as full:
+            proc = self.run(argv, stdio_env, **{stream: full})
+        assert proc.returncode == 3
+        assert (proc.stdout or "") + (proc.stderr or "") == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     def test_stderr_to_a_full_device(self, stdio_env):

@@ -1,13 +1,21 @@
-"""The vector type that frame columns and evaluation results share."""
+"""The vector type that frame columns and evaluation results share, and the
+CSV reader that builds them a block of rows at a time."""
 
+import os
 import pickle
+import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from checkmate import Column, DataFrame, check_that, dsl, eval_expr, from_dict, ingest_csv
+import legacy_ingest
+from checkmate import Column, DataFrame, check_that, dsl, eval_expr, from_dict, frame, ingest_csv
 from checkmate.engine import Value as EngineValue
 from checkmate.errors import DataError, EvalError
 from checkmate.frame import FILLERS, Value
+from conftest import SAMPLE_DATA
 
 
 class TestColumnIsAValue:
@@ -115,3 +123,183 @@ class TestDeclaredTypes:
     def test_an_unknown_type_keeps_its_message(self, cells):
         with pytest.raises(DataError, match="unknown column type 'float'"):
             from_dict({"x": cells}, {"x": "float"})
+
+
+# ---------------------------------------------------------------------------
+# The block reader against the whole-file reader it replaced
+# ---------------------------------------------------------------------------
+
+
+def _read_csv(read, path: str):
+    """Each column's name, type, values (as repr, so that nan equals nan) and
+    NA indices, as ``read(path)`` gives them; or its DataError's message."""
+    try:
+        df = read(path)
+    except DataError as err:
+        return str(err)
+    return [(c.name, c.type, list(map(repr, c.values)), c.na) for c in df.columns]
+
+
+def _assert_readers_agree(path: str, block_rows: int):
+    """What ``ingest_csv`` reads from ``path`` with ``block_rows`` rows to a
+    block, asserted equal to what the whole-file reader read."""
+    with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
+        new = _read_csv(ingest_csv, path)
+    assert new == _read_csv(legacy_ingest.ingest_csv, path)
+    return new
+
+
+NUMBER_CELLS = ["0", "-2.5", "1e3", " 7 ", "1_0", "nan", "inf", "-Infinity"]
+BOOLEAN_CELLS = ["TRUE", "false", "true", "FALSE"]
+TEXT_CELLS = ["True", "abc", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nhere"]
+MISSING_CELLS = ["", "NA"]
+ANY_CELL = NUMBER_CELLS + BOOLEAN_CELLS + TEXT_CELLS + MISSING_CELLS
+
+
+def _csv_field(cell: str, quote: bool) -> str:
+    if quote or any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV file's text: a header and rows whose columns mostly keep to one
+    kind of cell, with the odd cell of another kind, row of another length,
+    quoted field, byte-order mark or missing last line end."""
+    width = draw(st.integers(0, 3))
+    header = ["x", "y", "z"][:width]
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.lists(st.sampled_from(header or ["x"]), min_size=width, max_size=width))
+    pools = [draw(st.sampled_from([NUMBER_CELLS, BOOLEAN_CELLS, TEXT_CELLS, []])) + MISSING_CELLS
+             for _ in header]
+    rows = [header]
+    for _ in range(draw(st.integers(0, 9))):
+        row = [draw(st.sampled_from(pool if draw(st.integers(0, 5)) else ANY_CELL))
+               for pool in pools]
+        if draw(st.integers(0, 14)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        rows.append(row)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    # a row of one empty field is written "", as an empty line is a row of no fields
+    lines = [",".join(_csv_field(c, row == [""] or draw(st.integers(0, 7)) == 0) for c in row)
+             for row in rows]
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("ingest") / "data.csv")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(text=csv_texts(), block_rows=st.integers(1, 3))
+def test_block_reader_agrees_with_the_whole_file_reader(csv_path, text, block_rows):
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    _assert_readers_agree(csv_path, block_rows)
+
+
+# a one-column file: an empty cell is written "", as an empty line is a row of no fields
+READ_CASES = {
+    "number meets text late":
+        ("x\n1\n2\n3\nabc\n4\n", ("text", ["'1'", "'2'", "'3'", "'abc'", "'4'"])),
+    "number meets a boolean late":
+        ("x\n1\nNA\n2\nTRUE\n", ("text", ["'1'", "''", "'2'", "'TRUE'"])),
+    "every boolean token":
+        ('b\ntrue\nTRUE\nNA\nfalse\n""\nFALSE\n', ("boolean", ["True"] * 2 + ["False"] * 4)),
+    "boolean broken late":
+        ("b\nTRUE\nfalse\nNA\nyes\n", ("text", ["'TRUE'", "'false'", "''", "'yes'"])),
+    "boolean broken by a number":
+        ('b\ntrue\n""\nFALSE\n0\n', ("text", ["'true'", "''", "'FALSE'", "'0'"])),
+    "missing then numbers":
+        ('x\nNA\n""\nNA\n2.5\n', ("number", ["0.0"] * 3 + ["2.5"])),
+    "missing then text":
+        ('x\nNA\n""\nNA\nabc\n', ("text", ["''"] * 3 + ["'abc'"])),
+    "missing then booleans":
+        ('x\nNA\n""\nNA\nTRUE\nfalse\n', ("boolean", ["False"] * 3 + ["True", "False"])),
+    "missing then numbers then text":
+        ('x\n""\nNA\n1\n""\nz\n', ("text", ["''", "''", "'1'", "''", "'z'"])),
+    "all missing": ('x\nNA\n""\nNA\n""\n', ("number", ["0.0"] * 4)),
+    "nan and inf":
+        ("x\nnan\ninf\n-inf\nNaN\n1\n", ("number", ["nan", "inf", "-inf", "nan", "1.0"])),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("text, expected", READ_CASES.values(), ids=list(READ_CASES))
+def test_a_column_typed_across_blocks(tmp_path, block_rows, text, expected):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    (column,) = _assert_readers_agree(str(path), block_rows)
+    assert column[1:3] == expected
+
+
+ERROR_CASES = {
+    # three quoted fields hold the three line breaks, each one more line
+    "short row after line breaks": (
+        'x,y\n"a\nb",1\n"c\rd",2\n"e\r\nf",3\n4\n', "line 8: expected 2 fields, got 1"
+    ),
+    "long row after line breaks": (
+        'x,y\r\n"a\r\nb",1\r\n"c\nd",2\r\n5,6\r\n7,8,9\r\n', "line 7: expected 2 fields, got 3"
+    ),
+    "empty file": ("", "empty file"),
+    "a name taken twice": ("x,x\n1,2\n3,4\n5,6\n", "duplicate column name 'x'"),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("text, message", ERROR_CASES.values(), ids=list(ERROR_CASES))
+def test_an_error_is_reported_as_it_was(tmp_path, block_rows, text, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    assert _assert_readers_agree(str(path), block_rows) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, frame._BLOCK_ROWS])
+def test_an_unreadable_cell_after_a_short_row_is_reported(tmp_path, block_rows):
+    path = tmp_path / "data.csv"
+    # the byte that does not decode comes well after the first chunk the file is read in
+    path.write_bytes(b"x,y\n1,2\n3\n" + b"4,5\n" * 10_000 + b"6,\xff\n")
+    message = _assert_readers_agree(str(path), block_rows)
+    assert message.startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("block_rows", [1, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("text", ["\ufeffx,y\n1,a\n2,b\n", "x,y\n", "x,y"],
+                         ids=["byte-order mark", "header only", "header without line end"])
+def test_a_header_and_its_columns(tmp_path, block_rows, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    columns = _assert_readers_agree(str(path), block_rows)
+    assert [c[:2] for c in columns] == [("x", "number"), ("y", "text" if "a" in text else "number")]
+
+
+def test_a_text_column_holds_each_distinct_text_once(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("s\n" + "abc\nxyz\n" * 50)
+    with mock.patch.object(frame, "_BLOCK_ROWS", 7):
+        values = ingest_csv(str(path)).column("s").values
+    assert len(set(map(id, values))) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("block_rows", [7, frame._BLOCK_ROWS])
+def test_data_from_a_pipe_reads_as_from_the_file(tmp_path, block_rows):
+    fifo = tmp_path / "data.csv"
+    os.mkfifo(fifo)
+    with open(SAMPLE_DATA, "rb") as fh:
+        data = fh.read()
+
+    def write():
+        with open(fifo, "wb") as pipe:  # waits until the reader opens the pipe
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
+        from_pipe = ingest_csv(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert from_pipe == ingest_csv(SAMPLE_DATA)
