@@ -43,13 +43,12 @@ PALETTE = {"pass": "#2e7d32", "fail": "#c62828", "na": "#9e9e9e"}
 # ---------------------------------------------------------------------------
 
 
-_SUMMARY_HEADER = ["name", "items", "passes", "fails", "nNA", "error", "warning", "expression"]
+def _summary_rows(v: Validation) -> tuple[list[str], list[list]]:
+    """The summary table's header, ``SummaryRow``'s fields, and a row per rule."""
+    from .results import SummaryRow, summarize
 
-
-def _summary_rows(v: Validation) -> list[list]:
-    from .results import summarize
-
-    return [[getattr(r, h) for h in _SUMMARY_HEADER] for r in summarize(v)]
+    header = list(SummaryRow._fields)
+    return header, [[getattr(r, h) for h in header] for r in summarize(v)]
 
 
 def _plain(value):
@@ -125,7 +124,7 @@ def _write_json(v: Validation, out) -> None:
             f'\n      "expression": {json.dumps(o.expression)}\n    }}'
         )
 
-    head = _json_table(_SUMMARY_HEADER, _summary_rows(v), "summary")
+    head = _json_table(*_summary_rows(v), "summary")
     out.write(head[: -len("\n}")] + ',\n  "records": [')
     any_records = _write_records(v, out, id_text, tail_text, ",")
     out.write("\n  ]\n}\n" if any_records else "]\n}\n")
@@ -173,7 +172,7 @@ def _status_rows(table: StatusTable) -> tuple[list[str], list[list]]:
 
 
 def emit_summary(v: Validation, fmt: str, out) -> None:
-    _write_table(_SUMMARY_HEADER, _summary_rows(v), fmt, out, "summary")
+    _write_table(*_summary_rows(v), fmt, out, "summary")
 
 
 # ---------------------------------------------------------------------------

@@ -309,21 +309,34 @@ def rebuild(e: Expression, fn) -> Expression:
     return make(e, fn) if make else e
 
 
-def census(e: Expression) -> tuple[list[str], int, int]:
+def census(e: Expression, macros: dict = {}) -> tuple[list[str], int, int, dict]:
     """Names of the identifiers in ``e`` in first-occurrence order, the levels of
-    its tree and its nodes, in one preorder walk."""
+    its tree and its nodes, in one preorder walk; with a macro table (see
+    ``insert_macros``), those of ``e`` with its macros inserted, each counted
+    from its table entry, and then the bodies inserted, by name."""
     names: dict[str, None] = {}
+    inserted: dict[str, Expression] = {}
     levels = nodes = 0
-    stack = [(e, 1)]  # preorder: the leftmost child is taken next
+    stack = [(e, None, 1)]  # (node, parent, level) in preorder: the leftmost child is taken next
     while stack:
-        node, level = stack.pop()
+        node, parent, level = stack.pop()
         nodes += 1
-        levels = max(levels, level)
-        if type(node) is Identifier:
+        if level > levels:
+            levels = level
+        if type(node) is not Identifier:
+            stack.extend([(child, node, level + 1) for child in reversed(children(node))])
+        elif node.name not in macros or (
+            type(parent) is FuncDep and type(macros[node.name][0]) is not Identifier
+        ):
             names[node.name] = None
         else:
-            stack.extend([(child, level + 1) for child in reversed(children(node))])
-    return list(names), levels, nodes
+            body, body_names, body_levels, size = macros[node.name]
+            wrap = _wraps(body, parent)
+            inserted[node.name] = body
+            names.update(dict.fromkeys(body_names))
+            levels = max(levels, level + wrap + body_levels - 1)
+            nodes += wrap + size - 1
+    return list(names), levels, nodes, inserted
 
 
 def variables(e: Expression) -> list[str]:
@@ -596,54 +609,42 @@ def _substitute(e: Expression, table: dict, parent: Expression | None = None) ->
     return Paren(body) if _wraps(body, parent) else body
 
 
+def insert_macros(e: Expression, macros: dict) -> tuple[Expression, list[str], int, int]:
+    """``e`` with the macros it names inserted, then the result's names, levels
+    and nodes: the entry a macro table holds for a macro defined as ``e``.
+
+    A name becomes its body, not re-scanned, in parentheses when the operator
+    around it binds at least as tightly. A functional dependency lists plain
+    names: it keeps a name whose body is not a name, as one node and one level.
+    A result that inserts a body and is deeper than ``MAX_DEPTH`` levels or has
+    more than ``MAX_NODES`` nodes is a ``ParseError``.
+    """
+    names, levels, nodes, inserted = census(e, macros)
+    if inserted:
+        if levels > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        if nodes > MAX_NODES:
+            raise ParseError(_TOO_BIG)
+        e = _substitute(e, inserted)
+    return e, names, levels, nodes
+
+
 def expand(e: Expression, macros: dict, groups: dict[str, list[str]]) -> list[Expression]:
     """The rules ``e`` stands for, with macros inserted and variable groups expanded.
 
-    ``macros`` maps a name to its body followed by the body's ``census``. A
-    macro's name becomes its body, not re-scanned, in parentheses when the
-    operator around it binds at least as tightly; in a functional dependency,
-    which lists plain names, only a body that is a name renames. The result
-    comes back once per combination of the members of the groups it names,
-    the first group named varying slowest.
-
-    One walk finds the result's names and size before anything is built. A
-    result deeper than ``MAX_DEPTH`` levels is a ``ParseError``, and so is one
-    that inserts more than ``MAX_NODES`` nodes (a body a functional dependency
-    keeps as a name counts) or whose copies have more than that in all.
+    ``macros`` maps a name to its ``insert_macros`` entry. The result comes
+    back once per combination of the members of the groups it names, the
+    first group named varying slowest; copies with more than ``MAX_NODES``
+    nodes in all are a ``ParseError``, raised before any is built.
     """
     if not macros and not groups:
         return [e]
-    names: dict[str, None] = {}  # the result's identifiers, first occurrence first
-    inserted: dict[str, Expression] = {}  # macro name -> body, for the macros named
-    nodes = kept = 0  # the result's nodes; the nodes of the bodies kept out of it
-    stack = [(e, None, 1)]  # (node, parent, level) in preorder, as in census
-    while stack:
-        node, parent, level = stack.pop()
-        nodes += 1
-        if type(node) is not Identifier:
-            stack.extend([(child, node, level + 1) for child in reversed(children(node))])
-        elif node.name not in macros:
-            names[node.name] = None
-        else:
-            body, body_names, levels, size = macros[node.name]
-            wrap = _wraps(body, parent)
-            if level + wrap + levels - 1 > MAX_DEPTH:
-                raise ParseError(_TOO_DEEP)
-            inserted[node.name] = body
-            if type(parent) is FuncDep and type(body) is not Identifier:
-                names[node.name] = None
-                kept += wrap + size - 1
-            else:
-                names.update(dict.fromkeys(body_names))
-                nodes += wrap + size - 1
+    e, names, _, nodes = insert_macros(e, macros)
     referenced = [name for name in names if name in groups]
-    copies = math.prod(len(groups[g]) for g in referenced)
-    if (inserted and nodes + kept > MAX_NODES) or (referenced and copies * nodes > MAX_NODES):
-        raise ParseError(_TOO_BIG)
-    if inserted:
-        e = _substitute(e, inserted)
     if not referenced:
         return [e]
+    if math.prod(len(groups[g]) for g in referenced) * nodes > MAX_NODES:
+        raise ParseError(_TOO_BIG)
     return [
         _substitute(e, {g: Identifier(m) for g, m in zip(referenced, combo)})
         for combo in itertools.product(*(groups[g] for g in referenced))

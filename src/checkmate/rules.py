@@ -236,7 +236,7 @@ def build_ruleset(
     rule named R becomes R.1, R.2, ...
     """
     now = now or datetime.now()
-    macros: dict[str, tuple] = {}  # name -> body, then the body's dsl.census
+    macros: dict[str, tuple] = {}  # name -> its dsl.insert_macros entry
     groups: dict[str, list[str]] = {}
     rules: list[Rule] = []
     invalid: list[tuple[int, str]] = []
@@ -246,8 +246,7 @@ def build_ruleset(
         directive = entry.directive
         kind = dsl.classify(directive)
         if kind == "macro":
-            [body] = dsl.expand(directive.body, macros, {})
-            macros[directive.name] = (body, *dsl.census(body))
+            macros[directive.name] = dsl.insert_macros(directive.body, macros)
             continue
         if kind == "group":
             groups[directive.name] = list(directive.members)
@@ -355,15 +354,9 @@ def meta_put(rs: RuleSet, key: str, values) -> RuleSet:
 
 def variables_matrix(rs: RuleSet) -> tuple[list[str], list[list[bool]]]:
     """Union of per-rule variables plus a rule-by-variable coverage matrix."""
-    names: list[str] = []
-    per_rule = []
-    for r in rs.rules:
-        vs = r.variables()
-        per_rule.append(set(vs))
-        for v in vs:
-            if v not in names:
-                names.append(v)
-    matrix = [[v in used for v in names] for used in per_rule]
+    per_rule = [r.variables() for r in rs.rules]
+    names = list(dict.fromkeys(v for vs in per_rule for v in vs))
+    matrix = [[v in used for v in names] for used in map(set, per_rule)]
     return names, matrix
 
 

@@ -272,7 +272,7 @@ class TestEmit:
 
 def _reference_json(v):
     """The JSON emit as one json.dumps over every record, each a dict."""
-    summary = [{h: getattr(r, h) for h in cli._SUMMARY_HEADER} for r in results.summarize(v)]
+    summary = [{h: getattr(r, h) for h in results.SummaryRow._fields} for r in results.summarize(v)]
     records = [
         {"id": r.id, "name": r.name, "value": r.value, "expression": r.expression}
         for r in results.to_records(v)
@@ -595,6 +595,20 @@ class TestRuleTextErrors:
         assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
         assert cli.main(["lint", "--rules", str(rules)]) == 2
         assert capsys.readouterr().err == "error: expression nested deeper than 150 levels\n"
+
+    def test_macro_kept_by_functional_dependency_is_one_level(self, tmp_path, capsys):
+        # the body is 150 levels deep; the dependency keeps the name m, inserting nothing
+        data = tmp_path / "d.csv"
+        data.write_text("m,x,z\n1,1,1\n2,1,2\n3,1,3\n")
+        rules = tmp_path / "r.txt"
+        rules.write_text("m := " + " + ".join(["x"] * 150) + "\nr: m ~ z\n")
+        assert cli.main(["lint", "--rules", str(rules)]) == 0
+        assert capsys.readouterr() == ("1 rule(s) parsed\n", "")
+        out = tmp_path / "report.json"
+        argv = ["check", str(data), "--rules", str(rules), "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [(r["name"], r["expression"]) for r in records] == [("r", "m ~ z")] * 3
 
 
 class TestRuleFileValueTypes:

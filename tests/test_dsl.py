@@ -294,9 +294,8 @@ class TestClassify:
 
 
 def macro_table(**sources):
-    """Macro table of ``dsl.expand``: each name's body and the body's census."""
-    bodies = {name: body(src) for name, src in sources.items()}
-    return {name: (e, *dsl.census(e)) for name, e in bodies.items()}
+    """Macro table of ``dsl.expand``: each name's ``dsl.insert_macros`` entry."""
+    return {name: dsl.insert_macros(body(src), {}) for name, src in sources.items()}
 
 
 class TestMacros:

@@ -5,8 +5,11 @@ each pass with its own walk and its own size count. Both sides define the same
 generated macros in order and expand the same generated rules against them;
 every definition and rule must give equal trees or the same ``ParseError``
 text. Wide calls, deep nests and large groups reach the depth and node
-bounds, and macros are named inside functional dependencies. ``dsl.census``
-is checked against the ``extent`` and ``_census`` walks it replaced.
+bounds, and macros are named inside functional dependencies. A functional
+dependency keeps a name whose macro body is not a name, so on the legacy side
+it is given only the macros whose body is a name. ``dsl.census`` is checked
+against the ``extent`` and ``_census`` walks it replaced, and, given a macro
+table, against the census of the tree ``dsl.expand`` builds.
 """
 
 import functools
@@ -103,18 +106,27 @@ def _legacy(defs, groups, rules):
         out.append(_outcome(lambda: [legacy_expansion.substitute_macros(body, macros)]))
         if type(out[-1]) is list:
             macros[name] = out[-1][0]
+    renaming = {name: body for name, body in macros.items() if type(body) is dsl.Identifier}
     for e in rules:
+        table = renaming if type(e) is dsl.FuncDep else macros
         out.append(_outcome(lambda: legacy_expansion.expand_groups(
-            legacy_expansion.substitute_macros(e, macros), groups)))
+            legacy_expansion.substitute_macros(e, table), groups)))
     return out
 
 
-def _current(defs, groups, rules):
+def _macro_table(defs):
+    """The macro table ``defs`` define, and each definition's outcome."""
     macros, out = {}, []
     for name, body in defs:
-        out.append(_outcome(lambda: dsl.expand(body, macros, {})))
-        if type(out[-1]) is list:
-            macros[name] = (out[-1][0], *dsl.census(out[-1][0]))
+        entry = _outcome(lambda: dsl.insert_macros(body, macros))
+        out.append(entry if type(entry) is str else [entry[0]])
+        if type(entry) is tuple:
+            macros[name] = entry
+    return macros, out
+
+
+def _current(defs, groups, rules):
+    macros, out = _macro_table(defs)
     for e in rules:
         out.append(_outcome(lambda: dsl.expand(e, macros, groups)))
     return out
@@ -128,8 +140,8 @@ _QUARTER = [f"v{i}" for i in range(dsl.MAX_NODES // 4 + 1)]
 
 @PINNED
 @given(definitions, groups, st.lists(rule_bodies, min_size=1, max_size=3))
-# a functional dependency keeps a macro with an expression body as a name: its
-# body counts towards the insertion bound, and as one node towards the copies
+# a functional dependency keeps a macro with an expression body as a name: one
+# node and one level, whatever its body, towards both bounds
 @example([("m", _wide("x", 999))], {"G": BIG_GROUP[:100]}, [dsl.FuncDep(["m", "G"], ["z"])])
 @example([("m", _PLUS_ONE)], {"G": _QUARTER}, [dsl.FuncDep(["m", "G"], ["z"])])
 @example([("m", _wide("x", 250)), ("n", _HALF_BIG)], {}, [dsl.FuncDep(["n", "n"], ["z"])])
@@ -152,6 +164,19 @@ def test_expand_matches_substitution_then_groups(defs, groups, rules):
 @PINNED
 @given(rule_bodies)
 def test_census_matches_extent_and_census(e):
-    names, levels, nodes = dsl.census(e)
+    names, levels, nodes, inserted = dsl.census(e)
     assert (levels, nodes) == legacy_expansion.extent(e)
     assert (names, nodes) == legacy_expansion._census(e)
+    assert inserted == {}
+
+
+@PINNED
+@given(definitions, rule_bodies)
+def test_census_with_macros_is_the_census_of_the_expansion(defs, e):
+    macros, _ = _macro_table(defs)
+    names, levels, nodes, inserted = dsl.census(e, macros)
+    out = _outcome(lambda: dsl.expand(e, macros, {}))
+    if type(out) is str:
+        assert inserted and (levels > dsl.MAX_DEPTH or nodes > dsl.MAX_NODES)
+    else:
+        assert (names, levels, nodes) == dsl.census(out[0])[:3]
