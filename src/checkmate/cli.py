@@ -355,8 +355,11 @@ def _compare_cells(args: argparse.Namespace) -> StatusTable:
 
 def _check(args: argparse.Namespace) -> int:
     v = _confront_single(args)
-    with _output(None) as out:
-        out.write(banner(v) + "\n")
+    if args.out or args.format == "text":
+        with _output(None) as out:
+            out.write(banner(v) + "\n")
+    else:  # standard output holds the CSV or JSON alone
+        _say(banner(v))
     with _output(args.out) as out:
         emit(v, args.format, out)
     return _validation_exit_code(v, args.strict)

@@ -29,6 +29,7 @@ from .record import Record
 from .rules import OptionSet, Rule, RuleSet, new_ruleset, select
 
 _NA_KEY = object()  # a missing cell in a grouping key; equal to no value
+_NAN_KEY = object()  # a NaN cell in a grouping key: as in R, equal to any NaN but not to NA
 
 
 class _Dataset(Value):
@@ -65,8 +66,16 @@ def _present(values: list, na) -> list:
 
 
 def _keys(v) -> list:
-    """A column's or vector's values with each missing cell as ``_NA_KEY``."""
-    return fill(list(v.values), v.na, _NA_KEY) if v.na else v.values
+    """A column's or vector's values as keys: each missing cell is ``_NA_KEY``
+    and each NaN ``_NAN_KEY``, so that NaN keys alike, as in R's ``duplicated``
+    and ``match``, however many NaN objects the cells are."""
+    values = v.values
+    nan = ()
+    if v.kind == "number":  # NaN is the one float unequal to itself; no other kind holds one
+        nan = list(compress(range(len(values)), map(operator.ne, values, values)))
+    if not (nan or v.na):
+        return values
+    return fill(fill(list(values), nan, _NAN_KEY), v.na, _NA_KEY)
 
 
 def _length(a: Value, b: Value) -> int:
@@ -149,8 +158,9 @@ def _member(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
         raise EvalError("cannot apply %in% to a whole dataset")
     if lhs.kind != rhs.kind:
         raise EvalError(f"cannot test {lhs.kind} membership in a {rhs.kind} vector")
-    members = set(_present(rhs.values, rhs.na))
-    values = list(map(members.__contains__, lhs.values))
+    members = set(_keys(rhs))
+    members.discard(_NA_KEY)
+    values = list(map(members.__contains__, _keys(lhs)))
     return Value("logical", fill(values, lhs.na, False), lhs.na)
 
 
@@ -272,8 +282,9 @@ class Evaluator:
         if not isinstance(value, Value):  # a cell list, typed as from_dict types a column
             try:
                 (value,) = from_dict({name: list(value)}).columns
-            except DataError:
-                raise EvalError("reference vector mixes cell types") from None
+            except DataError as err:  # mixed kinds, or (with a cause) a number no double holds
+                message = str(err) if err.__cause__ else "reference vector mixes cell types"
+                raise EvalError(message) from None
         return Value(value.kind, value.values, value.na)  # its own lists, without a name
 
     # -- dispatch -----------------------------------------------------------
@@ -528,7 +539,7 @@ def _functional_dependency(fd: dsl.FuncDep, df: DataFrame) -> Value:
     det = [_keys(df.column(name)) for name in fd.determinant]
     dep = [df.column(name) for name in fd.dependent]
     keys = det[0] if len(det) == 1 else list(zip(*det))
-    combos = list(zip(*(c.values for c in dep)))  # tuples: one holding a NaN equals itself
+    combos = list(zip(*map(_keys, dep)))
     first: dict = {}  # determinant key -> row of its first record
     rows = range(df.n)
     refs = list(map(first.setdefault, keys, rows))

@@ -3,13 +3,15 @@
 A vector (``Value``) has a kind, ``number``, ``text`` or ``logical``, and
 stores its values with missing cells filled (``0.0``, ``""`` or ``False``)
 next to the sorted indices of its missing cells. A frame holds named
-equal-length columns, each a vector with a name.
+equal-length columns, each a vector with a name. A number column keeps its
+cells in an ``array('d')``, 8 bytes a cell; every other vector keeps a list.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+from array import array
 from itertools import chain, compress, islice
 from operator import lt
 
@@ -29,7 +31,12 @@ def fill(values: list, na, filler) -> list:
 
 class Value(Record):
     """A typed vector: ``values`` holds ``FILLERS[kind]`` at the missing cells,
-    whose sorted indices are ``na``."""
+    whose sorted indices are ``na``.
+
+    A number vector's ``values`` is any sequence of floats that supports
+    iteration, indexing, ``len``, slicing and ``* n``: an ``array('d')`` in a
+    frame column, a list in a result of evaluation. Code that reads vectors
+    does not tell the two apart."""
 
     __slots__ = _fields = ("kind", "values", "na")
     frame = None  # a whole dataset, for the evaluator's value of '.'; a vector has none
@@ -50,18 +57,24 @@ class Value(Record):
 
 class Column(Value):
     """A named vector, made from its column type: number, text or boolean
-    (kind ``logical``)."""
+    (kind ``logical``). A number column keeps integer cells as doubles, as R does."""
 
     __slots__ = ("name",)
     _fields = ("name", "type", "values", "na")
 
-    def __init__(self, name: str, type: str, values: list, na=()):
+    def __init__(self, name: str, type: str, values, na=()):
         if type not in _KIND_OF_TYPE:
             raise DataError(f"unknown column type {type!r}")
+        kind = _KIND_OF_TYPE[type]
+        if kind == "number" and getattr(values, "typecode", None) != "d":
+            try:
+                values = array("d", values)
+            except (OverflowError, TypeError) as err:  # 10**400, say, or a text cell
+                raise DataError(f"column {name!r}: a cell is not a double: {err}") from err
         na = tuple(na)
         if na and not (0 <= na[0] and na[-1] < len(values) and all(map(lt, na, na[1:]))):
             raise DataError(f"column {name!r}: missing-cell indices out of order or range")
-        self.name, self.kind, self.values, self.na = name, _KIND_OF_TYPE[type], values, na
+        self.name, self.kind, self.values, self.na = name, kind, values, na
 
     @property
     def type(self) -> str:
@@ -127,7 +140,9 @@ def _infer_type(name: str, cells: list) -> str:
 def from_dict(data: dict[str, list], types: dict[str, str] | None = None) -> DataFrame:
     """Build a frame from name -> cell-list pairs; None marks a missing cell.
 
-    A type given in ``types`` must be the one the column's present cells share."""
+    A type given in ``types`` must be the one the column's present cells share.
+    Number cells are stored as doubles: an integer no double holds is a
+    DataError naming the column."""
     types = types or {}
     cols = []
     for name, cells in data.items():
@@ -166,7 +181,7 @@ class _ColumnReader:
 
     def __init__(self):
         self.na: list[int] = []
-        self.values: list = []  # floats, or texts once the column is text
+        self.values = array("d")  # the numbers; a list of texts once the column is text
         self.joined: list[str] | None = []  # a number column's cells, a string per block
         self.distinct: dict[str, str] = {}
 
@@ -182,7 +197,7 @@ class _ColumnReader:
                 self.joined = None
                 self.values = list(map(self.distinct.setdefault, cells, cells))
             else:
-                self.values += numbers
+                self.values.fromlist(numbers)
                 self.joined.append("\0".join(raw))
                 return
         self.values += map(self.distinct.setdefault, raw, raw)

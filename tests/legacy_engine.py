@@ -3,8 +3,10 @@ as the reference for ``test_evaluator_differential.py``.
 
 It stores a vector as one list of cells with None for missing ones and
 computes missingness again in every operation. It is kept as it was, with
-one change: a zero base to a negative power gives Inf, as in R, where it
-used to take the division rule's NA for 0/0.
+two changes: a zero base to a negative power gives Inf, as in R, where it
+used to take the division rule's NA for 0/0; and every NaN is one key value
+in ``duplicated``, ``is_unique``, ``%in%`` and functional dependencies, as in
+R, where two NaN cells used to be one key only when they were one object.
 """
 
 from __future__ import annotations
@@ -36,6 +38,14 @@ class Value:
 
 def _logical(cells):
     return Value("logical", cells)
+
+
+_NAN = object()  # every NaN cell, as a key
+
+
+def _key(cell):
+    """A cell as a key: NaN, the one value unequal to itself, is ``_NAN``."""
+    return _NAN if cell != cell else cell
 
 
 def _number(cells):
@@ -226,8 +236,8 @@ class Evaluator:
             raise EvalError("cannot apply %in% to a whole dataset")
         if lhs.kind != rhs.kind:
             raise EvalError(f"cannot test {lhs.kind} membership in a {rhs.kind} vector")
-        members = set(c for c in rhs.cells if c is not None)
-        return _logical([None if c is None else c in members for c in lhs.cells])
+        members = set(_key(c) for c in rhs.cells if c is not None)
+        return _logical([None if c is None else _key(c) in members for c in lhs.cells])
 
     # -- function calls -----------------------------------------------------
 
@@ -364,7 +374,7 @@ class Evaluator:
             cells = v.cells * n if len(v) == 1 and n > 1 else v.cells
             if len(cells) != n:
                 raise EvalError(f"cannot combine vectors of lengths {len(cells)} and {n}")
-            cols.append(cells)
+            cols.append(list(map(_key, cells)))
         return list(zip(*cols))
 
     def _fn_duplicated(self, e):
@@ -465,8 +475,8 @@ def eval_fd(fd: dsl.FuncDep, df: DataFrame) -> list:
     for name in fd.determinant + fd.dependent:
         if not df.has_column(name):
             raise EvalError(f"object {name!r} not found")
-    det = [df.column(name).cells() for name in fd.determinant]
-    dep = [df.column(name).cells() for name in fd.dependent]
+    det = [list(map(_key, df.column(name).cells())) for name in fd.determinant]
+    dep = [list(map(_key, df.column(name).cells())) for name in fd.dependent]
     combos = list(zip(*dep))
     reference: dict[tuple, tuple] = {}
     refs = map(reference.setdefault, zip(*det), combos)

@@ -33,7 +33,7 @@ class TestIngestCsv:
         path = self.write(tmp_path, "n,s,b\n1,abc,true\n2.5,def,FALSE\n")
         df = cli.ingest_csv(path)
         assert [c.type for c in df.columns] == ["number", "text", "boolean"]
-        assert df.column("n").values == [1.0, 2.5]
+        assert list(df.column("n").values) == [1.0, 2.5]
         assert df.column("b").values == [True, False]
 
     def test_missing_tokens(self, tmp_path):
@@ -68,7 +68,7 @@ class TestIngestCsv:
     def test_all_missing_column_is_number(self, tmp_path):
         path = self.write(tmp_path, "x,y\nNA,1\n,2\n")
         col = cli.ingest_csv(path).column("x")
-        assert (col.type, col.values, col.missing) == ("number", [0.0, 0.0], [True, True])
+        assert (col.type, list(col.values), col.missing) == ("number", [0.0, 0.0], [True, True])
 
     def test_all_missing_column_gives_na_to_a_numeric_rule(self, tmp_path, capsys):
         path = self.write(tmp_path, "x,y\nNA,1\n,2\n")
@@ -176,7 +176,7 @@ class TestIngestCsv:
     def test_missing_cells_are_sorted_indices(self, tmp_path):
         path = self.write(tmp_path, "x,s,b\nNA,,TRUE\n1,a,\n,NA,NA\n")
         df = cli.ingest_csv(path)
-        assert [(c.type, c.values, c.na) for c in df.columns] == [
+        assert [(c.type, list(c.values), c.na) for c in df.columns] == [
             ("number", [0.0, 1.0, 0.0], (0, 2)),
             ("text", ["", "a", ""], (0, 2)),
             ("boolean", [True, False, False], (1, 2)),
@@ -197,9 +197,9 @@ class TestCsvHeader:
         code = cli.main(["check", str(path), "--rules", rules, "--key", "id", "--format", "csv"])
         assert code == 1
         out, err = capsys.readouterr()
-        assert err == ""
-        assert out.endswith("id,name,value,expression\na,V1,TRUE,(x - 0) > -1e-08\n"
-                            "b,V1,FALSE,(x - 0) > -1e-08\n")
+        assert err == "Confrontations: 1\nWith fails    : 1\nWarnings      : 0\nErrors        : 0\n"
+        assert out == ("id,name,value,expression\na,V1,TRUE,(x - 0) > -1e-08\n"
+                       "b,V1,FALSE,(x - 0) > -1e-08\n")
 
     def test_duplicate_column_is_named(self, tmp_path, rules, capsys):
         path = tmp_path / "dup.csv"
@@ -450,6 +450,22 @@ class TestCheckCommand:
         assert "Confrontations: 6" in captured.out
         assert "With fails    : 2" in captured.out
         assert "Errors        : 0" in captured.out
+
+    def test_json_on_standard_output_is_json_alone(self, capsys):
+        argv = ["check", SAMPLE_DATA, "--rules", SAMPLE_RULES, "--key", "id", "--format", "json"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert len(json.loads(out)["summary"]) == 6
+        assert err.startswith("Confrontations: 6\nWith fails    : 2\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_with_out_the_banner_stays_on_standard_output(self, tmp_path, capsys, fmt):
+        out_file = tmp_path / f"out.{fmt}"
+        argv = ["check", SAMPLE_DATA, "--rules", SAMPLE_RULES, "--format", fmt, "--out", str(out_file)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out.startswith("Confrontations: 6\n"), err) == (True, "")
+        assert "Confrontations" not in out_file.read_text()
 
     def test_passes_give_exit_zero(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -1034,7 +1050,12 @@ class TestFailedWriteToStandardStreams:
 
     def test_stdout_into_a_closed_pipe(self, stdio_env):
         with _closed_pipe() as w:
-            self.assert_one_error_line(self.run(self.CHECK_JSON, stdio_env, stdout=w))
+            proc = self.run(self.CHECK_JSON, stdio_env, stdout=w)
+        # standard output holds the JSON alone, so the banner went to standard error
+        banner = "Confrontations: 6\nWith fails    : 2\nWarnings      : 0\nErrors        : 0\n"
+        assert proc.stderr.startswith(banner)
+        proc.stderr = proc.stderr[len(banner):]
+        self.assert_one_error_line(proc)
 
     def test_stdout_and_stderr_into_a_closed_pipe(self, stdio_env):
         with _closed_pipe() as w:

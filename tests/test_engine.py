@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import re
 import warnings
 
 import pytest
 
-from checkmate import dsl, from_dict
+from checkmate import dsl, from_dict, ingest_csv
 from checkmate.engine import (
     check_that,
     confront,
@@ -356,6 +357,44 @@ class TestFunctionalDependency:
                     assert got[i] is None
                 else:
                     assert got[i] == (dep[i] == dep[first])
+
+
+class TestNaNIsOneKeyValue:
+    """As in R's ``duplicated`` and ``match``, every NaN is one key value and
+    NA another, whether the NaN cells are one object, new objects, or read
+    from a CSV file (where each read of a cell gives a new object)."""
+
+    # rule -> its cells on x = NaN, NA, NaN, 1 and y = 1, 2, 1, NaN
+    EXPECTED = {
+        "is_unique(x)": [False, True, False, True],
+        "duplicated(x)": [False, False, True, False],
+        "is_unique(x, y)": [False, True, False, True],
+        "x %in% y": [True, None, True, True],
+        "y %in% x": [True, False, True, True],
+        "x ~ y": [True, True, True, True],
+        "y ~ x": [True, None, True, True],
+    }
+
+    def frames(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x,y\nnan,1\nNA,2\nnan,1\n1,nan\n")
+        fresh = [float("nan") for _ in range(3)]
+        return {
+            "csv": ingest_csv(str(path)),
+            "one object": from_dict({"x": [math.nan, None, math.nan, 1.0],
+                                     "y": [1.0, 2.0, 1.0, math.nan]}),
+            "new objects": from_dict({"x": [fresh[0], None, fresh[1], 1.0],
+                                      "y": [1.0, 2.0, 1.0, fresh[2]]}),
+        }
+
+    @pytest.mark.parametrize("source", list(EXPECTED))
+    def test_every_reader_keys_nan_alike(self, tmp_path, source):
+        got = {name: cells(source, df) for name, df in self.frames(tmp_path).items()}
+        assert got == dict.fromkeys(got, self.EXPECTED[source])
+
+    def test_a_nan_reference_cell_is_a_member(self):
+        df = from_dict({"x": [float("nan"), 1.0]})
+        assert cells("x %in% ref", df, {"ref": [float("nan")]}) == [True, False]
 
 
 class TestConfront:

@@ -3,7 +3,9 @@ CSV reader that builds them a block of rows at a time."""
 
 import os
 import pickle
+import sys
 import threading
+from array import array
 from unittest import mock
 
 import pytest
@@ -55,9 +57,11 @@ def test_a_pickled_frame_comes_back_equal():
     )
     back = pickle.loads(pickle.dumps(df))
     assert back == df
-    assert [(c.name, c.type, c.kind) for c in back.columns] == [
-        ("x", "number", "number"), ("s", "text", "text"), ("b", "boolean", "logical")
+    assert [(c.name, c.type, c.kind, type(c.values)) for c in back.columns] == [
+        ("x", "number", "number", array), ("s", "text", "text", list),
+        ("b", "boolean", "logical", list),
     ]
+    assert back.column("x").values.typecode == "d"
     assert back.column("s").cells() == ["a", None, ""]
     assert isinstance(back, DataFrame)
 
@@ -98,6 +102,44 @@ def test_every_reader_types_cells_alike(tmp_path, cells, kind, csv_cells):
     first = read["from_dict"]
     assert all(r == first for r in read.values()), read
     assert (first if first == "error" else first[0]) == kind
+
+
+class TestNumberStorage:
+    """A number column keeps its cells in an ``array('d')``, whichever reader made it."""
+
+    def test_every_reader_stores_numbers_as_doubles(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,s\n1,a\nNA,b\n2.5,c\n")
+        read = {
+            "csv": ingest_csv(str(path)).column("x"),
+            "from_dict": from_dict({"x": [1, None, 2.5]}).column("x"),
+            "reference list": eval_expr(dsl.Identifier("x"), DataFrame(), {"x": [1, None, 2.5]}),
+        }
+        for v in read.values():
+            assert (type(v.values), v.values.typecode) == (array, "d")
+            assert (list(v.values), v.na) == ([1.0, 0.0, 2.5], (1,))
+        assert type(ingest_csv(str(path)).column("s").values) is list
+
+    def test_a_csv_number_column_takes_8_bytes_a_cell(self, tmp_path):
+        n = 10_000
+        path = tmp_path / "data.csv"
+        path.write_text("x\n" + "".join(f"{i * 0.5}\n" for i in range(n)))
+        values = ingest_csv(str(path)).column("x").values
+        assert len(values) == n
+        assert sys.getsizeof(values) < 9 * n + 128
+
+    @pytest.mark.parametrize("cells", [[10**400], [1.0, None, -(10**309)]])
+    def test_an_integer_no_double_holds_is_an_error_naming_the_column(self, cells):
+        with pytest.raises(DataError, match="^column 'big': a cell is not a double"):
+            from_dict({"big": cells})
+
+    def test_a_number_column_of_text_is_an_error_naming_the_column(self):
+        with pytest.raises(DataError, match="^column 'x': a cell is not a double"):
+            Column("x", "number", ["a"])
+
+    def test_a_reference_integer_no_double_holds_is_a_rule_error(self):
+        (outcome,) = check_that(DataFrame(), "is.numeric(big)", ref={"big": [10**400]}).outcomes
+        assert outcome.error.startswith("column 'big': a cell is not a double")
 
 
 def test_a_mixed_reference_list_is_a_rule_error():

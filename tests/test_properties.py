@@ -324,8 +324,11 @@ def test_evaluation_leaves_every_column_as_it_was(e, df, ref, split, whole_frame
         lists = [v for v in ref.values() if isinstance(v, list)]
 
     def state():
-        # copies hold the same cell objects, so a NaN cell equals its copy
-        return [(list(c.values), c.na) for c in columns], [list(v) for v in lists]
+        # a number column's bytes, so a NaN cell equals itself; a copy of a
+        # list holds the same cell objects, so a NaN cell equals its copy
+        snapshots = [(c.values.tobytes() if c.kind == "number" else list(c.values), c.na)
+                     for c in columns]
+        return snapshots, [list(v) for v in lists]
 
     before = state()
     with warnings.catch_warnings():
