@@ -290,7 +290,8 @@ def _per_version(fn, paths: list[str]) -> dict:
 def _forked(fn, paths: list[str], workers: int) -> list:
     """``fn`` of each path, in order, from at most ``workers`` runs of the paths:
     this process does the first while a forked child does each other one and
-    sends back through a pipe one pickle of its results or of its first error."""
+    sends back through a pipe one pickle of its results or of its first error,
+    unpickled here as it is read."""
     import pickle
     import signal
 
@@ -298,7 +299,7 @@ def _forked(fn, paths: list[str], workers: int) -> list:
     # a child would write out again what is still buffered here
     sys.stdout.flush()
     sys.stderr.flush()
-    children, sent, codes = [], [], []  # (pid, read end of its pipe); its bytes; its exit code
+    children, sent, codes = [], [], []  # (pid, read end of its pipe); its result; its exit code
     results = None
     try:
         for start in range(size, len(paths), size):
@@ -324,12 +325,14 @@ def _forked(fn, paths: list[str], workers: int) -> list:
             if results is None:  # left early: stop the children still at work
                 os.kill(pid, signal.SIGKILL)
             with open(r, "rb") as pipe:
-                sent.append(pipe.read())
+                try:
+                    sent.append(None if results is None else pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):  # nothing, or a cut stream
+                    sent.append(None)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for code, data in zip(codes, sent):
-        if code or not data:
+    for code, done in zip(codes, sent):
+        if code or done is None:
             raise RuntimeError(f"a worker process exited with code {code} and no result")
-        done = pickle.loads(data)
         if isinstance(done, Exception):
             raise done
         results += done

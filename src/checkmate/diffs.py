@@ -78,9 +78,9 @@ def _table(statuses: tuple[str, ...], names: list[str], tallies: list[dict], how
 _OUTCOME_STATUSES = ("satisfied", "violated", "unverifiable")
 
 
-def _bitsets(values: list, na: tuple) -> list[int]:
+def _bitsets(values: bytes, na: tuple) -> list[int]:
     """Per status, an int with bit 8i set where item i has it: built in C, a byte an item."""
-    passes = int.from_bytes(bytes(values), "little")  # False at an unverifiable item
+    passes = int.from_bytes(values, "little")  # 0 at an unverifiable item
     nas = int.from_bytes(fill(bytearray(len(values)), na, 1), "little")
     every = int.from_bytes(b"\x01" * len(values), "little")
     return [passes, every ^ passes ^ nas, nas]
@@ -96,7 +96,7 @@ def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tu
     """
     try:
         outcomes = [
-            (o.name, o.error, o.tally()[0], _bitsets(o.values or (), o.na))
+            (o.name, o.error, o.tally()[0], _bitsets(o.values or b"", o.na))
             for o in confront(df, rs, opts=opts).outcomes
         ]
     except CheckmateError as err:

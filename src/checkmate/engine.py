@@ -538,8 +538,8 @@ def _functional_dependency(fd: dsl.FuncDep, df: DataFrame) -> Value:
             raise EvalError(f"object {name!r} not found")
     det = [_keys(df.column(name)) for name in fd.determinant]
     dep = [df.column(name) for name in fd.dependent]
-    keys = det[0] if len(det) == 1 else list(zip(*det))
-    combos = list(zip(*map(_keys, dep)))
+    keys = det[0] if len(det) == 1 else zip(*det)  # a tuple is kept only for a new group
+    combos = _keys(dep[0]) if len(dep) == 1 else list(zip(*map(_keys, dep)))
     first: dict = {}  # determinant key -> row of its first record
     rows = range(df.n)
     refs = list(map(first.setdefault, keys, rows))
@@ -569,8 +569,9 @@ def eval_fd(fd: dsl.FuncDep, df: DataFrame) -> list:
 
 
 class RuleOutcome(Record):
-    """A rule's result: ``values`` holds one bool per item, False at the
-    unverifiable items, whose sorted indices are ``na``; None and () when errored."""
+    """A rule's result: ``values`` holds one byte per item, 1 for a pass and 0
+    for a fail or an unverifiable item, whose sorted indices are ``na``; None
+    and () when errored."""
 
     _fields = ("name", "expression", "result", "error", "warnings")
     __slots__ = ("name", "expression", "values", "na", "error", "warnings")
@@ -582,19 +583,19 @@ class RuleOutcome(Record):
         self.name = name
         self.expression = expression
         self.na = () if result is None else tuple(i for i, c in enumerate(result) if c is None)
-        self.values = None if result is None else fill(list(result), self.na, False)
+        self.values = None if result is None else bytes(fill(list(result), self.na, False))
         self.error = error
         self.warnings = [] if warnings is None else warnings
 
     @property
     def result(self) -> list | None:
         """The tri-state cells (None = unverifiable), a new list per read; None when errored."""
-        return None if self.values is None else fill(list(self.values), self.na, None)
+        return None if self.values is None else fill(list(map(bool, self.values)), self.na, None)
 
     def tally(self) -> tuple[int, int, int, int]:
         """Items, passes, fails and unverifiable items; all 0 when errored."""
-        values = self.values or ()
-        items, passes, nas = len(values), values.count(True), len(self.na)
+        values = self.values or b""
+        items, passes, nas = len(values), values.count(1), len(self.na)
         return items, passes, items - passes - nas, nas
 
 
@@ -681,7 +682,7 @@ def confront(
                 )
             na_cell = resolved.na_value if resolved.na_value in (True, False) else None
             # a copy: a logical vector may hold TRUE at a missing cell
-            outcome.values = fill(list(value.values), value.na, na_cell or False)
+            outcome.values = bytes(fill(bytearray(value.values), value.na, na_cell or False))
             outcome.na = value.na if na_cell is None else ()  # else na.value settles them
             outcome.warnings = [str(w) for w in evaluator.warnings]
             if outcome.warnings and resolved.raise_ == "all":

@@ -49,6 +49,16 @@ class Value(Record):
     def __len__(self):
         return len(self.values)
 
+    def __eq__(self, other):
+        """Equal fields, where a NaN cell equals a NaN at the same index, as a
+        copy of the vector has NaN objects of its own or, in an array, none."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.values, other.values
+        same = a == b or len(a) == len(b) and all(x == y or x != x and y != y for x, y in zip(a, b))
+        fields = [f for f in self._fields if f != "values"]
+        return same and all(getattr(self, f) == getattr(other, f) for f in fields)
+
     @property
     def cells(self) -> list:
         """The values with None at missing cells."""
@@ -164,17 +174,26 @@ _MISSING_TOKENS = frozenset(("", "NA"))
 # each cell of a boolean column mapped to its value, missing tokens to the filler
 _BOOL_CELLS = {"true": True, "TRUE": True, "false": False, "FALSE": False,
                **dict.fromkeys(_MISSING_TOKENS, False)}
-_BLOCK_ROWS = 4096  # rows read and converted at a time; only one block is held as strings
+_BLOCK_ROWS = 1024  # rows read and converted at a time; only one block is held as strings
+_DISTINCT_CAP = 2048  # distinct texts past which a mostly-distinct column keeps no dict
+
+
+def beyond_r_numbers(text: str) -> bool:
+    """Whether ``text`` holds what Python's ``float`` reads in a number and R's
+    ``type.convert`` does not: an underscore or a character outside ASCII."""
+    return "_" in text or not text.isascii()
 
 
 class _ColumnReader:
     """One CSV column, converted a block of cells at a time.
 
     A column is a number column until a cell that is not missing fails to
-    parse as a decimal. Until then it keeps each block's cells joined by NUL,
+    parse as a decimal or is ``beyond_r_numbers``. Until then it keeps each block's cells joined by NUL,
     which no decimal holds; from those it becomes a text column, whose cells
-    go through ``distinct`` so that each distinct text is one object. At the
-    end a text column whose cells are all true/false or missing is boolean.
+    go through ``distinct`` so that each distinct text is one object. A column
+    with more than ``_DISTINCT_CAP`` distinct texts, more than half its cells,
+    drops ``distinct`` and keeps later cells as read. At the end a text column
+    whose cells are all true/false or missing is boolean.
     """
 
     __slots__ = ("na", "values", "joined", "distinct")
@@ -183,14 +202,17 @@ class _ColumnReader:
         self.na: list[int] = []
         self.values = array("d")  # the numbers; a list of texts once the column is text
         self.joined: list[str] | None = []  # a number column's cells, a string per block
-        self.distinct: dict[str, str] = {}
+        self.distinct: dict[str, str] | None = {}  # None once the column is mostly distinct
 
     def add(self, raw: tuple[str, ...]) -> None:
         start = len(self.values)
         missing = list(compress(range(len(raw)), map(_MISSING_TOKENS.__contains__, raw)))
         self.na += map(start.__add__, missing)
         if self.joined is not None:
+            joined = "\0".join(raw)
             try:
+                if beyond_r_numbers(joined):  # a cell of this block is text in R
+                    raise ValueError
                 numbers = list(map(float, fill(list(raw), missing, "0") if missing else raw))
             except ValueError:  # a text column from here on, its cells so far rebuilt
                 cells = list(chain.from_iterable(s.split("\0") for s in self.joined))
@@ -198,16 +220,22 @@ class _ColumnReader:
                 self.values = list(map(self.distinct.setdefault, cells, cells))
             else:
                 self.values.fromlist(numbers)
-                self.joined.append("\0".join(raw))
+                self.joined.append(joined)
                 return
+        if self.distinct is None:
+            self.values += raw
+            return
         self.values += map(self.distinct.setdefault, raw, raw)
+        if len(self.distinct) > _DISTINCT_CAP and 2 * len(self.distinct) > len(self.values):
+            self.distinct = None
 
     def column(self, name: str) -> Column:
         """The column read, typed now that every cell is known."""
         na = tuple(self.na)
         if self.joined is not None:
             return Column(name, "number", self.values, na)
-        if self.distinct.keys() <= _BOOL_CELLS.keys():  # true/false never parses as a decimal
+        # true/false never parses as a decimal; a column past the cap has too many texts
+        if self.distinct is not None and self.distinct.keys() <= _BOOL_CELLS.keys():
             return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, self.values)), na)
         return Column(name, "text", fill(self.values, na, ""), na)
 
@@ -225,9 +253,10 @@ def ingest_csv(path: str) -> DataFrame:
 
     Empty cells and the literal NA are missing. A column is boolean when its
     other cells are true/false (either case) and there is one, number when
-    they parse as decimals (or there is none, as in ``from_dict``), text
-    otherwise. A leading UTF-8 byte-order mark is skipped. The file is read
-    once, front to back, ``_BLOCK_ROWS`` rows at a time, so it may be a pipe.
+    they parse as decimals as R reads them (or there is none, as in
+    ``from_dict``), text otherwise. A leading UTF-8 byte-order mark is
+    skipped. The file is read once, front to back, ``_BLOCK_ROWS`` rows at a
+    time, so it may be a pipe.
     """
     # the blocks and columns hold only strings and floats, so the cyclic
     # collector's passes over them find nothing; it is paused while they grow

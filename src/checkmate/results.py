@@ -118,7 +118,7 @@ def aggregate_results(v: Validation, by: str = "rule") -> list[AggregateRow]:
     aligned = [o for o in v.outcomes if o.values is not None and len(o.values) == n]
     if not aligned:
         raise DataError("no record-aligned outcomes to aggregate by record")
-    passes = map(sum, zip(*(o.values for o in aligned)))  # False at an unverifiable item
+    passes = map(sum, zip(*(o.values for o in aligned)))  # 0 at an unverifiable item
     nas = [0] * n
     for i in chain.from_iterable(o.na for o in aligned):
         nas[i] += 1

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 from . import dsl
 from .errors import CheckmateError, OptionError, RuleSetError
+from .frame import beyond_r_numbers
 from .record import Record
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
@@ -47,6 +48,8 @@ def _nonnegative(name: str, value):
 
 def _number_text(text: str):
     try:
+        if beyond_r_numbers(text):  # "1_0", as a CSV cell is read
+            raise ValueError
         return float(text)
     except ValueError:
         return text  # left for the value check to reject

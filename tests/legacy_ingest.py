@@ -4,7 +4,8 @@ kept as the reference for the differential tests in ``test_frame.py``.
 It read every row of the file into a list of strings with
 ``list(csv.reader(...))``, transposed the rows with ``zip(*rows)`` and only
 then gave each column its type. The code is kept as it was, written against
-the frame types that ``checkmate.frame`` still has.
+the frame types that ``checkmate.frame`` still has, except that a cell holding
+``_`` or a character outside ASCII makes its column text, as in R.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def _column(name: str, raw: tuple[str, ...]) -> Column:
     first = next(filterfalse(_MISSING_TOKENS.__contains__, raw), None)
     if first in _BOOL_TOKENS and all(map(_BOOL_CELLS.__contains__, raw)):
         return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, raw)), na)
-    if first not in _BOOL_TOKENS:
+    # float reads "1_000" and other digits than ASCII ones, R's type.convert does not
+    if first not in _BOOL_TOKENS and all(c.isascii() and "_" not in c for c in raw):
         try:
             values = list(map(float, fill(list(raw), na, "0") if na else raw))
         except ValueError:

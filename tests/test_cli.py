@@ -6,6 +6,7 @@ import glob
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -1366,6 +1367,25 @@ class TestPerVersionWorkers:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert len(pools) == 1
 
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_worker_that_sends_half_a_result_is_an_internal_error(
+        self, four_files, monkeypatch, usable_cpus, capsys, command
+    ):
+        usable_cpus(2)
+        # the forked child pickles its results, writes half of them and exits 0
+        test_pid, dumps = os.getpid(), pickle.dumps
+
+        def half_in_a_child(obj):
+            data = dumps(obj)
+            return data if os.getpid() == test_pid else data[: len(data) // 2]
+
+        monkeypatch.setattr(pickle, "dumps", half_in_a_child)
+        paths, rules = four_files
+        assert cli.main([command, paths[0], paths[2], "--rules", rules]) == 4
+        assert capsys.readouterr() == (
+            "", "error: internal: RuntimeError: a worker process exited with code 0 and no result\n"
+        )
+
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("bad", [(1, 3), (3, 5), (2, 4, 5), (5,)])
     def test_first_bad_file_of_any_share_is_reported(self, tmp_path, usable_cpus, capsys,
@@ -1475,6 +1495,16 @@ class TestNanTolerance:
         assert capsys.readouterr() == ("", message)
         assert cli.main(["lint", "--rules", name]) == 2
         assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "0.\u0665"])
+def test_a_tolerance_r_does_not_read_as_a_number_exit_three(capsys, text):
+    # Python's float reads each of these, as it would a CSV cell that R reads as text
+    argv = ["lint", "--rules", SAMPLE_RULES, "--set", f"lin.ineq.eps={text}"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"error: lin.ineq.eps must be a nonnegative number, got {text!r}\n"
+    )
 
 
 class TestUndecodableRuleFile:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -340,6 +341,23 @@ class TestFunctionalDependency:
         df = from_dict({"k": ["a"]})
         with pytest.raises(EvalError):
             eval_fd(expr("k ~ nope"), df)
+
+    @pytest.mark.parametrize("source", ["g ~ v", "g ~ w", "g + w ~ v"])
+    def test_few_groups_take_no_tuple_per_row(self, source):
+        # one dependent column is compared as it is, and a determinant pair is
+        # kept once per group: a tuple per row would be about 64 bytes a row more
+        n = 20000
+        df = from_dict({"g": [f"g{i % 10}" for i in range(n)],
+                        "v": [float(i % 10) for i in range(n)],
+                        "w": [f"w{i % 10}" for i in range(n)]})
+        fd = expr(source)
+        tracemalloc.start()
+        try:
+            assert eval_expr(fd, df).values == [True] * n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n
 
     def test_random_frames_match_pairwise_oracle(self):
         # oracle: a record holds iff its dependent combination equals that of

@@ -222,6 +222,15 @@ def test_columnar_evaluator_matches_per_cell_evaluator(e, df, ref):
 
 
 @PINNED
+@given(frames(), st.sampled_from(["x", "s", "b", "x + t"]),
+       st.sampled_from(["y", "t", "b", "z + t", "y + b"]))
+def test_functional_dependency_matches_per_cell_evaluator(df, det, dep):
+    # one and two dependent columns, over number, text and boolean cells with NA and NaN
+    fd = dsl.parse(f"{det} ~ {dep}").body
+    assert engine.eval_fd(fd, df) == legacy_engine.eval_fd(fd, df)
+
+
+@PINNED
 @given(st.one_of(ELEMENTWISE, ELEMENTWISE_NUM), frames(), refs())
 def test_elementwise_operators_match_per_cell_evaluator(e, df, ref):
     assert evaluate(engine, e, df, ref) == evaluate(legacy_engine, e, df, ref)

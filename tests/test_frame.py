@@ -1,6 +1,8 @@
 """The vector type that frame columns and evaluation results share, and the
 CSV reader that builds them a block of rows at a time."""
 
+import copy
+import math
 import os
 import pickle
 import sys
@@ -57,6 +59,12 @@ def test_a_pickled_frame_comes_back_equal():
     )
     back = pickle.loads(pickle.dumps(df))
     assert back == df
+    # a NaN cell equals a NaN at the same index, and -0.0 still equals 0.0
+    nan = from_dict({"x": [math.nan, 1.0, -0.0], "s": ["a", None, "b"]})
+    assert pickle.loads(pickle.dumps(nan)) == nan and copy.deepcopy(nan) == nan
+    assert nan == from_dict({"x": [math.nan, 1.0, 0.0], "s": ["a", None, "b"]})
+    assert nan != from_dict({"x": [1.0, math.nan, 0.0], "s": ["a", None, "b"]})
+    assert nan != from_dict({"x": [math.nan, 1.0, 0.0], "s": ["a", None, "c"]})
     assert [(c.name, c.type, c.kind, type(c.values)) for c in back.columns] == [
         ("x", "number", "number", array), ("s", "text", "text", list),
         ("b", "boolean", "logical", list),
@@ -182,6 +190,9 @@ def _read_csv(read, path: str):
     return [(c.name, c.type, list(map(repr, c.values)), c.na) for c in df.columns]
 
 
+WHOLE_FILE = 4096  # rows to a block that takes any file of these tests whole, as _BLOCK_ROWS does
+
+
 def _assert_readers_agree(path: str, block_rows: int):
     """What ``ingest_csv`` reads from ``path`` with ``block_rows`` rows to a
     block, asserted equal to what the whole-file reader read."""
@@ -191,9 +202,11 @@ def _assert_readers_agree(path: str, block_rows: int):
     return new
 
 
-NUMBER_CELLS = ["0", "-2.5", "1e3", " 7 ", "1_0", "nan", "inf", "-Infinity"]
+NUMBER_CELLS = ["0", "-2.5", "1e3", " 7 ", "nan", "inf", "-Infinity"]
 BOOLEAN_CELLS = ["TRUE", "false", "true", "FALSE"]
-TEXT_CELLS = ["True", "abc", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nhere"]
+# "1_0", "\u0663" (Arabic-Indic 3) and "\u00a07" (after a no-break space) are text in R
+TEXT_CELLS = ["True", "abc", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nhere",
+              "1_0", "\u0663", "\u00a07"]
 MISSING_CELLS = ["", "NA"]
 ANY_CELL = NUMBER_CELLS + BOOLEAN_CELLS + TEXT_CELLS + MISSING_CELLS
 
@@ -266,10 +279,13 @@ READ_CASES = {
     "all missing": ('x\nNA\n""\nNA\n""\n', ("number", ["0.0"] * 4)),
     "nan and inf":
         ("x\nnan\ninf\n-inf\nNaN\n1\n", ("number", ["nan", "inf", "-inf", "nan", "1.0"])),
+    # Python's float reads these two, R's type.convert does not
+    "an underscore in a number late": ("x\n1\n2\n1_000\n", ("text", ["'1'", "'2'", "'1_000'"])),
+    "digits other than ASCII late": ("x\n1\n\u0661\u0662\n", ("text", ["'1'", "'\u0661\u0662'"])),
 }
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 3, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, WHOLE_FILE])
 @pytest.mark.parametrize("text, expected", READ_CASES.values(), ids=list(READ_CASES))
 def test_a_column_typed_across_blocks(tmp_path, block_rows, text, expected):
     path = tmp_path / "data.csv"
@@ -291,7 +307,7 @@ ERROR_CASES = {
 }
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 3, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, WHOLE_FILE])
 @pytest.mark.parametrize("text, message", ERROR_CASES.values(), ids=list(ERROR_CASES))
 def test_an_error_is_reported_as_it_was(tmp_path, block_rows, text, message):
     path = tmp_path / "data.csv"
@@ -299,7 +315,7 @@ def test_an_error_is_reported_as_it_was(tmp_path, block_rows, text, message):
     assert _assert_readers_agree(str(path), block_rows) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 2, WHOLE_FILE])
 def test_an_unreadable_cell_after_a_short_row_is_reported(tmp_path, block_rows):
     path = tmp_path / "data.csv"
     # the byte that does not decode comes well after the first chunk the file is read in
@@ -308,7 +324,7 @@ def test_an_unreadable_cell_after_a_short_row_is_reported(tmp_path, block_rows):
     assert message.startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
-@pytest.mark.parametrize("block_rows", [1, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, WHOLE_FILE])
 @pytest.mark.parametrize("text", ["\ufeffx,y\n1,a\n2,b\n", "x,y\n", "x,y"],
                          ids=["byte-order mark", "header only", "header without line end"])
 def test_a_header_and_its_columns(tmp_path, block_rows, text):
@@ -326,8 +342,45 @@ def test_a_text_column_holds_each_distinct_text_once(tmp_path):
     assert len(set(map(id, values))) == 2
 
 
+class TestMostlyDistinctText:
+    """A text column with more than ``_DISTINCT_CAP`` distinct texts, more
+    than half its cells, stops deduplicating: its later cells stay as read."""
+
+    CAP = frame._DISTINCT_CAP
+
+    def _read(self, tmp_path, cells: list[str]):
+        path = tmp_path / "data.csv"
+        path.write_text("s\n" + "".join((c or '""') + "\n" for c in cells))
+        with mock.patch.object(frame, "_BLOCK_ROWS", 100):
+            return ingest_csv(str(path)).column("s")
+
+    def test_a_mostly_distinct_column_keeps_no_dict_after_the_cap(self, tmp_path):
+        cells = ["early"] * 10 + [f"id{i}" for i in range(self.CAP + 200)] + ["late"] * 10
+        col = self._read(tmp_path, cells)
+        assert (col.type, col.values) == ("text", cells)
+        assert len(set(map(id, col.values[:10]))) == 1  # deduplicated before the cap
+        assert len(set(map(id, col.values[-10:]))) == 10  # not after it
+        reader = frame._ColumnReader()
+        for start in range(0, len(cells), 100):
+            reader.add(tuple(cells[start : start + 100]))
+        assert reader.distinct is None
+
+    def test_a_column_of_repeats_keeps_its_dict(self, tmp_path):
+        # as many distinct texts, but each twice: never more than half the cells
+        cells = [f"id{i // 2}" for i in range(2 * self.CAP + 400)] + ["late"] * 10
+        col = self._read(tmp_path, cells)
+        assert col.values == cells
+        assert len(set(map(id, col.values[-10:]))) == 1
+
+    def test_a_column_past_the_cap_is_never_boolean(self, tmp_path):
+        cells = [f"id{i}" for i in range(self.CAP + 1)] + ["TRUE", "false", "NA", ""] * 50
+        col = self._read(tmp_path, cells)
+        assert col.type == "text"
+        assert col.cells() == cells[: self.CAP + 1] + ["TRUE", "false", None, None] * 50
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("block_rows", [7, frame._BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [7, WHOLE_FILE])
 def test_data_from_a_pipe_reads_as_from_the_file(tmp_path, block_rows):
     fifo = tmp_path / "data.csv"
     os.mkfifo(fifo)

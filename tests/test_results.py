@@ -203,6 +203,40 @@ class TestToRecords:
         assert st_values == outcome.result
 
 
+class TestOutcomeCells:
+    """An outcome keeps one byte, 0 or 1, per item; what reads its cells gives
+    booleans. ``type(...) is bool`` is checked, since ``1 == True``."""
+
+    @pytest.fixture
+    def validation(self):
+        df = from_dict({"k": ["a", "b", "c"], "x": [1.0, None, -1.0]})
+        rs, _ = new_ruleset([(None, "x >= 0"), (None, "x > 5"), (None, "nrow(.) == 3")])
+        return confront(df, rs, key="k")
+
+    def test_values_are_one_byte_per_item(self, validation):
+        for o in validation.outcomes:
+            assert type(o.values) is bytes and len(o.values) == o.tally()[0]
+            assert set(o.values) <= {0, 1}
+        built = RuleOutcome("r", "x", result=[True, None, False])
+        assert (built.values, built.na) == (b"\x01\x00\x00", (1,))
+
+    def test_every_reader_gives_booleans(self, validation):
+        def cells_are_tri_state(cells):
+            return all(c is None or type(c) is bool for c in cells)
+
+        results = [o.result for o in validation.outcomes]
+        assert results == [[True, None, False], [False, None, False], [True]]
+        assert all(map(cells_are_tri_state, results))
+        matrices = values(validation)
+        assert all(cells_are_tri_state(row) for m in matrices.values() for row in m.rows)
+        assert cells_are_tri_state(r.value for r in to_records(validation))
+        rows = aggregate_results(validation, by="record")
+        assert [(r.key, r.npass, r.nfail, r.nNA) for r in rows] == [
+            ("a", 1, 1, 0), ("b", 0, 0, 2), ("c", 0, 2, 0)
+        ]
+        assert all(type(n) is int for r in rows for n in (r.npass, r.nfail, r.nNA))
+
+
 class TestCollect:
     def test_errors(self, retailers):
         v = check_that(retailers, "staff >= 0", "employees >= 0")
