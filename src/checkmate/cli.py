@@ -458,12 +458,16 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+_ASCII_SPACE = " \t\n\r\f\v"
+
+
 def _parse_option(text: str) -> tuple[str, object]:
     if "=" not in text:
         raise DataError(f"--set expects option=value, got {text!r}")
     name, raw = text.split("=", 1)
-    name = name.strip()
-    return name, parse_option(name, raw.strip())
+    # ASCII whitespace only, as around a CSV number cell: "\u00a01" is text there
+    name = name.strip(_ASCII_SPACE)
+    return name, parse_option(name, raw.strip(_ASCII_SPACE))
 
 
 class _Parser(argparse.ArgumentParser):

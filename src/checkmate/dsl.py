@@ -72,6 +72,11 @@ _WORD_KINDS = {
 
 _OPERATOR_TEXTS = sorted({*_BINARY_PREC, *_PREFIX, "~", "=", ":="}, key=lambda op: (-len(op), op))
 
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"' + "|" + r"'[^'\\]*(?:\\.[^'\\]*)*'"
+_LITERAL = f"(?:{_NUMBER}|{_STRING})"
+_LITERAL_RE = re.compile(f"(?P<number>{_NUMBER})|(?P<string>{_STRING})", re.DOTALL)
+
 # one named group per token kind; operators longest first so '<=' wins over '<'
 _TOKEN_RE = re.compile(
     "|".join(
@@ -79,9 +84,11 @@ _TOKEN_RE = re.compile(
         for kind, pattern in [
             ("newline", r"\n"),
             ("space", r"[ \t\r]+|#[^\n]*"),
-            ("number", r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"),
-            ("string", r'"[^"\\]*(?:\\.[^"\\]*)*"' + "|" + r"'[^'\\]*(?:\\.[^'\\]*)*'"),
+            ("number", _NUMBER),
+            ("string", _STRING),
             ("unterminated", r"[\"']"),
+            # c(...) of number or string literals, one token for the call and its arguments
+            ("code_list", rf"c\([ \t]*{_LITERAL}(?:[ \t]*,[ \t]*{_LITERAL})*[ \t]*\)"),
             ("word", r"[A-Za-z][A-Za-z0-9._]*"),
             ("operator", "|".join(map(re.escape, _OPERATOR_TEXTS))),
             ("punctuation", r"[(),.]"),
@@ -93,7 +100,8 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # identifier|number|string|boolean-literal|missing-literal|operator|punctuation|keyword
+    # identifier|number|string|code_list|boolean-literal|missing-literal|operator|punctuation|keyword
+    kind: str
     text: str
     line: int
     column: int
@@ -116,6 +124,11 @@ def tokenize(source: str) -> list[Token]:
                 kind = _WORD_KINDS.get(text, "identifier")
             tokens.append(Token(kind, text, line, column))
     return tokens
+
+
+def _shown(tok: Token) -> str:
+    """A token's text in a message: a code list is shown as the name it starts with."""
+    return "c" if tok.kind == "code_list" else tok.text
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +375,14 @@ _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 _TOO_BIG = f"expression expands to more than {MAX_NODES} nodes"
 
 
+# token kind -> the node of a literal; a string loses its quotes and the escapes of \" \' \\
+_LITERALS = {
+    "number": lambda text: NumberLit(float(text)),
+    "string": lambda text: StringLit(
+        text[1:-1].replace('\\"', '"').replace("\\'", "'").replace("\\\\", "\\")),
+}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = [*tokens, None, None]  # peek(1) may look past the end
@@ -383,7 +404,7 @@ class _Parser:
         if tok is None:
             raise ParseError(f"expected {text!r}, found end of input")
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
+            raise ParseError(f"expected {text!r}, found {_shown(tok)!r}", tok.line, tok.column)
         return self.next()
 
     def at(self, text: str) -> bool:
@@ -409,8 +430,9 @@ class _Parser:
 
     def shallow(self, e: Expression) -> Expression:
         """``e``, read in full, once its tree is known to be at most ``MAX_DEPTH`` levels deep."""
-        # every level of a tree takes a token of its own
-        if self.pos > MAX_DEPTH and census(e)[1] > MAX_DEPTH:
+        # every level of a tree takes a token of its own, but for the two levels of a
+        # code list, which take one; a path from the root passes at most one code list
+        if self.pos >= MAX_DEPTH and census(e)[1] > MAX_DEPTH:
             raise ParseError(_TOO_DEEP)
         return e
 
@@ -437,7 +459,7 @@ class _Parser:
     def end_of_input(self):
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+            raise ParseError(f"unexpected {_shown(tok)!r}", tok.line, tok.column)
 
     # expression levels -----------------------------------------------------
 
@@ -493,13 +515,14 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
-        if tok.kind == "number":
+        literal = _LITERALS.get(tok.kind)
+        if literal is not None:
             self.next()
-            return NumberLit(float(tok.text))
-        if tok.kind == "string":
+            return literal(tok.text)
+        if tok.kind == "code_list":  # c(...) of literals, read as parse_call would read it
             self.next()
-            raw = tok.text[1:-1]
-            return StringLit(raw.replace('\\"', '"').replace("\\'", "'").replace("\\\\", "\\"))
+            items = _LITERAL_RE.finditer(tok.text, 2)
+            return Call("c", self.nested(lambda: [_LITERALS[m.lastgroup](m[0]) for m in items]))
         if tok.kind == "boolean-literal":
             self.next()
             return BoolLit(tok.text == "TRUE")

@@ -450,6 +450,9 @@ class Evaluator:
     def _c(self, e):
         if e.named_args:
             raise EvalError("c takes no named arguments")
+        literals = set(map(type, e.args))
+        if len(literals) == 1 and (kind := _LITERAL_KINDS.get(*literals)):  # a code list
+            return Value(kind, [a.value for a in e.args])
         vectors = [self.eval(a) for a in e.args]
         # a logical vector of missing cells only takes the others' kind
         kinds = {v.kind for v in vectors if v.kind != "logical" or len(v.na) < len(v)}
@@ -464,6 +467,9 @@ class Evaluator:
             na.extend(i + len(values) for i in v.na)
             values.extend(v.values if v.kind == kind else [FILLERS[kind]] * len(v))
         return Value(kind, values, tuple(na))
+
+
+_LITERAL_KINDS = {dsl.NumberLit: "number", dsl.StringLit: "text"}  # literal type -> vector kind
 
 
 # built-in function -> fn(evaluator, call); a name's dots are spelled as

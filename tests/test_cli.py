@@ -1497,7 +1497,7 @@ class TestNanTolerance:
         assert capsys.readouterr() == ("", message)
 
 
-@pytest.mark.parametrize("text", ["1_0", "\u0661", "0.\u0665"])
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "0.\u0665", "\u00a01"])
 def test_a_tolerance_r_does_not_read_as_a_number_exit_three(capsys, text):
     # Python's float reads each of these, as it would a CSV cell that R reads as text
     argv = ["lint", "--rules", SAMPLE_RULES, "--set", f"lin.ineq.eps={text}"]

@@ -4,6 +4,8 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from checkmate import dsl, engine, from_dict
 from checkmate.engine import check_that, eval_expr
@@ -142,6 +144,94 @@ class TestParse:
         assert str(exc.value) == message
 
 
+def _quoted(text, quote):
+    return quote + text.replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
+
+
+CODE_NUMBERS = st.one_of(
+    st.integers(0, 10**9).map(str),
+    st.sampled_from(["1.", "1e3", "\u0663", "0.5", "2E-2", "1.5e+2", "007", "1e999"]),
+)
+CODE_STRINGS = st.builds(
+    _quoted, st.text(alphabet="a, ()\"'\\#\t\u00e9", max_size=6), st.sampled_from("\"'")
+)
+SEPARATORS = st.sampled_from([",", ", ", " ,", "\t,\t", " ,  "])
+
+
+@st.composite
+def code_lists(draw):
+    """A code list on one line, as the texts of its items and of the separators between them."""
+    items = draw(st.lists(st.one_of(CODE_NUMBERS, CODE_STRINGS), min_size=1, max_size=6))
+    separators = draw(st.lists(SEPARATORS, min_size=len(items) - 1, max_size=len(items) - 1))
+    return items, separators
+
+
+def _code_list(items, separators, before=" "):
+    return "c(" + before + "".join(map(str.__add__, items, [*separators, ""])) + ")"
+
+
+class TestCodeList:
+    """``c(...)`` of number and string literals on one line is one token, read
+    into the tree that the same list read token by token gives."""
+
+    def test_one_token(self):
+        tokens = dsl.tokenize("x %in% c(1, 'a,)', 2e3)")
+        assert [t.kind for t in tokens] == ["identifier", "operator", "code_list"]
+        assert tokens[2].text == "c(1, 'a,)', 2e3)" and tokens[2].column == 8
+        assert body("x %in% c(1, 'a,)', 2e3)").rhs == dsl.Call(
+            "c", [N(1.0), dsl.StringLit("a,)"), N(2000.0)]
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        ["c(-1, 2)", "c(1, NA)", "c(TRUE)", "c(x, 1)", "c(k = 1)", "c(1, # one\n2)",
+         "c(1,\n2)", "c(1, (2))", "c(1 2)", "c()", "abc(1, 2)", "c (1, 2)"],
+    )
+    def test_other_spellings_take_the_general_path(self, source):
+        assert "code_list" not in [t.kind for t in dsl.tokenize(source)]
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("2 c(1, 2)", ParseError, "unexpected 'c' (line 1, column 3)"),
+            ("x %in% c(1, 2) 3", ParseError, "unexpected '3' (line 1, column 16)"),
+            ("(c(1, 2)", ParseError, "expected ')', found end of input"),
+            ("if c(1) x", ParseError, "expected '(', found 'c' (line 1, column 4)"),
+            # a lex error beats an earlier parse error
+            ("x %in% c(1, 2) > > 1 @", LexError, "unexpected character '@' (line 1, column 22)"),
+            ("x %in% c(1, 2,)", ParseError, "unexpected ')' (line 1, column 15)"),
+            ("x %in% c(1 2)", ParseError, "expected ')', found '2' (line 1, column 12)"),
+            ("c(1, 2) ~ x", ParseError, "functional dependency sides must be sums of variable names"),
+        ],
+    )
+    def test_errors_read_as_token_by_token(self, source, error, message):
+        with pytest.raises(error) as exc:
+            dsl.parse(source)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_depth(self):
+        # each parenthesis pair is a level as read, the call one and its literals another
+        deepest = "(" * 148 + "c(1, 2)" + ")" * 148
+        assert body(deepest) == dsl.Paren(dsl.Call("c", [N(1.0), N(2.0)]))
+        with pytest.raises(ParseError) as exc:
+            dsl.parse("(" + deepest + ")")
+        assert str(exc.value) == TOO_DEEP
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(code_lists(), st.data())
+    def test_same_tree_as_the_list_with_a_line_break(self, code_list, data):
+        items, separators = code_list
+        fused = _code_list(items, separators)
+        assert [t.kind for t in dsl.tokenize(fused)] == ["code_list"]
+        if separators:  # a line break after a comma: the list read token by token
+            i = data.draw(st.integers(0, len(separators) - 1))
+            separators[i] = separators[i].replace(",", ",\n", 1)
+        general = _code_list(items, separators, before="\n")
+        assert "code_list" not in [t.kind for t in dsl.tokenize(general)]
+        assert body(fused) == body(general)
+        assert dsl.parse("x %in% " + fused) == dsl.parse("x %in% " + general)
+
+
 # rule text ``n`` levels deep in each shape that nests; ``v`` is a macro
 DEEP_SHAPES = {
     "parentheses": lambda n: "v > " + "(" * (n - 2) + "0" + ")" * (n - 2),
@@ -149,6 +239,8 @@ DEEP_SHAPES = {
     "sum": lambda n: " + ".join(["v"] * (n - 1)) + " > 0",
     "not": lambda n: "!" * (n - 3) + "(v > 0)",
     "if": lambda n: "if (v > 0) " * (n - 2) + "v > 0",
+    "code list": lambda n: "abs(" * (n - 4) + "c(1) + v" + ")" * (n - 4) + " > 0",
+    "sum of code lists": lambda n: " + ".join(["c(1)"] * (n - 3)) + " + v > 0",
 }
 
 TOO_DEEP = "expression nested deeper than 150 levels"

@@ -213,6 +213,9 @@ TRAP_REF = {"one": [0.0], "pair": [None, 1.0], "nums": [None, 0], "codes": [None
 @example(dsl.parse_expression('grepl("a", c(s, NA)) | c(t, NA) < "b"'), TRAPS, TRAP_REF)
 @example(dsl.parse_expression("c(x, NA) ^ c(NA, y)"), TRAPS, TRAP_REF)
 @example(dsl.parse_expression('x %in% z | s %in% c("b", NA)'), TRAPS, TRAP_REF)
+# code lists, which the evaluator builds without evaluating each literal
+@example(dsl.parse_expression('x %in% c(0, 2, 400) | s %in% c("a", "")'), TRAPS, TRAP_REF)
+@example(dsl.parse_expression('c(1, "a") %in% s'), TRAPS, TRAP_REF)
 @example(dsl.parse_expression('is_unique(t) & !duplicated(s, t) | is_complete(t, "")'),
          TRAPS, TRAP_REF)
 @example(dsl.parse("t ~ z").body, TRAPS, TRAP_REF)  # a missing dependent in the first record

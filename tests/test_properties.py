@@ -23,9 +23,18 @@ BINARY_OPS = ["|", "&", "<", "<=", "==", "!=", ">=", ">", "%in%", "+", "-", "*",
 # characters the lexer treats specially inside and around string literals
 STRING_CHARS = "aZ0 #()\"'\\\n\té"
 
+numbers = st.builds(dsl.NumberLit, st.floats(min_value=0, max_value=1e20, allow_nan=False))
+strings = st.builds(dsl.StringLit, st.text(alphabet=STRING_CHARS, max_size=5))
+# c(...) of number or string literals, which the lexer reads as one token
+code_lists = st.builds(
+    dsl.Call,
+    st.just("c"),
+    st.one_of(st.lists(numbers, min_size=1, max_size=4), st.lists(strings, min_size=1, max_size=4)),
+)
+
 leaves = st.one_of(
-    st.builds(dsl.NumberLit, st.floats(min_value=0, max_value=1e20, allow_nan=False)),
-    st.builds(dsl.StringLit, st.text(alphabet=STRING_CHARS, max_size=5)),
+    numbers,
+    strings,
     st.builds(dsl.BoolLit, st.booleans()),
     st.builds(dsl.MissingLit),
     st.builds(dsl.Identifier, st.sampled_from(NAMES)),
@@ -54,6 +63,8 @@ expressions = st.recursive(leaves, _compound, max_leaves=12)
 # a functional dependency is only valid as a whole rule
 rule_bodies = st.one_of(
     expressions,
+    code_lists,
+    st.builds(dsl.Binary, st.just("%in%"), expressions, code_lists),
     st.builds(
         dsl.FuncDep,
         st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
