@@ -404,12 +404,7 @@ def _export(args: argparse.Namespace) -> int:
             writer.writeheader()
             writer.writerows(rows)
     else:
-        with _output(args.out) as fh:
-            for r in rs.rules:
-                if r.description:
-                    for line in r.description.splitlines():
-                        fh.write(f"# {line}\n")
-                fh.write(f"{r.name}: {r.source()}\n\n")
+        rule_io.export_text(rs, args.out)
     return 0
 
 

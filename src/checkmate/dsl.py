@@ -14,7 +14,6 @@ import math
 import operator
 import re
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import LexError, ParseError
 
@@ -65,31 +64,29 @@ MAX_NODES = 100_000
 # Tokens
 # ---------------------------------------------------------------------------
 
-# the words that are not identifiers
-_WORD_KINDS = {
-    "if": "keyword", "TRUE": "boolean-literal", "FALSE": "boolean-literal", "NA": "missing-literal"
-}
-
 _OPERATOR_TEXTS = sorted({*_BINARY_PREC, *_PREFIX, "~", "=", ":="}, key=lambda op: (-len(op), op))
 
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"' + "|" + r"'[^'\\]*(?:\\.[^'\\]*)*'"
 _LITERAL = f"(?:{_NUMBER}|{_STRING})"
 _LITERAL_RE = re.compile(f"(?P<number>{_NUMBER})|(?P<string>{_STRING})", re.DOTALL)
+_WORD_END = r"(?![A-Za-z0-9._])"  # a reserved word is not the start of a longer name
 
 # one named group per token kind; operators longest first so '<=' wins over '<'
 _TOKEN_RE = re.compile(
     "|".join(
         f"(?P<{kind}>{pattern})"
         for kind, pattern in [
-            ("newline", r"\n"),
-            ("space", r"[ \t\r]+|#[^\n]*"),
+            ("space", r"[ \t\r\n]+|#[^\n]*"),
             ("number", _NUMBER),
             ("string", _STRING),
             ("unterminated", r"[\"']"),
             # c(...) of number or string literals, one token for the call and its arguments
             ("code_list", rf"c\([ \t]*{_LITERAL}(?:[ \t]*,[ \t]*{_LITERAL})*[ \t]*\)"),
-            ("word", r"[A-Za-z][A-Za-z0-9._]*"),
+            ("keyword", "if" + _WORD_END),
+            ("boolean", "(?:TRUE|FALSE)" + _WORD_END),
+            ("missing", "NA" + _WORD_END),
+            ("identifier", r"[A-Za-z][A-Za-z0-9._]*"),
             ("operator", "|".join(map(re.escape, _OPERATOR_TEXTS))),
             ("punctuation", r"[(),.]"),
             ("error", r"."),
@@ -99,36 +96,32 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(NamedTuple):
-    # identifier|number|string|code_list|boolean-literal|missing-literal|operator|punctuation|keyword
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(source: str) -> list[Token]:
-    """Split rule source into tokens. ``#`` starts a comment to end of line."""
+def tokenize(source: str) -> list[re.Match]:
+    """Split rule source into tokens: the matches of ``_TOKEN_RE`` but space and
+    comments, each of the kind its ``lastgroup`` names. ``#`` starts a comment
+    to end of line."""
     tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(source):
-        kind, text, column = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "unterminated":
-            raise LexError("unterminated string literal", line, column)
-        elif kind == "error":
-            raise LexError(f"unexpected character {text!r}", line, column)
-        elif kind != "space":
-            if kind == "word":
-                kind = _WORD_KINDS.get(text, "identifier")
-            tokens.append(Token(kind, text, line, column))
+    for tok in _TOKEN_RE.finditer(source):
+        kind = tok.lastgroup
+        if kind == "unterminated":
+            raise LexError("unterminated string literal", *position(tok))
+        if kind == "error":
+            raise LexError(f"unexpected character {tok[0]!r}", *position(tok))
+        if kind != "space":
+            tokens.append(tok)
     return tokens
 
 
-def _shown(tok: Token) -> str:
+def position(tok: re.Match) -> tuple[int, int]:
+    """Line and column of a token, both from 1: a line ends at each ``\\n`` of the
+    source, and a column is one character."""
+    start = tok.start()
+    return tok.string.count("\n", 0, start) + 1, start - tok.string.rfind("\n", 0, start)
+
+
+def _shown(tok: re.Match) -> str:
     """A token's text in a message: a code list is shown as the name it starts with."""
-    return "c" if tok.kind == "code_list" else tok.text
+    return "c" if tok.lastgroup == "code_list" else tok[0]
 
 
 # ---------------------------------------------------------------------------
@@ -380,44 +373,46 @@ _LITERALS = {
     "number": lambda text: NumberLit(float(text)),
     "string": lambda text: StringLit(
         text[1:-1].replace('\\"', '"').replace("\\'", "'").replace("\\\\", "\\")),
+    "boolean": lambda text: BoolLit(text == "TRUE"),
+    "missing": lambda text: MissingLit(),
 }
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[re.Match]):
         self.tokens = [*tokens, None, None]  # peek(1) may look past the end
         self.pos = 0
         self.depth = 1  # tree level of the sub-expression being parsed
 
-    def peek(self, offset=0) -> Token | None:
+    def peek(self, offset=0) -> re.Match | None:
         return self.tokens[self.pos + offset]
 
-    def next(self) -> Token:
+    def next(self) -> re.Match:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> re.Match:
         tok = self.peek()
         if tok is None:
             raise ParseError(f"expected {text!r}, found end of input")
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {_shown(tok)!r}", tok.line, tok.column)
+        if tok[0] != text:
+            raise ParseError(f"expected {text!r}, found {_shown(tok)!r}", *position(tok))
         return self.next()
 
     def at(self, text: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.text == text
+        return tok is not None and tok[0] == text
 
     def label(self, sep: str) -> str | None:
         """Consume ``name <sep>`` and return the name; None, consuming nothing, if not there."""
         tok, nxt = self.peek(), self.peek(1)
-        if tok is None or tok.kind != "identifier" or nxt is None or nxt.text != sep:
+        if tok is None or tok.lastgroup != "identifier" or nxt is None or nxt[0] != sep:
             return None
         self.pos += 2
-        return tok.text
+        return tok[0]
 
     def nested(self, parse, *args) -> Expression:
         """A sub-expression one level down; stops before the stack runs out."""
@@ -459,13 +454,13 @@ class _Parser:
     def end_of_input(self):
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"unexpected {_shown(tok)!r}", tok.line, tok.column)
+            raise ParseError(f"unexpected {_shown(tok)!r}", *position(tok))
 
     # expression levels -----------------------------------------------------
 
     def parse_expression(self, allow_fd: bool = False) -> Expression:
         tok = self.peek()
-        if tok is not None and tok.kind == "keyword" and tok.text == "if":
+        if tok is not None and tok.lastgroup == "keyword":  # if
             self.next()
             self.expect("(")
             cond = self.nested(self.parse_expression)
@@ -490,59 +485,52 @@ class _Parser:
     def parse_binary(self, min_prec: int) -> Expression:
         """An operand followed by the operators that bind at least as tightly as ``min_prec``."""
         tok = self.peek()
-        prefix = _PREFIX.get(tok.text) if tok is not None else None
+        prefix = _PREFIX.get(tok[0]) if tok is not None else None
         if prefix is not None and prefix[1] >= min_prec:
             self.next()
             e = Unary(prefix[0], self.nested(self.parse_binary, prefix[1]))
         else:
             e = self.parse_atom()
-        while (tok := self.peek()) is not None and tok.text in _BINARY_PREC:
-            prec, assoc = _BINARY_PREC[tok.text]
+        while (tok := self.peek()) is not None and tok[0] in _BINARY_PREC:
+            prec, assoc = _BINARY_PREC[tok[0]]
             if prec < min_prec:
                 break
             self.next()
             # the right operand of '^' may be negated: 2^-1
             rhs = self.nested(self.parse_binary, PREC_NEG if assoc == RIGHT else prec + 1)
-            e = Binary(tok.text, e, rhs)
+            e = Binary(tok[0], e, rhs)
             again = self.peek()
-            if assoc == NONASSOC and again is not None and again.text in COMPARISON_OPS:
-                raise ParseError(
-                    "comparison operators are non-associative", again.line, again.column
-                )
+            if assoc == NONASSOC and again is not None and again[0] in COMPARISON_OPS:
+                raise ParseError("comparison operators are non-associative", *position(again))
         return e
 
     def parse_atom(self) -> Expression:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
-        literal = _LITERALS.get(tok.kind)
+        kind, text = tok.lastgroup, tok[0]
+        literal = _LITERALS.get(kind)
         if literal is not None:
             self.next()
-            return literal(tok.text)
-        if tok.kind == "code_list":  # c(...) of literals, read as parse_call would read it
+            return literal(text)
+        if kind == "code_list":  # c(...) of literals, read as parse_call would read it
             self.next()
-            items = _LITERAL_RE.finditer(tok.text, 2)
+            items = _LITERAL_RE.finditer(text, 2)
             return Call("c", self.nested(lambda: [_LITERALS[m.lastgroup](m[0]) for m in items]))
-        if tok.kind == "boolean-literal":
-            self.next()
-            return BoolLit(tok.text == "TRUE")
-        if tok.kind == "missing-literal":
-            self.next()
-            return MissingLit()
-        if tok.text == ".":
+        if text == ".":
             self.next()
             return DatasetRef()
-        if tok.text == "(":
+        if text == "(":
             self.next()
             inner = self.nested(self.parse_expression)
             self.expect(")")
             return inner if isinstance(inner, Paren) else Paren(inner)
-        if tok.kind == "identifier":
+        if kind == "identifier":
             self.next()
             if self.at("("):
-                return self.parse_call(tok.text)
-            return Identifier(tok.text)
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+                return self.parse_call(text)
+            return Identifier(text)
+        raise ParseError(f"unexpected {text!r}", *position(tok))
 
     def parse_call(self, fname: str) -> Call:
         self.expect("(")

@@ -20,15 +20,6 @@ class CheckmateError(Exception):
         return _restore, (type(self), self.args, self.__dict__)
 
 
-class LexError(CheckmateError):
-    """A character outside the rule grammar was encountered."""
-
-    def __init__(self, message, line, column):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
-
-
 class ParseError(CheckmateError):
     """The token stream does not form a grammatical rule."""
 
@@ -37,6 +28,10 @@ class ParseError(CheckmateError):
         super().__init__(message + pos)
         self.line = line
         self.column = column
+
+
+class LexError(ParseError):
+    """A character outside the rule grammar was encountered."""
 
 
 class EvalError(CheckmateError):

@@ -16,10 +16,11 @@ import re
 from datetime import date, datetime
 
 from . import dsl
-from .errors import CycleError, LexError, OptionError, ParseError, RuleIOError
+from .errors import CycleError, OptionError, ParseError, RuleIOError
 from .rules import TIMESTAMP_FORMAT, RuleEntry, RuleSet, build_ruleset, parse_option
 
-_NAME_PREFIX_RE = re.compile(r"^([A-Za-z][A-Za-z0-9._]*)\s*:(?![=])\s*(.+)$")
+_NAME = r"[A-Za-z][A-Za-z0-9._]*"  # a rule name that a text rule file can hold
+_NAME_PREFIX_RE = re.compile(rf"^({_NAME})\s*:(?![=])\s*(.+)$")
 
 _YAML_EXTENSIONS = (".yml", ".yaml")
 
@@ -27,7 +28,7 @@ _YAML_EXTENSIONS = (".yml", ".yaml")
 def _parse(source: str, where: str) -> dsl.Directive:
     try:
         return dsl.parse(source)
-    except (ParseError, LexError) as err:
+    except ParseError as err:
         raise RuleIOError(f"{where}: {err}") from err
 
 
@@ -268,8 +269,40 @@ def read_rules(path: str, now: datetime | None = None) -> tuple[RuleSet, list[st
 
 
 # ---------------------------------------------------------------------------
-# YAML export
+# Export
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _yaml_dumper():
+    """``yaml.SafeDumper``, writing a string that holds U+0085 in double quotes,
+    where it is escaped: in single quotes the character is written as it is,
+    and a YAML reader folds that line break into a space."""
+    import yaml
+
+    class Dumper(yaml.SafeDumper):
+        def represent_str(self, data):
+            style = '"' if "\x85" in data else None
+            return self.represent_scalar("tag:yaml.org,2002:str", data, style=style)
+
+    Dumper.add_representer(str, Dumper.represent_str)
+    return Dumper
+
+
+def _dump_yaml(data: dict) -> str:
+    import yaml
+
+    return yaml.dump(
+        data, Dumper=_yaml_dumper(), sort_keys=False, default_flow_style=False, allow_unicode=True
+    )
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise RuleIOError(f"cannot write {path}: {err}") from err
 
 
 def export_yaml(rs: RuleSet, path: str):
@@ -289,14 +322,35 @@ def export_yaml(rs: RuleSet, path: str):
         }
         for r in rs.rules
     ]
-    import yaml
+    _write(path, _dump_yaml(data))
 
-    text = yaml.safe_dump(data, sort_keys=False, default_flow_style=False, allow_unicode=True)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise RuleIOError(f"cannot write {path}: {err}") from err
+
+def export_text(rs: RuleSet, path: str):
+    """Write the rule set as a text rule file: its options as front matter, and
+    each rule as ``name: rule`` under its description's lines as comments.
+
+    Labels, origins, creation times and meta are left out. A rule whose name
+    or text a text rule file cannot hold is a RuleIOError, and nothing is written.
+    """
+    parts = []
+    if rs.local_options:
+        parts.append(f"---\n{_dump_yaml({'options': dict(rs.local_options)})}---\n\n")
+    for r in rs.rules:
+        source = r.source()
+        if not re.fullmatch(_NAME, r.name):
+            problem = "its name is not a letter followed by letters, digits, '.' and '_'"
+        elif len(source.splitlines()) > 1:  # the reader reads a file line by line
+            problem = "its text holds a line break"
+        else:
+            problem = None
+        if problem:
+            raise RuleIOError(
+                f"{path}: rule {r.name!r} cannot be written to a text rule file: {problem}; "
+                "export to .yaml instead"
+            )
+        parts += [f"# {line}\n" for line in r.description.splitlines()]
+        parts.append(f"{r.name}: {source}\n\n")
+    _write(path, "".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -801,6 +801,29 @@ class TestExportCommand:
         assert not warnings
         assert rs.names() == ["st", "to", "or", "st.cs", "bl", "mn"]
 
+    def test_text_export_keeps_the_options(self, tmp_path, capsys):
+        rules = tmp_path / "r.yml"
+        rules.write_text("options:\n  lin.eq.eps: 0.5\nrules:\n- expr: x == y\n  name: r1\n")
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,1.2\n1,2\n")
+        out = tmp_path / "r.txt"
+        assert cli.main(["export", "--rules", str(rules), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for path in (rules, out):
+            assert cli.main(["summary", str(data), "--rules", str(path), "--format", "csv"]) == 1
+            assert "r1,2,1,1,0,FALSE,FALSE,abs(x - y) < 0.5" in capsys.readouterr().out
+
+    def test_text_export_refuses_what_text_cannot_hold(self, tmp_path, capsys):
+        rules = tmp_path / "r.yml"  # a block scalar holds a line break inside the string
+        rules.write_text('rules:\n- expr: |\n    x == "a\n    b"\n  name: r1\n')
+        out = tmp_path / "n.txt"
+        assert cli.main(["export", "--rules", str(rules), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {out}: rule 'r1' cannot be written to a text rule file: its text holds a "
+            "line break; export to .yaml instead\n"
+        )
+        assert not out.exists()
+
 
 class TestCompareCommands:
     @pytest.fixture

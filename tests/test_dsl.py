@@ -25,7 +25,7 @@ B, U, N = dsl.Binary, dsl.Unary, dsl.NumberLit
 
 class TestTokenize:
     def test_basic(self):
-        kinds_texts = [(t.kind, t.text) for t in dsl.tokenize("staff >= 0")]
+        kinds_texts = [(t.lastgroup, t[0]) for t in dsl.tokenize("staff >= 0")]
         assert kinds_texts == [
             ("identifier", "staff"),
             ("operator", ">="),
@@ -33,7 +33,7 @@ class TestTokenize:
         ]
 
     def test_in_operator(self):
-        texts = [t.text for t in dsl.tokenize('x %in% c("a")')]
+        texts = [t[0] for t in dsl.tokenize('x %in% c("a")')]
         assert "%in%" in texts
 
     def test_lexical_error_position(self):
@@ -43,11 +43,36 @@ class TestTokenize:
         assert exc.value.column == 3
 
     def test_comments_skipped(self):
-        assert [t.text for t in dsl.tokenize("x > 0 # positive")] == ["x", ">", "0"]
+        assert [t[0] for t in dsl.tokenize("x > 0 # positive")] == ["x", ">", "0"]
 
     def test_positions_are_one_based(self):
-        tok = dsl.tokenize("x")[0]
-        assert tok.line == 1 and tok.column == 1
+        assert dsl.position(dsl.tokenize("x")[0]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ('x == "a\nb" @', LexError, "unexpected character '@' (line 2, column 4)"),
+            ('x == "a\nb" y', ParseError, "unexpected 'y' (line 2, column 4)"),
+            ("x == 'a\n\nbc' >\n 1", ParseError,
+             "comparison operators are non-associative (line 3, column 5)"),
+        ],
+    )
+    def test_positions_count_line_breaks_inside_strings(self, source, error, message):
+        with pytest.raises(error) as exc:
+            dsl.parse(source)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_a_lex_error_is_a_parse_error(self):
+        assert issubclass(LexError, ParseError)
+
+    @pytest.mark.parametrize(
+        "source, kind",
+        [("if", "keyword"), ("TRUE", "boolean"), ("FALSE", "boolean"), ("NA", "missing"),
+         ("NA_x", "identifier"), ("if.y", "identifier"), ("TRUE1", "identifier"),
+         ("FALSE.", "identifier"), ("NAME", "identifier"), ("iff", "identifier")],
+    )
+    def test_a_reserved_word_is_not_the_start_of_a_name(self, source, kind):
+        assert [t.lastgroup for t in dsl.tokenize(source)] == [kind]
 
     @pytest.mark.parametrize("source, char, column", [("café > 0", "é", 4), ("x > ²", "²", 5)])
     def test_non_ascii_character_is_a_lex_error(self, source, char, column):
@@ -176,8 +201,8 @@ class TestCodeList:
 
     def test_one_token(self):
         tokens = dsl.tokenize("x %in% c(1, 'a,)', 2e3)")
-        assert [t.kind for t in tokens] == ["identifier", "operator", "code_list"]
-        assert tokens[2].text == "c(1, 'a,)', 2e3)" and tokens[2].column == 8
+        assert [t.lastgroup for t in tokens] == ["identifier", "operator", "code_list"]
+        assert tokens[2][0] == "c(1, 'a,)', 2e3)" and dsl.position(tokens[2]) == (1, 8)
         assert body("x %in% c(1, 'a,)', 2e3)").rhs == dsl.Call(
             "c", [N(1.0), dsl.StringLit("a,)"), N(2000.0)]
         )
@@ -188,7 +213,7 @@ class TestCodeList:
          "c(1,\n2)", "c(1, (2))", "c(1 2)", "c()", "abc(1, 2)", "c (1, 2)"],
     )
     def test_other_spellings_take_the_general_path(self, source):
-        assert "code_list" not in [t.kind for t in dsl.tokenize(source)]
+        assert "code_list" not in [t.lastgroup for t in dsl.tokenize(source)]
 
     @pytest.mark.parametrize(
         "source, error, message",
@@ -222,12 +247,12 @@ class TestCodeList:
     def test_same_tree_as_the_list_with_a_line_break(self, code_list, data):
         items, separators = code_list
         fused = _code_list(items, separators)
-        assert [t.kind for t in dsl.tokenize(fused)] == ["code_list"]
+        assert [t.lastgroup for t in dsl.tokenize(fused)] == ["code_list"]
         if separators:  # a line break after a comma: the list read token by token
             i = data.draw(st.integers(0, len(separators) - 1))
             separators[i] = separators[i].replace(",", ",\n", 1)
         general = _code_list(items, separators, before="\n")
-        assert "code_list" not in [t.kind for t in dsl.tokenize(general)]
+        assert "code_list" not in [t.lastgroup for t in dsl.tokenize(general)]
         assert body(fused) == body(general)
         assert dsl.parse("x %in% " + fused) == dsl.parse("x %in% " + general)
 

@@ -1,15 +1,17 @@
 """Property tests over generated rule ASTs and data: rendering, variable listing,
-implication, Kleene laws, tolerance rewrites, summaries, ``na.value`` and
-operands left unchanged by evaluation."""
+error positions, implication, Kleene laws, tolerance rewrites, summaries,
+``na.value`` and operands left unchanged by evaluation."""
 
 import itertools
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from checkmate import dsl, from_dict, summarize
 from checkmate.engine import check_that, eval_expr
+from checkmate.errors import ParseError
 from checkmate.frame import DataFrame
 from legacy_engine import kleene_not, kleene_or
 from test_evaluator_differential import EXPRESSIONS, TRAP_REF, TRAPS, frames, refs
@@ -98,11 +100,39 @@ def test_variables_in_first_occurrence_order(e):
     tokens = dsl.tokenize(dsl.render(e))
     # identifiers that are neither called nor a named argument's key
     expected = [
-        tok.text
+        tok[0]
         for tok, nxt in itertools.zip_longest(tokens, tokens[1:])
-        if tok.kind == "identifier" and (nxt is None or nxt.text not in ("(", "="))
+        if tok.lastgroup == "identifier" and (nxt is None or nxt[0] not in ("(", "="))
     ]
     assert dsl.variables(e) == list(dict.fromkeys(expected))
+
+
+# text between tokens: space, line breaks and comments
+gaps = st.lists(st.sampled_from([" ", "\t", "\n", "\r\n", "# note\n"]), max_size=3).map("".join)
+
+
+def _naive_position(text):
+    """Line and column of the character that follows ``text``, counted character by character."""
+    line, column = 1, 1
+    for ch in text:
+        line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    return line, column
+
+
+@PINNED
+@given(st.lists(st.tuples(gaps, strings, gaps), min_size=1, max_size=3), gaps,
+       st.sampled_from(["@", "y", "1", "("]))
+def test_positions_count_every_line_break_before_them(clauses, gap, offender):
+    """A position counts the line breaks inside string literals and comments as
+    well as those between tokens, in an error and in ``dsl.position``."""
+    prefix = "&".join(f"x{before}=={after}{dsl.render(s)}" for before, s, after in clauses) + gap
+    source = prefix + offender
+    with pytest.raises(ParseError) as exc:
+        dsl.parse(source)
+    assert (exc.value.line, exc.value.column) == _naive_position(prefix)
+    if offender != "@":
+        for tok in dsl.tokenize(source):
+            assert dsl.position(tok) == _naive_position(source[: tok.start()])
 
 
 def _children_from_fields(e):

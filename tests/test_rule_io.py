@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import re
+import tempfile
 import textwrap
 from datetime import datetime
 
@@ -10,9 +11,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from checkmate import rule_io
+from checkmate import dsl, rule_io
 from checkmate.errors import CycleError, RuleIOError
-from checkmate.rules import new_ruleset, set_metadata, set_options
+from checkmate.rules import Rule, RuleSet, new_ruleset, set_metadata, set_options
 
 NOW = datetime(2021, 6, 7, 8, 9, 10)
 
@@ -297,6 +298,85 @@ class TestExportYaml:
         out = tmp_path / "plain.yml"
         rule_io.export_yaml(rs, str(out))
         assert "options:" not in out.read_text()
+
+
+# a rule name: one the text grammar holds, or any text
+rule_names = st.one_of(
+    st.from_regex(r"[A-Za-z][A-Za-z0-9._]{0,4}", fullmatch=True), st.text(min_size=1, max_size=4)
+)
+# any text, the line breaks of ``str.splitlines`` and the lexer's special characters often
+free_text = st.text(
+    st.one_of(st.sampled_from(" \t\n\r\x0b\x85\u2028#'\"\\:"), st.characters(codec="utf-8")),
+    max_size=6,
+)
+# rule-set options; an empty set is written as none
+option_sets = st.fixed_dictionaries({}, optional={
+    "na.value": st.sampled_from(["NA", True, False]),
+    "raise": st.sampled_from(["none", "error", "all"]),
+    "lin.eq.eps": st.one_of(st.integers(0, 10), st.floats(min_value=0)),
+    "lin.ineq.eps": st.floats(min_value=0),
+})
+
+
+@st.composite
+def rule_sets(draw):
+    """A rule set of ``x == "<text>"`` rules with any names, descriptions and options."""
+    names = draw(st.lists(rule_names, min_size=1, max_size=4, unique=True))
+    rules = [
+        Rule(dsl.Binary("==", dsl.Identifier("x"), dsl.StringLit(draw(free_text))), name,
+             description=draw(free_text), created=NOW)
+        for name in names
+    ]
+    return RuleSet(rules, draw(option_sets))
+
+
+def _comment_text(line):
+    """What the reader keeps of a comment line: it loses its leading '#'s and
+    the space around them."""
+    return line.strip().lstrip("#").strip()
+
+
+class TestExportText:
+    @pytest.mark.parametrize("name", ["my rule", "2nd"])
+    def test_refuses_a_name_the_reader_cannot_read(self, tmp_path, name):
+        rs, _ = new_ruleset([("ok", "y > 0"), (name, "x > 0")], now=NOW)
+        out = tmp_path / "n.txt"
+        with pytest.raises(RuleIOError) as exc:
+            rule_io.export_text(rs, str(out))
+        assert str(exc.value) == (
+            f"{out}: rule {name!r} cannot be written to a text rule file: its name is not a "
+            "letter followed by letters, digits, '.' and '_'; export to .yaml instead"
+        )
+        assert not out.exists()
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(rule_sets(), st.sampled_from([".yml", ".txt"]))
+    def test_export_then_read_round_trips(self, rs, ext):
+        """A rule set read back from its export has the same names, rule texts
+        and options; from text, descriptions as comment lines. Text refuses,
+        writing nothing, a rule whose name or text it cannot hold."""
+        holds = all(
+            re.fullmatch(r"[A-Za-z][A-Za-z0-9._]*", r.name) and len(r.source().splitlines()) == 1
+            for r in rs.rules
+        )
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "rules" + ext)
+            if ext == ".txt" and not holds:
+                with pytest.raises(RuleIOError):
+                    rule_io.export_text(rs, path)
+                assert not os.path.exists(path)
+                return
+            (rule_io.export_yaml if ext == ".yml" else rule_io.export_text)(rs, path)
+            back, warnings = rule_io.read_rules(path, now=NOW)
+        assert not warnings
+        assert back.names() == rs.names()
+        assert [r.source() for r in back.rules] == [r.source() for r in rs.rules]
+        assert back.local_options == (rs.local_options or None)
+        if ext == ".txt":
+            assert [r.description for r in back.rules] == [
+                "\n".join(_comment_text("# " + line) for line in r.description.splitlines())
+                for r in rs.rules
+            ]
 
 
 class TestTable:
