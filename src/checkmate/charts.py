@@ -11,7 +11,7 @@ if TYPE_CHECKING:
     from .engine import Validation
 
 
-def svg_bar_chart(v: Validation, palette: dict, title: str = "validation results") -> str:
+def svg_bar_chart(v: Validation, palette: dict) -> str:
     """Stacked per-rule bars of passes / fails / NA counts, coloured by the
     three values of ``palette`` in that order."""
     rows = [r for r in summarize(v) if not r.error]
@@ -22,7 +22,7 @@ def svg_bar_chart(v: Validation, palette: dict, title: str = "validation results
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
         f'<text x="{width / 2}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title}</text>',
+        f'font-size="16">validation results</text>',
     ]
     for i, row in enumerate(rows):
         y = top + i * (bar_h + gap)
@@ -61,7 +61,7 @@ _LINE_COLORS = [
 ]
 
 
-def svg_line_chart(table: StatusTable, title: str = "status by version") -> str:
+def svg_line_chart(table: StatusTable) -> str:
     """One line per status across dataset versions."""
     width, height, left, top, right, bottom = 720, 420, 60, 40, 170, 50
     plot_w = width - left - right
@@ -78,7 +78,7 @@ def svg_line_chart(table: StatusTable, title: str = "status by version") -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
         f'<text x="{(left + width - right) / 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">status by version</text>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
         f'stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',

@@ -436,15 +436,16 @@ def _plot(args: argparse.Namespace) -> int:
     return 0
 
 
-# command name -> handler; the parser offers exactly these commands
+# command name -> its handler and the flags it reads, keys of ``_FLAGS``; the
+# parser offers exactly these commands, each with exactly its flags
 COMMANDS = {
-    "check": _check,
-    "summary": _summary,
-    "lint": _lint,
-    "export": _export,
-    "compare": _status_command(_compare_validations),
-    "cells": _status_command(_compare_cells),
-    "plot": _plot,
+    "check": (_check, "data --rules --key --format --out --set --strict"),
+    "summary": (_summary, "data --rules --key --format --out --set --strict"),
+    "lint": (_lint, "--rules --set"),
+    "export": (_export, "--rules --out --set"),
+    "compare": (_status_command(_compare_validations), "data --rules --format --out --set --how"),
+    "cells": (_status_command(_compare_cells), "data --format --out --set --how"),
+    "plot": (_plot, "data --rules --key --out --set --how"),
 }
 
 
@@ -474,24 +475,29 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
+# flag -> the keyword arguments of its ``add_argument``
+_FLAGS = {
+    "data": dict(nargs="*", help="CSV data file(s)"),
+    "--rules": dict(help="rule file (text or YAML)"),
+    "--key": dict(help="unique record identifier column"),
+    "--format": dict(choices=["csv", "json", "text"], default="text"),
+    "--out": dict(help="output path"),
+    "--set": dict(
+        action="append", default=[], metavar="OPTION=VALUE",
+        help="confrontation option override (repeatable)",
+    ),
+    "--how": dict(choices=["sequential", "to_first"], default="sequential"),
+    "--strict": dict(action="store_true"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="checkmate", description="Validate tabular data against a rule file."
-    )
+    parser = _Parser(prog="checkmate", description="Validate tabular data against a rule file.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("data", nargs="*", help="CSV data file(s)")
-        p.add_argument("--rules", help="rule file (text or YAML)")
-        p.add_argument("--key", help="unique record identifier column")
-        p.add_argument("--format", choices=["csv", "json", "text"], default="text")
-        p.add_argument("--out", help="output path")
-        p.add_argument(
-            "--set", action="append", default=[], metavar="OPTION=VALUE",
-            help="confrontation option override (repeatable)",
-        )
-        p.add_argument("--how", choices=["sequential", "to_first"], default="sequential")
-        p.add_argument("--strict", action="store_true")
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -514,7 +520,7 @@ def main(argv=None) -> int:
     gc.set_threshold(100_000, 50, 100)
     try:
         args.options = dict(_parse_option(s) for s in args.set) or None
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except CheckmateError as err:
         _say(f"error: {err}")
         return 3

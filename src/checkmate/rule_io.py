@@ -227,6 +227,9 @@ class _Loader:
         for doc in documents:
             if not isinstance(doc, dict):
                 raise RuleIOError(f"{path}: expected a mapping at the top level")
+            for key in doc:
+                if key in data:
+                    raise RuleIOError(f"{path}: top-level key {key!r} is in more than one document")
             data.update(doc)
         self._load_header(data, {"options", "include", "rules"}, "top-level", path)
         rules = data.get("rules") or []
@@ -239,8 +242,8 @@ class _Loader:
             if "expr" not in item or item["expr"] in (None, ""):
                 raise RuleIOError(f"{where} is missing 'expr'")
             meta = item.get("meta")
-            if not isinstance(meta, dict):
-                meta = None
+            if not (meta in (None, []) or isinstance(meta, dict)):  # validate writes `meta: []`
+                raise RuleIOError(f"{where}: 'meta' must be a mapping")
             created = item.get("created")
             if isinstance(created, str):
                 created = _parse_created(created, where)
@@ -256,7 +259,7 @@ class _Loader:
                     description=str(item.get("description") or "").strip(),
                     origin=str(item.get("origin") or "") or path,
                     created=created or None,
-                    meta=meta,
+                    meta=meta or None,
                 )
             )
 

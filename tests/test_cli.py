@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -22,6 +23,16 @@ from checkmate.engine import RuleOutcome, check_that, confront
 from checkmate.errors import DataError
 
 from conftest import SAMPLE_DATA, SAMPLE_RULES, SAMPLE_V2
+
+
+def _flags(command):
+    """The flags ``command`` reads, as ``cli.COMMANDS`` lists them."""
+    return cli.COMMANDS[command][1].split()
+
+
+def _rules_args(command, rules):
+    """``--rules rules`` for a command that reads a rule file, else nothing."""
+    return ["--rules", rules] if "--rules" in _flags(command) else []
 
 
 class TestIngestCsv:
@@ -869,7 +880,7 @@ class TestCompareCommands:
     def test_version_named_status_exit_three(self, status_and_b, capsys, command, fmt):
         # its counts would take the place of the status names
         data, rules = status_and_b
-        assert cli.main([command, *data, "--rules", rules, "--format", fmt]) == 3
+        assert cli.main([command, *data, *_rules_args(command, rules), "--format", fmt]) == 3
         assert capsys.readouterr() == (
             "", "error: a version named 'status' would share the name of the status column\n"
         )
@@ -881,7 +892,7 @@ class TestCompareCommands:
         data, rules = status_and_b
         out = tmp_path / "o.csv"
         out.write_bytes(b"keep\n")
-        assert cli.main([command, *data, "--rules", rules, "--out", str(out)]) == 3
+        assert cli.main([command, *data, *_rules_args(command, rules), "--out", str(out)]) == 3
         assert out.read_bytes() == b"keep\n"
 
     @pytest.mark.parametrize("versions", [1, 2])
@@ -1114,7 +1125,8 @@ class TestVersionNames:
             path.parent.mkdir()
             path.write_text("x\n1\n")
         out = tmp_path / "out.txt"
-        argv = [command, str(first), str(second), "--rules", SAMPLE_RULES, "--out", str(out)]
+        argv = [command, str(first), str(second), *_rules_args(command, SAMPLE_RULES),
+                "--out", str(out)]
         assert cli.main(argv) == 3
         assert capsys.readouterr() == (
             "", f"error: data files {first} and {second} share the version name 'v'\n"
@@ -1278,6 +1290,66 @@ class TestUsage:
         assert err.startswith("error: ") and "r.yml: rule entry 1" in err
 
 
+class TestFlags:
+    """Each command takes exactly the flags ``cli.COMMANDS`` lists for it; any
+    other is a usage error before anything is read or written."""
+
+    # the flags each command does not read
+    DROPPED = [(c, f) for c in cli.COMMANDS for f in cli._FLAGS if f not in _flags(c)]
+
+    @staticmethod
+    def args(flag, command, out):
+        """The arguments that give ``flag`` to ``command`` a value it can run with;
+        a command that compares versions (``--how``) gets two data files."""
+        return {
+            "data": [SAMPLE_DATA, SAMPLE_V2] if "--how" in _flags(command) else [SAMPLE_DATA],
+            "--rules": ["--rules", SAMPLE_RULES],
+            "--key": ["--key", "id"],
+            "--format": ["--format", "json"],
+            "--out": ["--out", str(out)],
+            "--set": ["--set", "na.value=FALSE"],
+            "--how": ["--how", "to_first"],
+            "--strict": ["--strict"],
+        }[flag]
+
+    def argv(self, command, out):
+        """A command line of ``command`` that gives every flag it reads."""
+        return [command, *(a for f in _flags(command) for a in self.args(f, command, out))]
+
+    def test_subparsers_offer_the_table(self):
+        actions = cli.build_parser()._actions
+        (commands,) = [a.choices for a in actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands) == list(cli.COMMANDS)
+        for name, sub in commands.items():
+            offered = [(a.option_strings or [a.dest])[0] for a in sub._actions if a.dest != "help"]
+            assert offered == _flags(name), name
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_flag_read_runs(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        assert cli.main(self.argv(command, out)) in (0, 1)
+        assert out.exists() == ("--out" in _flags(command))
+
+    @pytest.mark.parametrize("command, flag", DROPPED, ids=[f"{c}:{f}" for c, f in DROPPED])
+    def test_flag_not_read_exit_three(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out.txt"
+        extra = self.args(flag, command, out)
+        assert cli.main([*self.argv(command, out), *extra]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert f"error: unrecognized arguments: {' '.join(extra)}\n" in stderr
+        assert not out.exists()
+
+    def test_readme_table_is_the_table(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+            rows = [line.strip().strip("|").split("|") for line in fh if line.startswith("  |")]
+        header = [cell.strip(" `") for cell in rows[0][1:]]
+        assert header == list(cli._FLAGS)
+        table = {row[0].strip(" `"): [f for f, cell in zip(header, row[1:]) if cell.strip()]
+                 for row in rows[2:]}
+        assert table == {c: _flags(c) for c in cli.COMMANDS}
+
+
 SRC = os.path.dirname(os.path.dirname(checkmate.__file__))
 
 
@@ -1367,7 +1439,7 @@ class TestPerVersionWorkers:
         usable_cpus(cpus)
         paths, rules = four_files
         out = tmp_path / "out.svg"
-        assert cli.main([command, *paths, "--rules", rules, "--out", str(out)]) == 3
+        assert cli.main([command, *paths, *_rules_args(command, rules), "--out", str(out)]) == 3
         assert capsys.readouterr() == (
             "", f"error: {paths[1]}: line 3: expected 1 fields, got 2\n"
         )
@@ -1383,7 +1455,7 @@ class TestPerVersionWorkers:
             cli, "ingest_csv", lambda path: ingest(path) if os.getpid() == test_pid else os._exit(1)
         )
         paths, rules = four_files
-        assert cli.main([command, paths[0], paths[2], "--rules", rules]) == 4
+        assert cli.main([command, paths[0], paths[2], *_rules_args(command, rules)]) == 4
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: internal: RuntimeError: a worker process exited with code 1 and no result\n"
@@ -1404,7 +1476,7 @@ class TestPerVersionWorkers:
 
         monkeypatch.setattr(pickle, "dumps", half_in_a_child)
         paths, rules = four_files
-        assert cli.main([command, paths[0], paths[2], "--rules", rules]) == 4
+        assert cli.main([command, paths[0], paths[2], *_rules_args(command, rules)]) == 4
         assert capsys.readouterr() == (
             "", "error: internal: RuntimeError: a worker process exited with code 0 and no result\n"
         )
@@ -1432,7 +1504,7 @@ class TestPerVersionWorkers:
         paths, rules = four_files
         # a bad file in this process's share, then in the child's, then none
         for files, code in [(paths[1:], 3), (paths[:2], 3), (paths[:1] + paths[2:3], 0)]:
-            assert cli.main([command, *files, "--rules", rules]) == code
+            assert cli.main([command, *files, *_rules_args(command, rules)]) == code
         assert len(pools) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1440,13 +1512,14 @@ class TestPerVersionWorkers:
     @pytest.mark.parametrize("command", ["compare", "cells"])
     def test_workers_leave_pool_modules_unloaded(self, four_files, command):
         paths, rules = four_files
+        argv = [command, paths[0], paths[2], *_rules_args(command, rules)]
         proc = _python(
             "-c",
             "import sys\n"
             "from checkmate import cli\n"
             "cli._usable_cpus, forked, batches = (lambda: 2), cli._forked, []\n"
             "cli._forked = lambda *args: batches.append(args[2]) or forked(*args)\n"
-            f"code = cli.main([{command!r}, {paths[0]!r}, {paths[2]!r}, '--rules', {rules!r}])\n"
+            f"code = cli.main({argv!r})\n"
             "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
             "print(code, batches, loaded)",
         )

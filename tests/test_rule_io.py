@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from checkmate import dsl, rule_io
 from checkmate.errors import CycleError, RuleIOError
-from checkmate.rules import Rule, RuleSet, new_ruleset, set_metadata, set_options
+from checkmate.rules import (
+    DEFAULT_META, Rule, RuleSet, new_ruleset, set_metadata, set_options,
+)
 
 NOW = datetime(2021, 6, 7, 8, 9, 10)
 
@@ -260,6 +262,38 @@ class TestYaml:
         p.write_text("rules: [unclosed\n")
         with pytest.raises(RuleIOError):
             rule_io.read_rules(str(p))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("rules:\n- expr: x > 0\n---\nrules:\n- expr: y > 0\n", "rules"),
+         ("options: {raise: all}\n---\noptions: {lin.eq.eps: 0.5}\nrules:\n- expr: x > 0\n",
+          "options")],
+        ids=["rules", "options"],
+    )
+    def test_key_in_two_documents(self, tmp_path, text, key):
+        # the later document would otherwise replace the earlier one's value
+        p = tmp_path / "two.yml"
+        p.write_text(text)
+        with pytest.raises(RuleIOError) as exc:
+            rule_io.read_rules(str(p))
+        assert str(exc.value) == f"{p}: top-level key {key!r} is in more than one document"
+
+    @pytest.mark.parametrize("meta, expected", [("", {}), ("[]", {}), ("{a: b}", {"a": "b"})],
+                             ids=["null", "empty-list", "mapping"])
+    def test_meta(self, tmp_path, meta, expected):
+        # validate writes a rule without meta as `meta: []`
+        p = tmp_path / "m.yml"
+        p.write_text(f"rules:\n- expr: x > 0\n  meta: {meta}\n")
+        rs, _ = rule_io.read_rules(str(p))
+        assert rs.rules[0].meta == {**DEFAULT_META, **expected}
+
+    @pytest.mark.parametrize("meta", ["5", "[a]", "text", "false"])
+    def test_meta_that_is_not_a_mapping(self, tmp_path, meta):
+        p = tmp_path / "m.yml"
+        p.write_text(f"rules:\n- expr: x > 0\n- expr: y > 0\n  meta: {meta}\n")
+        with pytest.raises(RuleIOError) as exc:
+            rule_io.read_rules(str(p))
+        assert str(exc.value) == f"{p}: rule entry 2: 'meta' must be a mapping"
 
 
 class TestExportYaml:
