@@ -268,11 +268,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _per_version(fn, paths: list[str]) -> dict:
-    """``fn(path)`` of each data file, keyed by version name (the file's base name).
+def _per_version(fn, paths: list[str]):
+    """(version name, ``fn(path)``) of each data file, the name being the file's
+    base name, made one at a time as they are asked for.
 
     With more than one usable CPU and file and with ``fork``, ``_forked`` shares
-    them out; otherwise they are done here in turn. Either way the first
+    the files out; otherwise they are done here in turn. Either way the first
     failing file, in the order given, raises its error.
     """
     files: dict[str, str] = {}  # version name -> data file
@@ -282,61 +283,66 @@ def _per_version(fn, paths: list[str]) -> dict:
             raise DataError(f"data files {files[name]} and {path} share the version name {name!r}")
         files[name] = path
     workers = min(len(files), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork"):
-        return dict(zip(files, _forked(fn, list(files.values()), workers)))
-    return dict(zip(files, map(fn, files.values())))
+    forked = workers > 1 and hasattr(os, "fork")
+    results = _forked(fn, list(files.values()), workers) if forked else map(fn, files.values())
+    # a new pair each time: zip would hold the last result while it makes the next
+    return ((name, next(results)) for name in files)
 
 
-def _forked(fn, paths: list[str], workers: int) -> list:
-    """``fn`` of each path, in order, from at most ``workers`` runs of the paths:
-    this process does the first while a forked child does each other one and
-    sends back through a pipe one pickle of its results or of its first error,
-    unpickled here as it is read."""
+def _forked(fn, paths: list[str], workers: int):
+    """``fn`` of each path, in order, the paths dealt out in turn to ``workers``
+    processes: this one does the first of each round as it is asked for, and a
+    forked child each other one, sending a pickle of each result (or of its
+    first error) through a pipe as it has it, unpickled here as asked for."""
     import pickle
     import signal
 
-    size = -(-len(paths) // workers)  # files per run, rounded up
     # a child would write out again what is still buffered here
     sys.stdout.flush()
     sys.stderr.flush()
-    children, sent, codes = [], [], []  # (pid, read end of its pipe); its result; its exit code
-    results = None
+    pids, pipes = [], {}  # the j-th child does paths[j::workers]; pid -> read end, until reaped
     try:
-        for start in range(size, len(paths), size):
+        for first in range(1, workers):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child: it leaves only through os._exit
                 try:
-                    # pickled whole before the write, which waits for the parent to read
-                    try:
-                        data = pickle.dumps(list(map(fn, paths[start : start + size])))
-                    except Exception as err:  # the parent raises it after the files before it
-                        data = pickle.dumps(err)
                     with open(w, "wb") as pipe:
-                        pipe.write(data)
+                        try:  # sent as made: the write waits for the parent to read it
+                            for path in paths[first::workers]:
+                                pipe.write(pickle.dumps(fn(path)))
+                                pipe.flush()
+                        except Exception as err:  # the parent raises it after the files before it
+                            pipe.write(pickle.dumps(err))
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
-            children.append((pid, r))
-        results = list(map(fn, paths[:size]))  # an error here comes before any child's
-    finally:
-        for pid, r in children:
-            if results is None:  # left early: stop the children still at work
-                os.kill(pid, signal.SIGKILL)
-            with open(r, "rb") as pipe:
-                try:
-                    sent.append(None if results is None else pickle.load(pipe))
-                except (EOFError, pickle.UnpicklingError):  # nothing, or a cut stream
-                    sent.append(None)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for code, done in zip(codes, sent):
-        if code or done is None:
-            raise RuntimeError(f"a worker process exited with code {code} and no result")
-        if isinstance(done, Exception):
-            raise done
-        results += done
-    return results
+            pids.append(pid)
+            pipes[pid] = open(r, "rb")
+        for i, path in enumerate(paths):
+            if not i % workers:
+                yield fn(path)  # an error here comes before those of later files
+                continue
+            pid = pids[i % workers - 1]
+            try:
+                result = pickle.load(pipes[pid])
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a cut stream
+                result = None
+            if i + workers >= len(paths) or result is None or isinstance(result, Exception):
+                pipes.pop(pid).close()  # the child's last, or it sends no more
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code or result is None:
+                    raise RuntimeError(f"a worker process exited with code {code} and no result")
+                if isinstance(result, Exception):
+                    raise result
+            yield result
+            del result  # else it is held while the next one is unpickled
+    finally:  # left early: stop the children still at work
+        for pid, pipe in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def _compare_validations(args: argparse.Namespace) -> StatusTable:
@@ -347,7 +353,7 @@ def _compare_validations(args: argparse.Namespace) -> StatusTable:
     def confront_file(path):
         return diffs.confront_version(ingest_csv(path), rs, args.options)
 
-    return diffs.tally_validations(_per_version(confront_file, args.data), how=args.how)
+    return diffs.tally_validations(dict(_per_version(confront_file, args.data)), how=args.how)
 
 
 def _compare_cells(args: argparse.Namespace) -> StatusTable:

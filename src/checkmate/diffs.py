@@ -9,6 +9,7 @@ the first.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import compress
 from operator import ne
 
@@ -151,36 +152,52 @@ def compare_validations(
     )
 
 
-def compare_cells(versions: dict[str, DataFrame], how: str = "sequential") -> StatusTable:
-    """Classify every data cell against its counterpart in the reference version."""
-    _check_versions([(f.n, f.names) for f in versions.values()], how)
-    names = list(versions)
-    frames = list(versions.values())
-    tallies = []
-    for i, frame in enumerate(frames):
-        ref = frames[max(i - 1, 0) if how == "sequential" else 0]
-        tally = dict.fromkeys(CELL_STATUSES, 0)
-        for col in frame.columns:
-            ref_col = ref.column(col.name)
-            missing, ref_missing = set(col.na), set(ref_col.na)
-            still_missing = len(missing & ref_missing)
-            tally["missing"] += len(missing)
-            tally["still_missing"] += still_missing
-            tally["removed"] += len(missing) - still_missing
-            tally["imputed"] += len(ref_missing) - still_missing
-            gone = missing | ref_missing
-            a, b = col.values, ref_col.values
-            changed = set(compress(range(len(a)), map(ne, a, b))) - gone
-            adapted = len(changed)
-            if col.kind == ref_col.kind == "number":
-                # NaN is unequal to itself, yet a cell NaN in both versions is unchanged
-                adapted -= sum(1 for j in changed if a[j] != a[j] and b[j] != b[j])
-            tally["adapted"] += adapted
-            tally["unadapted"] += len(a) - len(gone) - adapted
-        tally["still_available"] = tally["unadapted"] + tally["adapted"]
-        tally["available"] = tally["still_available"] + tally["imputed"]
-        tally["cells"] = tally["available"] + tally["missing"]
-        tallies.append(tally)
+def _cell_tally(frame: DataFrame, ref: DataFrame) -> dict[str, int]:
+    """The cell statuses of ``frame`` against ``ref``, a frame of its shape."""
+    tally = dict.fromkeys(CELL_STATUSES, 0)
+    for col in frame.columns:
+        ref_col = ref.column(col.name)
+        missing, ref_missing = set(col.na), set(ref_col.na)
+        still_missing = len(missing & ref_missing)
+        tally["missing"] += len(missing)
+        tally["still_missing"] += still_missing
+        tally["removed"] += len(missing) - still_missing
+        tally["imputed"] += len(ref_missing) - still_missing
+        gone = missing | ref_missing
+        a, b = col.values, ref_col.values
+        # no cell differs from itself, as in the first version against itself
+        changed = set() if a is b else set(compress(range(len(a)), map(ne, a, b))) - gone
+        adapted = len(changed)
+        if col.kind == ref_col.kind == "number":
+            # NaN is unequal to itself, yet a cell NaN in both versions is unchanged
+            adapted -= sum(1 for j in changed if a[j] != a[j] and b[j] != b[j])
+        tally["adapted"] += adapted
+        tally["unadapted"] += len(a) - len(gone) - adapted
+    tally["still_available"] = tally["unadapted"] + tally["adapted"]
+    tally["available"] = tally["still_available"] + tally["imputed"]
+    tally["cells"] = tally["available"] + tally["missing"]
+    return tally
+
+
+def compare_cells(
+    versions: dict[str, DataFrame] | Iterable[tuple[str, DataFrame]], how: str = "sequential"
+) -> StatusTable:
+    """Classify every data cell against its counterpart in the reference version.
+
+    ``versions`` is a dict of frames by name or (name, frame) pairs in order, of
+    which only the frame a later one is compared with is kept. A mismatch of
+    shapes is raised once all are read: an error making a later pair comes first.
+    """
+    names, shapes, tallies, ref = [], [], [], None
+    for name, frame in versions.items() if isinstance(versions, dict) else versions:
+        names.append(name)
+        shapes.append((frame.n, frame.names))
+        if shapes.count(shapes[0]) == len(shapes):  # after a mismatch, versions are only read
+            tallies.append(_cell_tally(frame, frame if ref is None else ref))
+        if ref is None or how == "sequential":
+            ref = frame
+        del frame  # else it is held while the next version is made
+    _check_versions(shapes, how)
     return _table(CELL_STATUSES, names, tallies, how)
 
 

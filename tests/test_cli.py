@@ -8,7 +8,9 @@ import io
 import json
 import os
 import pickle
+import random
 import re
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -1485,7 +1487,8 @@ class TestPerVersionWorkers:
     @pytest.mark.parametrize("bad", [(1, 3), (3, 5), (2, 4, 5), (5,)])
     def test_first_bad_file_of_any_share_is_reported(self, tmp_path, usable_cpus, capsys,
                                                      cpus, bad):
-        # the files are cut into runs of 3 (2 CPUs) or 2 (3 CPUs); this process takes the first
+        # the files are dealt out in turn to 2 or 3 processes; this process takes v0, v2, v4
+        # (2 CPUs) or v0, v3 (3 CPUs)
         pools = usable_cpus(cpus)
         paths = []
         for i in range(6):
@@ -1540,6 +1543,109 @@ class TestPerVersionWorkers:
         )
         assert cli.main(["compare", paths[0], paths[2], "--rules", rules, "--set", "raise=error"]) == 3
         assert capsys.readouterr().err == "error: object 'y' not found\n"
+
+
+class TestVersionFold:
+    """``cells`` folds the versions in file order and ``compare`` collects them:
+    a mismatch of shapes waits for every file, and only two versions are held."""
+
+    def write(self, tmp_path, texts):
+        paths = []
+        for i, text in enumerate(texts, start=1):
+            path = tmp_path / f"v{i}.csv"
+            path.write_text(text)
+            paths.append(str(path))
+        (tmp_path / "r.txt").write_text("x >= 0\n")
+        return paths, str(tmp_path / "r.txt")
+
+    # with 2 CPUs this process does v1 and v3, and the child v2 and v4
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    @pytest.mark.parametrize("ragged", [3, 4], ids=["own-share", "child-share"])
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_unreadable_file_after_a_mismatch_is_reported(self, tmp_path, usable_cpus, capsys,
+                                                          command, ragged, cpus):
+        pools = usable_cpus(cpus)
+        texts = ["x\n1\n", "y\n1\n", "x\n2\n", "x\n3\n"]
+        texts[ragged - 1] = "x\n1\n2,3\n"
+        paths, rules = self.write(tmp_path, texts)
+        assert cli.main([command, *paths, *_rules_args(command, rules)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {paths[ragged - 1]}: line 3: expected 1 fields, got 2\n"
+        )
+        assert len(pools) == (cpus > 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    @pytest.mark.parametrize("command", ["compare", "cells"])
+    def test_a_mismatch_alone_is_exit_three(self, tmp_path, usable_cpus, capsys, command, cpus):
+        usable_cpus(cpus)
+        paths, rules = self.write(tmp_path, ["x\n1\n", "y\n1\n", "x\n2\n", "x\n3\n"])
+        out = tmp_path / "out.csv"
+        for sink in ([], ["--out", str(out)]):
+            assert cli.main([command, *paths, *_rules_args(command, rules), *sink]) == 3
+            assert capsys.readouterr() == (
+                "", "error: dataset versions differ in shape or column names\n"
+            )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    def test_pairs_closed_after_the_first_leave_no_child_or_pipe(self, tmp_path, usable_cpus,
+                                                               cpus):
+        pools = usable_cpus(cpus)
+        paths, _ = self.write(tmp_path, [f"x\n{i}\n" for i in range(4)])
+        fds = "/proc/self/fd"
+        before = os.listdir(fds) if os.path.isdir(fds) else None
+        pairs = cli._per_version(cli.ingest_csv, paths)
+        assert next(pairs) == ("v1", cli.ingest_csv(paths[0]))
+        pairs.close()
+        assert len(pools) == (cpus > 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if before is not None:
+            assert sorted(os.listdir(fds)) == sorted(before)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kB, and fork")
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    def test_peak_memory_does_not_grow_with_the_number_of_files(self, tmp_path, cpus):
+        # a text-heavy file: a frame of it is far larger than the file
+        rng = random.Random(5)
+        data = tmp_path / "d.csv"
+        with open(data, "w") as fh:
+            fh.write("id,name,city,note,x\n")
+            for i in range(40_000):
+                fh.write(f"r{i:06d},name {rng.randrange(10**6)},city{rng.randrange(40)},"
+                         f"note {i} {rng.randrange(10**9)},{rng.randrange(1000)}\n")
+        copies = []
+        for i in range(1, 9):
+            copies.append(tmp_path / f"v{i}.csv")
+            shutil.copyfile(data, copies[-1])
+
+        def peak_kb(statement, *args):
+            # forked while python is small, the child's wait4 peak is its own and its
+            # workers', as the benchmark measures it: a process started by this large
+            # one would report at least this one's peak
+            proc = _python(
+                "-c",
+                "import os, sys\n"
+                "from checkmate import cli\n"
+                f"cli._usable_cpus = lambda: {cpus}\n"
+                "pid = os.fork()\n"
+                "if pid == 0:\n"
+                f"    {statement}\n"
+                "    os._exit(0)\n"
+                "_, status, usage = os.wait4(pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)",
+                *map(str, args),
+            )
+            code, kb = proc.stdout.split()
+            assert code == "0", proc.stderr
+            return int(kb)
+
+        held = "frames = [cli.ingest_csv(sys.argv[1]) for _ in range({})]"
+        frame = peak_kb(held.format(2), data) - peak_kb(held.format(1), data)
+        assert frame > 4096  # kB held per frame
+        cells = "if cli.main(['cells', *sys.argv[1:], '--out', os.devnull]): os._exit(1)"
+        two, eight = peak_kb(cells, *copies[:2]), peak_kb(cells, *copies)
+        assert eight - two < frame / 2, (two, eight, frame)
 
 
 class TestRulesBeforeData:

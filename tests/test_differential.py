@@ -152,6 +152,8 @@ def test_compare_validations_matches_per_cell_loop(frames, how, na_value):
 def test_compare_cells_matches_per_cell_loop(frames, how):
     table = compare_cells(frames, how=how)
     assert table.counts == reference_compare_cells(frames, how)
+    # fed (name, frame) pairs one at a time, as the cells command feeds them
+    assert compare_cells(((name, df) for name, df in frames.items()), how=how) == table
     for name in table.version_names:
         c = table.column(name)
         assert c["cells"] == c["available"] + c["missing"]

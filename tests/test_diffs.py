@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from checkmate.diffs import (
     tally_validations,
 )
 from checkmate.errors import DataError
+from checkmate.frame import DataFrame
 from checkmate.rules import new_ruleset
 
 
@@ -218,6 +220,58 @@ class TestCompareCells:
     def test_empty_versions_rejected(self):
         with pytest.raises(DataError):
             compare_cells({})
+        with pytest.raises(DataError, match="at least one"):
+            compare_cells(iter([]))
+
+    @pytest.mark.parametrize("how", ["sequential", "to_first"])
+    def test_pairs_are_held_two_frames_at_a_time(self, how):
+        rng = random.Random(11)
+        data = [
+            {"a": [rng.choice([None, 1.0, 2.0, float("nan")]) for _ in range(6)],
+             "b": [rng.choice([None, "x", "y"]) for _ in range(6)]}
+            for _ in range(6)
+        ]
+        live, most = set(), []
+
+        class Tracked(DataFrame):
+            __slots__ = ("__weakref__",)
+
+        def pairs():
+            for k, cells in enumerate(data):
+                df = Tracked(from_dict(cells).columns)
+                live.add(k)
+                weakref.finalize(df, live.discard, k)
+                most.append(len(live))
+                yield f"v{k + 1}", df
+                del df  # this generator holds no frame while it makes the next
+
+        table = compare_cells(pairs(), how=how)
+        # the reference and the frame being made, never a third
+        assert max(most) == 2
+        assert table == compare_cells(
+            {f"v{k + 1}": from_dict(cells) for k, cells in enumerate(data)}, how=how
+        )
+
+    def test_a_mismatch_is_raised_once_every_pair_is_made(self):
+        made = []
+
+        def pairs():
+            for name, cells in [("v1", {"a": [1.0]}), ("v2", {"b": [1.0]}), ("v3", {"a": [2.0]})]:
+                made.append(name)
+                yield name, from_dict(cells)
+
+        with pytest.raises(DataError, match="differ in shape or column names"):
+            compare_cells(pairs())
+        assert made == ["v1", "v2", "v3"]
+
+    def test_an_error_making_a_later_pair_comes_before_a_mismatch(self):
+        def pairs():
+            yield "v1", from_dict({"a": [1.0]})
+            yield "v2", from_dict({"a": [1.0, 2.0]})
+            raise DataError("v3 cannot be read")
+
+        with pytest.raises(DataError, match="v3 cannot be read"):
+            compare_cells(pairs())
 
 
 class TestChartData:
