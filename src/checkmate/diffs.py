@@ -61,10 +61,13 @@ class StatusTable(Record):
         return {s: self.counts[s][i] for s in self.statuses}
 
 
-def _check_versions(shapes: list[tuple[int, list[str]]], how: str):
-    """Each version's (rows, column names) must be the first one's."""
+def _check_how(how: str):
     if how not in ("sequential", "to_first"):
         raise DataError(f"unknown comparison mode {how!r}")
+
+
+def _check_versions(shapes: list[tuple[int, list[str]]]):
+    """Each version's (rows, column names) must be the first one's."""
     if not shapes:
         raise DataError("at least one dataset version is required")
     if any(shape != shapes[0] for shape in shapes[1:]):
@@ -108,7 +111,8 @@ def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tu
 def tally_validations(versions: dict[str, tuple], how: str = "sequential") -> StatusTable:
     """Count outcome transitions per version against its reference version, from
     ``confront_version`` of each version."""
-    _check_versions([shape for shape, _ in versions.values()], how)
+    _check_how(how)
+    _check_versions([shape for shape, _ in versions.values()])
     names = list(versions)
     results = []
     for name, (_, outcomes) in versions.items():
@@ -147,6 +151,7 @@ def compare_validations(
 
     ``opts`` are call-level confrontation options, as for ``confront``.
     """
+    _check_how(how)
     return tally_validations(
         {name: confront_version(df, rs, opts) for name, df in versions.items()}, how
     )
@@ -188,6 +193,7 @@ def compare_cells(
     which only the frame a later one is compared with is kept. A mismatch of
     shapes is raised once all are read: an error making a later pair comes first.
     """
+    _check_how(how)
     names, shapes, tallies, ref = [], [], [], None
     for name, frame in versions.items() if isinstance(versions, dict) else versions:
         names.append(name)
@@ -197,7 +203,7 @@ def compare_cells(
         if ref is None or how == "sequential":
             ref = frame
         del frame  # else it is held while the next version is made
-    _check_versions(shapes, how)
+    _check_versions(shapes)
     return _table(CELL_STATUSES, names, tallies, how)
 
 

@@ -364,11 +364,20 @@ class Evaluator:
             return _scalar("logical", shortcut)
         return _scalar("logical", None if has_na else empty)
 
-    def _numeric_aggregate(self, e, fn):
+    def _numeric_aggregate(self, e, fn, empty=None):
+        """``fn`` of the present values; of none, R's ``empty`` (missing for mean
+        and median), with R's warning when that is infinite."""
         present, has_na = self._reduced(e, "number")
-        if has_na or not present:
+        if has_na:
             return _scalar("number", None)
-        return Value("number", [float(fn(present))])
+        if present:
+            return Value("number", [float(fn(present))])
+        if empty in (math.inf, -math.inf):
+            returning = "Inf" if empty > 0 else "-Inf"
+            self.warnings.append(
+                RuntimeWarning(f"no non-missing arguments to {e.fname}; returning {returning}")
+            )
+        return _scalar("number", empty)
 
     def _cor(self, e):
         x, y = self._positional(e, 2)
@@ -483,9 +492,9 @@ BUILTINS = {
     "all": lambda ev, e: ev._logical_reduce(e, True, False),
     "any": lambda ev, e: ev._logical_reduce(e, False, True),
     "mean": lambda ev, e: ev._numeric_aggregate(e, _statistics().fmean),
-    "sum": lambda ev, e: ev._numeric_aggregate(e, sum),
-    "min": lambda ev, e: ev._numeric_aggregate(e, min),
-    "max": lambda ev, e: ev._numeric_aggregate(e, max),
+    "sum": lambda ev, e: ev._numeric_aggregate(e, sum, 0.0),
+    "min": lambda ev, e: ev._numeric_aggregate(e, min, math.inf),
+    "max": lambda ev, e: ev._numeric_aggregate(e, max, -math.inf),
     "median": lambda ev, e: ev._numeric_aggregate(e, _statistics().median),
     "cor": Evaluator._cor,
     "grepl": Evaluator._grepl,

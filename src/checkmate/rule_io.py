@@ -17,7 +17,7 @@ from datetime import date, datetime
 
 from . import dsl
 from .errors import CycleError, OptionError, ParseError, RuleIOError
-from .rules import TIMESTAMP_FORMAT, RuleEntry, RuleSet, build_ruleset, parse_option
+from .rules import DEFAULT_META, TIMESTAMP_FORMAT, Rule, RuleSet, build_ruleset, parse_option
 
 _NAME = r"[A-Za-z][A-Za-z0-9._]*"  # a rule name that a text rule file can hold
 _NAME_PREFIX_RE = re.compile(rf"^({_NAME})\s*:(?![=])\s*(.+)$")
@@ -123,7 +123,7 @@ class _Loader:
     def __init__(self):
         self.stack: dict[str, str] = {}  # canonical path -> path as given, of the files being read
         self.loaded: set[str] = set()
-        self.entries: list[RuleEntry] = []
+        self.entries: list[tuple[str, dsl.Directive, Rule]] = []  # as build_ruleset takes them
         self.options: dict = {}
 
     def load(self, path: str):
@@ -208,15 +208,8 @@ class _Loader:
             m = _NAME_PREFIX_RE.match(stripped)
             if m:
                 name, source = m.group(1), m.group(2)
-            self.entries.append(
-                RuleEntry(
-                    source,
-                    _parse(source, f"{path}:{lineno + 1}"),
-                    name=name,
-                    description="\n".join(comment_block),
-                    origin=path,
-                )
-            )
+            rule = Rule(None, name, description="\n".join(comment_block), origin=path)
+            self.entries.append((source, _parse(source, f"{path}:{lineno + 1}"), rule))
             comment_block = []
 
     # -- yaml ---------------------------------------------------------------
@@ -250,18 +243,16 @@ class _Loader:
             elif created and not isinstance(created, date):
                 raise RuleIOError(f"{where}: bad 'created' timestamp: {created!r}")
             source = str(item["expr"]).strip()
-            self.entries.append(
-                RuleEntry(
-                    source,
-                    _parse(source, where),
-                    name=str(item["name"]) if item.get("name") else None,
-                    label=str(item.get("label") or ""),
-                    description=str(item.get("description") or "").strip(),
-                    origin=str(item.get("origin") or "") or path,
-                    created=created or None,
-                    meta=meta or None,
-                )
+            rule = Rule(
+                None,
+                str(item["name"]) if item.get("name") else None,
+                label=str(item.get("label") or ""),
+                description=str(item.get("description") or "").strip(),
+                origin=str(item.get("origin") or "") or path,
+                created=created or None,
+                meta={**DEFAULT_META, **meta} if meta else None,
             )
+            self.entries.append((source, _parse(source, where), rule))
 
 
 def read_rules(path: str, now: datetime | None = None) -> tuple[RuleSet, list[str]]:
@@ -388,16 +379,14 @@ def table_to_rules(rows: list[dict], now: datetime | None = None) -> RuleSet:
             created = _parse_created(created, f"row {index}")
         else:
             created = None
-        entries.append(
-            RuleEntry(
-                row["rule"],
-                directive,
-                name=row.get("name") or None,
-                label=row.get("label") or "",
-                description=row.get("description") or "",
-                origin=row.get("origin") or "table",
-                created=created,
-            )
+        rule = Rule(
+            None,
+            row.get("name") or None,
+            label=row.get("label") or "",
+            description=row.get("description") or "",
+            origin=row.get("origin") or "table",
+            created=created,
         )
+        entries.append((row["rule"], directive, rule))
     rs, _ = build_ruleset(entries, now=now)
     return rs

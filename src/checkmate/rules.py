@@ -17,20 +17,6 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 DEFAULT_META = {"language": "dsl/1", "severity": "error"}
 
 
-class OptionSet(Record):
-    """Confrontation options; ``None`` fields inherit from the next level up."""
-
-    __slots__ = _fields = ("na_value", "raise_", "lin_eq_eps", "lin_ineq_eps")
-
-    def __init__(
-        self, na_value: bool | None | str = "NA", raise_: str = "none",
-        lin_eq_eps: float = 1e-8, lin_ineq_eps: float = 1e-8,
-    ):
-        self.na_value = na_value  # "NA", True, or False
-        self.raise_ = raise_  # none|error|all
-        self.lin_eq_eps, self.lin_ineq_eps = lin_eq_eps, lin_ineq_eps
-
-
 def _one_of(*allowed):
     def check(name: str, value):
         # types must match too: 1 and 0 are not TRUE and FALSE
@@ -57,6 +43,7 @@ def _number_text(text: str):
 
 class _Option(NamedTuple):
     field: str  # OptionSet attribute; also the option's keyword-argument name
+    default: object
     check: Callable[[str, object], None]  # raises OptionError on a bad value
     parse: Callable[[str], object]  # command-line text to value
 
@@ -65,11 +52,24 @@ _NA_TOKENS = {"NA": "NA", "TRUE": True, "FALSE": False}
 
 # the one table of options, keyed by dotted name
 OPTIONS = {
-    "na.value": _Option("na_value", _one_of("NA", True, False), lambda t: _NA_TOKENS.get(t, t)),
-    "raise": _Option("raise_", _one_of("none", "error", "all"), str),
-    "lin.eq.eps": _Option("lin_eq_eps", _nonnegative, _number_text),
-    "lin.ineq.eps": _Option("lin_ineq_eps", _nonnegative, _number_text),
+    "na.value": _Option(
+        "na_value", "NA", _one_of("NA", True, False), lambda t: _NA_TOKENS.get(t, t)
+    ),
+    "raise": _Option("raise_", "none", _one_of("none", "error", "all"), str),
+    "lin.eq.eps": _Option("lin_eq_eps", 1e-8, _nonnegative, _number_text),
+    "lin.ineq.eps": _Option("lin_ineq_eps", 1e-8, _nonnegative, _number_text),
 }
+
+
+class OptionSet(Record):
+    """Resolved confrontation options: an attribute per ``OPTIONS`` entry, at its default."""
+
+    __slots__ = _fields = tuple(opt.field for opt in OPTIONS.values())
+
+    def __init__(self):
+        for opt in OPTIONS.values():
+            setattr(self, opt.field, opt.default)
+
 
 _OPTION_BY_FIELD = {opt.field: name for name, opt in OPTIONS.items()}
 
@@ -139,11 +139,14 @@ global_options = _GlobalOptions()
 
 
 class Rule(Record):
+    """A rule and its metadata. A rule file's entry is one with no ``body`` (and
+    ``name`` None when unnamed) until ``build_ruleset`` expands it."""
+
     __slots__ = _fields = ("body", "name", "label", "description", "origin", "created", "meta")
 
     def __init__(
-        self, body: dsl.Expression, name: str, label: str = "", description: str = "",
-        origin: str = "command-line", created: datetime | None = None,
+        self, body: dsl.Expression | None, name: str | None, label: str = "",
+        description: str = "", origin: str = "command-line", created: datetime | None = None,
         meta: dict[str, str] | None = None,
     ):
         self.body = body
@@ -204,34 +207,13 @@ def _check_unique(names):
         seen.add(n)
 
 
-class RuleEntry(Record):
-    """One candidate rule, parsed by its producer, before directive processing and naming."""
-
-    __slots__ = _fields = (
-        "source", "directive", "name", "label", "description", "origin", "created", "meta"
-    )
-
-    def __init__(
-        self, source: str, directive: dsl.Directive, name: str | None = None, label: str = "",
-        description: str = "", origin: str = "command-line", created: datetime | None = None,
-        meta: dict[str, str] | None = None,
-    ):
-        self.source = source
-        self.directive = directive
-        self.name = name
-        self.label = label
-        self.description = description
-        self.origin = origin
-        self.created = created
-        self.meta = meta
-
-
 def build_ruleset(
-    entries: list[RuleEntry],
+    entries: list[tuple[str, dsl.Directive, Rule]],
     now: datetime | None = None,
     local_options: dict | None = None,
 ) -> tuple[RuleSet, list[str]]:
-    """Assemble a rule set from pre-collected entries.
+    """Assemble a rule set from (source, directive, rule) entries, each rule
+    holding its entry's metadata.
 
     Macro and group definitions are absorbed into later rules; expressions
     outside the rule language are dropped with a warning listing their 1-based
@@ -245,8 +227,7 @@ def build_ruleset(
     invalid: list[tuple[int, str]] = []
     counter = 0
 
-    for index, entry in enumerate(entries, start=1):
-        directive = entry.directive
+    for index, (source, directive, entry) in enumerate(entries, start=1):
         kind = dsl.classify(directive)
         if kind == "macro":
             macros[directive.name] = dsl.insert_macros(directive.body, macros)
@@ -255,7 +236,7 @@ def build_ruleset(
             groups[directive.name] = list(directive.members)
             continue
         if kind == "invalid":
-            invalid.append((index, entry.source.strip()))
+            invalid.append((index, source.strip()))
             continue
         expanded = dsl.expand(directive.body, macros, groups)
         if entry.name is None:
@@ -263,18 +244,10 @@ def build_ruleset(
             base = f"V{counter}"
         else:
             base = entry.name
+        created = entry.created or now
         for i, rule_body in enumerate(expanded, start=1):
-            rules.append(
-                Rule(
-                    rule_body,
-                    base if len(expanded) == 1 else f"{base}.{i}",
-                    label=entry.label,
-                    description=entry.description,
-                    origin=entry.origin,
-                    created=entry.created or now,
-                    meta={**DEFAULT_META, **(entry.meta or {})},
-                )
-            )
+            name = base if len(expanded) == 1 else f"{base}.{i}"
+            rules.append(entry.copy(body=rule_body, name=name, created=created))
 
     _check_unique(r.name for r in rules)
     warnings = []
@@ -294,10 +267,7 @@ def new_ruleset(
 ) -> tuple[RuleSet, list[str]]:
     """Build a rule set from (name, source) pairs."""
     return build_ruleset(
-        [
-            RuleEntry(source, dsl.parse(source), name=name, origin=origin)
-            for name, source in entries
-        ],
+        [(source, dsl.parse(source), Rule(None, name, origin=origin)) for name, source in entries],
         now=now,
     )
 

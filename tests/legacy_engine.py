@@ -3,10 +3,12 @@ as the reference for ``test_evaluator_differential.py``.
 
 It stores a vector as one list of cells with None for missing ones and
 computes missingness again in every operation. It is kept as it was, with
-two changes: a zero base to a negative power gives Inf, as in R, where it
-used to take the division rule's NA for 0/0; and every NaN is one key value
+three changes: a zero base to a negative power gives Inf, as in R, where it
+used to take the division rule's NA for 0/0; every NaN is one key value
 in ``duplicated``, ``is_unique``, ``%in%`` and functional dependencies, as in
-R, where two NaN cells used to be one key only when they were one object.
+R, where two NaN cells used to be one key only when they were one object;
+and ``sum``, ``min`` and ``max`` of no present value give R's 0, Inf (with
+R's warning) and -Inf (likewise), where they used to give NA.
 """
 
 from __future__ import annotations
@@ -311,23 +313,31 @@ class Evaluator:
     def _fn_any(self, e):
         return self._logical_reduce(e, False, True)
 
-    def _numeric_aggregate(self, e, fn):
+    def _numeric_aggregate(self, e, fn, empty=None):
         cells = self._reduced_cells(e, "number")
-        if not cells or any(c is None for c in cells):
+        if any(c is None for c in cells):
             return _number([None])
+        if not cells:
+            if empty in (math.inf, -math.inf):
+                _warnings.warn(
+                    f"no non-missing arguments to {e.fname}; "
+                    f"returning {'Inf' if empty > 0 else '-Inf'}",
+                    RuntimeWarning,
+                )
+            return _number([empty])
         return _number([float(fn(cells))])
 
     def _fn_mean(self, e):
         return self._numeric_aggregate(e, statistics.fmean)
 
     def _fn_sum(self, e):
-        return self._numeric_aggregate(e, sum)
+        return self._numeric_aggregate(e, sum, 0.0)
 
     def _fn_min(self, e):
-        return self._numeric_aggregate(e, min)
+        return self._numeric_aggregate(e, min, math.inf)
 
     def _fn_max(self, e):
-        return self._numeric_aggregate(e, max)
+        return self._numeric_aggregate(e, max, -math.inf)
 
     def _fn_median(self, e):
         return self._numeric_aggregate(e, statistics.median)

@@ -164,6 +164,30 @@ class TestCompareValidations:
             compare_validations(rs, {"a": from_dict({"x": [1.0]})}, how="backwards")
 
 
+class _Unread(dict):
+    """Versions that fail the test if any is read."""
+
+    def items(self):
+        raise AssertionError("a version was read")
+
+    values = items
+
+
+def _pairs_unread():
+    raise AssertionError("a version was read")
+    yield
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compare_cells(_pairs_unread(), how="backwards"),
+    lambda: compare_validations(rules("x >= 0"), _Unread(), how="backwards"),
+    lambda: tally_validations(_Unread(), how="backwards"),
+], ids=["compare_cells", "compare_validations", "tally_validations"])
+def test_unknown_mode_is_refused_before_any_version_is_read(call):
+    with pytest.raises(DataError, match="unknown comparison mode 'backwards'"):
+        call()
+
+
 class TestCompareCells:
     def test_two_by_two_with_missing(self):
         v1 = from_dict({"a": [1.0, None], "b": [3.0, 4.0]})

@@ -238,6 +238,35 @@ class TestBuiltins:
         assert cells("max(x, na.rm = TRUE) == 3", df) == [True]
         assert cells("median(x, na.rm = TRUE) == 2", df) == [True]
 
+    @staticmethod
+    def of_no_values(rule, tmp_path):
+        """(result, warnings) of ``rule`` on an all-missing column and on a header-only file."""
+        path = tmp_path / "header.csv"
+        path.write_text("x\n")
+        empty = [
+            check_that(from_dict({"x": [None, None]}), rule.replace("x)", "x, na.rm = TRUE)")),
+            check_that(ingest_csv(str(path)), rule),
+        ]
+        return [(o.result, o.warnings) for v in empty for o in v.outcomes]
+
+    def test_sum_of_no_values_is_zero(self, tmp_path):
+        assert self.of_no_values("sum(x) == 0", tmp_path) == [([True], [])] * 2
+
+    def test_min_of_no_values_is_inf_with_a_warning(self, tmp_path):
+        warned = ["no non-missing arguments to min; returning Inf"]
+        assert self.of_no_values("min(x) > 1e308", tmp_path) == [([True], warned)] * 2
+
+    def test_max_of_no_values_is_minus_inf_with_a_warning(self, tmp_path):
+        warned = ["no non-missing arguments to max; returning -Inf"]
+        assert self.of_no_values("max(x) < -1e308", tmp_path) == [([True], warned)] * 2
+
+    def test_mean_of_no_values_is_missing(self, tmp_path):
+        # R's NaN, which compares NA as a missing value does
+        assert self.of_no_values("mean(x) > 0", tmp_path) == [([None], [])] * 2
+
+    def test_median_of_no_values_is_missing(self, tmp_path):
+        assert self.of_no_values("median(x) > 0", tmp_path) == [([None], [])] * 2
+
     def test_all_any(self):
         df = from_dict({"x": [1.0, 2.0, None]})
         assert cells("all(x > 0)", df) == [None]

@@ -438,6 +438,62 @@ class TestTable:
         assert "row 1" in str(exc.value)
 
 
+class TestExpandedEntry:
+    """The rules one group entry expands to each keep the entry's metadata and
+    own their ``meta`` dict, whichever producer read the entry."""
+
+    CREATED = datetime(2019, 1, 2, 3, 4, 5)
+
+    @staticmethod
+    def read(path):
+        rs, warnings = rule_io.read_rules(str(path), now=NOW)
+        assert warnings == []
+        return rs
+
+    def text(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("g := var_group(a, b, c)\n# all positive\npos: g > 0\n")
+        return self.read(path), ("", "all positive", str(path), NOW)
+
+    def yaml(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text(textwrap.dedent("""\
+            rules:
+            - expr: g := var_group(a, b, c)
+            - expr: g > 0
+              name: pos
+              label: positive
+              description: all positive
+              origin: survey
+              created: 2019-01-02 03:04:05
+              meta: {owner: ops}
+            """))
+        return self.read(path), ("positive", "all positive", "survey", self.CREATED)
+
+    def table(self, tmp_path):
+        rows = [
+            {"rule": "g := var_group(a, b, c)"},
+            {"name": "pos", "rule": "g > 0", "label": "positive", "description": "all positive",
+             "origin": "survey", "created": "2019-01-02 03:04:05"},
+        ]
+        return rule_io.table_to_rules(rows, now=NOW), (
+            "positive", "all positive", "survey", self.CREATED
+        )
+
+    @pytest.mark.parametrize("producer", ["text", "yaml", "table"])
+    def test_each_rule_keeps_the_entry_metadata_and_owns_its_meta(self, producer, tmp_path):
+        rs, expected = getattr(self, producer)(tmp_path)
+        assert rs.names() == ["pos.1", "pos.2", "pos.3"]
+        assert [r.source() for r in rs] == ["a > 0", "b > 0", "c > 0"]
+        for r in rs:
+            assert (r.label, r.description, r.origin, r.created) == expected
+        metas = [dict(r.meta) for r in rs]
+        assert metas[0] == metas[1] == metas[2]
+        assert metas[0].items() >= DEFAULT_META.items()
+        rs.rules[1].meta["severity"] = "warning"
+        assert [r.meta for r in rs] == [metas[0], {**metas[1], "severity": "warning"}, metas[2]]
+
+
 # ---------------------------------------------------------------------------
 # libyaml and the pure-Python loader
 # ---------------------------------------------------------------------------

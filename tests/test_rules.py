@@ -267,6 +267,10 @@ class TestOptions:
         assert opts.raise_ == "none"
         assert opts.lin_eq_eps == 1e-8
         assert opts.lin_ineq_eps == 1e-8
+        # a field and a default per OPTIONS entry
+        table = rules_mod.OPTIONS.values()
+        assert opts._fields == tuple(opt.field for opt in table)
+        assert [getattr(opts, opt.field) for opt in table] == [opt.default for opt in table]
 
     def test_local_options_flag(self):
         rs, _ = make([("a", "x == y")])
