@@ -11,9 +11,8 @@ if TYPE_CHECKING:
     from .engine import Validation
 
 
-def svg_bar_chart(v: Validation, palette: dict) -> str:
-    """Stacked per-rule bars of passes / fails / NA counts, coloured by the
-    three values of ``palette`` in that order."""
+def svg_bar_chart(v: Validation) -> str:
+    """Stacked per-rule bars of passes / fails / NA counts."""
     rows = [r for r in summarize(v) if not r.error]
     width, bar_h, gap, left, top = 640, 26, 10, 110, 50
     plot_w = width - left - 30
@@ -31,7 +30,7 @@ def svg_bar_chart(v: Validation, palette: dict) -> str:
             f'font-family="sans-serif" font-size="12">{row.name}</text>'
         )
         x = left
-        for count, color in zip((row.passes, row.fails, row.nNA), palette.values()):
+        for count, color in zip((row.passes, row.fails, row.nNA), _BAR_COLORS):
             if count == 0:
                 continue
             w = plot_w * count / biggest
@@ -45,7 +44,7 @@ def svg_bar_chart(v: Validation, palette: dict) -> str:
             x += w
     legend_y = height - 18
     x = left
-    for label, color in zip(("pass", "fail", "NA"), palette.values()):
+    for label, color in zip(("pass", "fail", "NA"), _BAR_COLORS):
         parts.append(f'<rect x="{x}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
         parts.append(
             f'<text x="{x + 16}" y="{legend_y}" font-family="sans-serif" font-size="12">{label}</text>'
@@ -55,6 +54,8 @@ def svg_bar_chart(v: Validation, palette: dict) -> str:
     return "\n".join(parts)
 
 
+# bar and legend colours, in the order of the pass, fail and NA counts
+_BAR_COLORS = ("#2e7d32", "#c62828", "#9e9e9e")
 _LINE_COLORS = [
     "#1565c0", "#2e7d32", "#c62828", "#6a1b9a", "#ef6c00", "#00838f",
     "#9e9e9e", "#558b2f", "#ad1457", "#4527a0", "#795548",

@@ -34,9 +34,6 @@ if TYPE_CHECKING:
 
 RULES_PATH_ENV = "CHECKMATE_RULES_PATH"
 
-# bar and legend colours, in the order of the pass, fail and NA counts
-PALETTE = {"pass": "#2e7d32", "fail": "#c62828", "na": "#9e9e9e"}
-
 
 # ---------------------------------------------------------------------------
 # Emitters
@@ -353,7 +350,7 @@ def _compare_validations(args: argparse.Namespace) -> StatusTable:
     def confront_file(path):
         return diffs.confront_version(ingest_csv(path), rs, args.options)
 
-    return diffs.tally_validations(dict(_per_version(confront_file, args.data)), how=args.how)
+    return diffs.tally_validations(_per_version(confront_file, args.data), how=args.how)
 
 
 def _compare_cells(args: argparse.Namespace) -> StatusTable:
@@ -434,7 +431,7 @@ def _plot(args: argparse.Namespace) -> int:
     from .charts import svg_bar_chart, svg_line_chart
 
     if len(args.data) == 1:
-        svg = svg_bar_chart(_confront_single(args), PALETTE)
+        svg = svg_bar_chart(_confront_single(args))
     else:
         svg = svg_line_chart(_compare_validations(args))
     with _output(args.out) as fh:

@@ -5,13 +5,17 @@
 ``compare_cells`` classifies raw data cells (unadapted / adapted / imputed /
 removed / still missing). Versions are compared sequentially or each against
 the first.
+
+Each takes a dict of versions by name or (name, version) pairs in order, and
+holds only the reference version and the one being read. An error making a later pair is raised
+first, then a mismatch of shapes, then the first version whose tally fails.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import compress
-from operator import ne
+from operator import itemgetter, ne
 
 from .engine import confront
 from .errors import CheckmateError, DataError
@@ -61,21 +65,30 @@ class StatusTable(Record):
         return {s: self.counts[s][i] for s in self.statuses}
 
 
-def _check_how(how: str):
+def _fold(versions, how: str, statuses: tuple[str, ...], shape, tally) -> StatusTable:
+    """The status table of ``tally(name, item, ref)`` of each version against the
+    item of its reference version (the first one's against itself)."""
     if how not in ("sequential", "to_first"):
         raise DataError(f"unknown comparison mode {how!r}")
-
-
-def _check_versions(shapes: list[tuple[int, list[str]]]):
-    """Each version's (rows, column names) must be the first one's."""
-    if not shapes:
+    names, tallies, ref, error = [], [], None, None
+    for name, item in versions.items() if isinstance(versions, dict) else versions:
+        names.append(name)
+        if ref is None:
+            ref, first = item, shape(item)
+        if shape(item) != first:
+            error = DataError("dataset versions differ in shape or column names")
+        elif error is None:  # after an error, versions are only read
+            try:
+                tallies.append(tally(name, item, ref))
+            except CheckmateError as err:
+                error = err
+        if how == "sequential":
+            ref = item
+        del item  # else it is held while the next version is made
+    if not names:
         raise DataError("at least one dataset version is required")
-    if any(shape != shapes[0] for shape in shapes[1:]):
-        raise DataError("dataset versions differ in shape or column names")
-
-
-def _table(statuses: tuple[str, ...], names: list[str], tallies: list[dict], how: str):
-    """The status table of one tally (status -> count) per version."""
+    if error is not None:
+        raise error
     return StatusTable(statuses, names, {s: [t[s] for t in tallies] for s in statuses}, how)
 
 
@@ -91,12 +104,11 @@ def _bitsets(values: bytes, na: tuple) -> list[int]:
 
 
 def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tuple:
-    """What ``tally_validations`` needs of one version: its (rows, column names)
+    """One version as ``tally_validations`` takes it: its (rows, column names)
     and, per rule outcome, its name, error, item count and ``_bitsets``.
 
-    An error of the confrontation takes the place of the outcomes rather than
-    being raised, so that a mismatch of shapes is reported first, whichever
-    version fails.
+    An error of the confrontation takes the place of the outcomes, to be raised
+    in its turn by ``tally_validations``, after a mismatch with a later version.
     """
     try:
         outcomes = [
@@ -108,42 +120,39 @@ def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tu
     return (df.n, df.names), outcomes
 
 
-def tally_validations(versions: dict[str, tuple], how: str = "sequential") -> StatusTable:
+def _validation_tally(name: str, version: tuple, ref: tuple) -> dict[str, int]:
+    """The outcome statuses of one ``confront_version`` result against ``ref``'s."""
+    outcomes, ref_outcomes = version[1], ref[1]
+    if isinstance(outcomes, CheckmateError):
+        raise outcomes
+    for rule, error, _, _ in outcomes:
+        if error is not None:
+            raise DataError(f"rule {rule!r} errored on version {name!r}: {error}")
+    if [o[2] for o in outcomes] != [o[2] for o in ref_outcomes]:
+        raise DataError("versions produced differing result counts")
+    tally = dict.fromkeys(VALIDATION_STATUSES, 0)
+    for (*_, bits), (*_, ref_bits) in zip(outcomes, ref_outcomes):
+        for status, now, before in zip(_OUTCOME_STATUSES, bits, ref_bits):
+            tally[status] += now.bit_count()
+            tally["still_" + status] += (now & before).bit_count()
+    for status in _OUTCOME_STATUSES:
+        tally["new_" + status] = tally[status] - tally["still_" + status]
+    tally["verifiable"] = tally["satisfied"] + tally["violated"]
+    tally["validations"] = tally["verifiable"] + tally["unverifiable"]
+    return tally
+
+
+def tally_validations(
+    versions: dict[str, tuple] | Iterable[tuple[str, tuple]], how: str = "sequential"
+) -> StatusTable:
     """Count outcome transitions per version against its reference version, from
     ``confront_version`` of each version."""
-    _check_how(how)
-    _check_versions([shape for shape, _ in versions.values()])
-    names = list(versions)
-    results = []
-    for name, (_, outcomes) in versions.items():
-        if isinstance(outcomes, CheckmateError):
-            raise outcomes
-        for rule, error, _, _ in outcomes:
-            if error is not None:
-                raise DataError(f"rule {rule!r} errored on version {name!r}: {error}")
-        results.append(outcomes)
-    if len({tuple(items for _, _, items, _ in r) for r in results}) > 1:
-        raise DataError("versions produced differing result counts")
-
-    tallies = []
-    for i, cur in enumerate(results):
-        ref = results[max(i - 1, 0) if how == "sequential" else 0]
-        tally = dict.fromkeys(VALIDATION_STATUSES, 0)
-        for (*_, bits), (*_, ref_bits) in zip(cur, ref):
-            for status, now, before in zip(_OUTCOME_STATUSES, bits, ref_bits):
-                tally[status] += now.bit_count()
-                tally["still_" + status] += (now & before).bit_count()
-        for status in _OUTCOME_STATUSES:
-            tally["new_" + status] = tally[status] - tally["still_" + status]
-        tally["verifiable"] = tally["satisfied"] + tally["violated"]
-        tally["validations"] = tally["verifiable"] + tally["unverifiable"]
-        tallies.append(tally)
-    return _table(VALIDATION_STATUSES, names, tallies, how)
+    return _fold(versions, how, VALIDATION_STATUSES, itemgetter(0), _validation_tally)
 
 
 def compare_validations(
     rs: RuleSet,
-    versions: dict[str, DataFrame],
+    versions: dict[str, DataFrame] | Iterable[tuple[str, DataFrame]],
     how: str = "sequential",
     opts: dict | None = None,
 ) -> StatusTable:
@@ -151,10 +160,13 @@ def compare_validations(
 
     ``opts`` are call-level confrontation options, as for ``confront``.
     """
-    _check_how(how)
-    return tally_validations(
-        {name: confront_version(df, rs, opts) for name, df in versions.items()}, how
-    )
+
+    def confronted():  # a generator: no version is read before ``how`` is checked
+        for name, df in versions.items() if isinstance(versions, dict) else versions:
+            yield name, confront_version(df, rs, opts)
+            del df  # else it is held while the next version is made
+
+    return tally_validations(confronted(), how)
 
 
 def _cell_tally(frame: DataFrame, ref: DataFrame) -> dict[str, int]:
@@ -187,24 +199,9 @@ def _cell_tally(frame: DataFrame, ref: DataFrame) -> dict[str, int]:
 def compare_cells(
     versions: dict[str, DataFrame] | Iterable[tuple[str, DataFrame]], how: str = "sequential"
 ) -> StatusTable:
-    """Classify every data cell against its counterpart in the reference version.
-
-    ``versions`` is a dict of frames by name or (name, frame) pairs in order, of
-    which only the frame a later one is compared with is kept. A mismatch of
-    shapes is raised once all are read: an error making a later pair comes first.
-    """
-    _check_how(how)
-    names, shapes, tallies, ref = [], [], [], None
-    for name, frame in versions.items() if isinstance(versions, dict) else versions:
-        names.append(name)
-        shapes.append((frame.n, frame.names))
-        if shapes.count(shapes[0]) == len(shapes):  # after a mismatch, versions are only read
-            tallies.append(_cell_tally(frame, frame if ref is None else ref))
-        if ref is None or how == "sequential":
-            ref = frame
-        del frame  # else it is held while the next version is made
-    _check_versions(shapes)
-    return _table(CELL_STATUSES, names, tallies, how)
+    """Classify every data cell against its counterpart in the reference version."""
+    return _fold(versions, how, CELL_STATUSES, lambda df: (df.n, df.names),
+                 lambda _, df, ref: _cell_tally(df, ref))
 
 
 def chart_data(table: StatusTable) -> list[tuple[str, str, int]]:

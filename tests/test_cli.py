@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import checkmate
 from checkmate import cli, diffs, from_dict, results
+from checkmate.charts import _BAR_COLORS
 from checkmate.engine import RuleOutcome, check_that, confront
 from checkmate.errors import DataError
 
@@ -986,7 +987,7 @@ class TestPlotCommand:
         assert code == 0
         svg = out.read_text()
         assert svg.startswith("<svg")
-        for color in cli.PALETTE.values():
+        for color in _BAR_COLORS:
             assert color in svg
 
     def test_line_chart(self, tmp_path, capsys):
@@ -1546,8 +1547,8 @@ class TestPerVersionWorkers:
 
 
 class TestVersionFold:
-    """``cells`` folds the versions in file order and ``compare`` collects them:
-    a mismatch of shapes waits for every file, and only two versions are held."""
+    """``compare`` and ``cells`` fold the versions in file order: a mismatch of
+    shapes waits for every file, and only two versions are held."""
 
     def write(self, tmp_path, texts):
         paths = []

@@ -137,6 +137,9 @@ def test_compare_validations_matches_per_cell_loop(frames, how, na_value):
     opts = None if na_value is None else {"na.value": na_value}
     table = compare_validations(RULES, frames, how=how, opts=opts)
     assert table.counts == reference_compare_validations(RULES, frames, how, opts)
+    # fed (name, frame) pairs one at a time, as compare_cells is below
+    pairs = ((name, df) for name, df in frames.items())
+    assert compare_validations(RULES, pairs, how=how, opts=opts) == table
     for name in table.version_names:
         c = table.column(name)
         assert c["validations"] == c["satisfied"] + c["violated"] + c["unverifiable"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkmate import from_dict
+from checkmate import diffs, from_dict
 from checkmate.diffs import (
     CELL_STATUSES,
     VALIDATION_STATUSES,
@@ -158,6 +158,33 @@ class TestCompareValidations:
         with pytest.raises(DataError):
             compare_validations(rs, {"a": from_dict({"x": [1.0]})})
 
+    @pytest.mark.parametrize("how", ["sequential", "to_first"])
+    def test_first_version_with_an_errored_rule_is_named(self, how):
+        rs = rules("x > 0")
+        versions = {"v1": from_dict({"x": [1.0, 2.0]}), "v2": from_dict({"x": ["a", "b"]}),
+                    "v3": from_dict({"x": [True, False]})}
+        message = "rule 'V1' errored on version 'v2': - expects a number operand, got text"
+        with pytest.raises(DataError) as caught:
+            compare_validations(rs, versions, how=how)
+        assert str(caught.value) == message
+        # a mismatch with a later version is raised instead
+        versions["v4"] = from_dict({"y": [1.0, 2.0]})
+        with pytest.raises(DataError, match="^dataset versions differ in shape or column names$"):
+            compare_validations(rs, versions, how=how)
+
+    @pytest.mark.parametrize("how", ["sequential", "to_first"])
+    @pytest.mark.parametrize("items", [[2, 1], [2, 2, 2]], ids=["items", "outcomes"])
+    def test_differing_result_counts_rejected(self, how, items):
+        # as confront_version gives them: (rows, column names), then per outcome
+        # its name, error, item count and bitsets
+        def version(counts):
+            return (2, ["x"]), [(f"V{i}", None, n, [0, 0, 0]) for i, n in enumerate(counts, 1)]
+
+        pairs = iter([("v1", version([2, 2])), ("v2", version([2, 2])), ("v3", version(items))])
+        with pytest.raises(DataError) as caught:
+            tally_validations(pairs, how)
+        assert str(caught.value) == "versions produced differing result counts"
+
     def test_unknown_mode(self):
         rs = rules("x >= 0")
         with pytest.raises(DataError):
@@ -186,6 +213,80 @@ def _pairs_unread():
 def test_unknown_mode_is_refused_before_any_version_is_read(call):
     with pytest.raises(DataError, match="unknown comparison mode 'backwards'"):
         call()
+
+
+class TestValidationFold:
+    """``compare_validations`` and ``tally_validations`` take (name, version)
+    pairs as ``compare_cells`` does, and hold two versions at a time."""
+
+    RULES = ("x >= 0", "y > x", "sum(x, na.rm = TRUE) > 0")
+
+    @staticmethod
+    def versions():
+        """Six (name, frame) pairs, the same at each call."""
+        rng = random.Random(13)
+        return [(f"v{k}", random_frame(rng, 5, ["x", "y"])) for k in range(1, 7)]
+
+    @staticmethod
+    def tracker():
+        """``track(obj, k)``, which counts ``obj`` alive as version ``k``'s while
+        it is, and the list of the number of versions alive at each call."""
+        alive, most = Counter(), []
+
+        def track(obj, k):
+            alive[k] += 1
+            weakref.finalize(obj, alive.subtract, [k])
+            most.append(sum(1 for n in alive.values() if n))
+            return obj
+
+        return track, most
+
+    @pytest.mark.parametrize("how", ["sequential", "to_first"])
+    def test_compare_holds_the_reference_and_the_version_being_made(self, how, monkeypatch):
+        rs = rules(*self.RULES)
+        track, most = self.tracker()
+
+        def pairs():
+            for k, (name, df) in enumerate(self.versions()):
+                df = track(_Tracked(df.columns), k)
+                df.version = k
+                yield name, df
+                del df  # this generator holds no version while it makes the next
+
+        def tracked(df, rs, opts=None):
+            shape, outcomes = confront_version(df, rs, opts)
+            return shape, track(_Outcomes(outcomes), df.version)
+
+        monkeypatch.setattr(diffs, "confront_version", tracked)
+        table = compare_validations(rs, pairs(), how=how)
+        # a version is alive while its frame or its confront_version is
+        assert max(most) == 2
+        monkeypatch.undo()
+        assert table == compare_validations(rs, dict(self.versions()), how=how)
+
+    @pytest.mark.parametrize("how", ["sequential", "to_first"])
+    def test_tally_holds_the_reference_and_the_version_being_made(self, how):
+        rs = rules(*self.RULES)
+        track, most = self.tracker()
+
+        def pairs():
+            for k, (name, df) in enumerate(self.versions()):
+                shape, outcomes = confront_version(df, rs)
+                version = shape, track(_Outcomes(outcomes), k)
+                yield name, version
+                del version
+
+        table = tally_validations(pairs(), how)
+        assert max(most) == 2
+        assert table == compare_validations(rs, dict(self.versions()), how=how)
+
+
+class _Tracked(DataFrame):
+    __slots__ = ("__weakref__", "version")
+
+
+class _Outcomes(list):
+    """Outcomes that a weak reference can track, as it cannot a tuple."""
 
 
 class TestCompareCells:
