@@ -12,7 +12,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "diffs": ("chart_data", "compare_cells", "compare_validations"),
-        "engine": ("Validation", "check_that", "confront", "eval_expr", "eval_fd"),
+        "engine": ("Validation", "check_that", "confront", "confront_csv", "eval_expr", "eval_fd"),
         "frame": ("Column", "DataFrame", "from_dict", "ingest_csv"),
         "results": (
             "aggregate_results", "all_pass", "any_fail", "collect_errors", "collect_warnings",

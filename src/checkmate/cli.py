@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import rule_io
-from .engine import Validation, confront
+from .engine import Validation, confront_csv
 from .errors import CheckmateError, DataError, ParseError, RuleIOError, RuleSetError
 from .frame import fill, ingest_csv
 from .rules import RuleSet, parse_option
@@ -256,7 +256,7 @@ def _confront_single(args: argparse.Namespace) -> Validation:
     if len(args.data) != 1:
         raise DataError(f"{args.command} needs exactly one data file")
     rs = _load_rules(args)
-    return confront(ingest_csv(args.data[0]), rs, key=args.key, opts=args.options)
+    return confront_csv(args.data[0], rs, key=args.key, opts=args.options)
 
 
 def _usable_cpus() -> int:

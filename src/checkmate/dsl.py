@@ -350,6 +350,40 @@ def variables(e: Expression) -> list[str]:
     return census(e)[0]
 
 
+_LITERAL_NODES = (NumberLit, StringLit, BoolLit, MissingLit)
+_CELLWISE_NODES = {Identifier, Paren, Unary, Binary, Implication, Call, *_LITERAL_NODES}
+_CELLWISE_CALLS = {"is.na", "is_na", "abs", "grepl"}  # grepl of a literal pattern
+
+
+def _cellwise(e: Expression) -> bool:
+    if type(e) is Binary and e.op == "%in%":  # literal members right of it are one set
+        rhs = e.rhs
+        listed = type(rhs) is Call and rhs.fname == "c" and not rhs.named_args
+        members = rhs.args if listed else [rhs]
+        return all(type(m) in _LITERAL_NODES for m in members) and _cellwise(e.lhs)
+    if type(e) is Call and (e.fname not in _CELLWISE_CALLS or e.fname == "grepl" and (
+            not e.args or type(e.args[0]) is not StringLit)):
+        return False
+    return type(e) in _CELLWISE_NODES and all(map(_cellwise, children(e)))
+
+
+def row_local(e: Expression) -> bool:
+    """Whether ``e`` names a column and each block of rows gets from it what
+    those rows get from the whole columns: it is built from literals, names,
+    cell-wise operators, ``if``, ``is.na``, ``abs`` and ``grepl`` of a literal
+    pattern, with a vector literal, which R would recycle, only right of ``%in%``."""
+    return bool(variables(e)) and _cellwise(e)
+
+
+def reads_frame(e: Expression, parent: Expression | None = None) -> bool:
+    """Whether ``e`` reads its dataset beyond the row count: ``ncol``, ``names``,
+    or ``.`` other than as the argument of ``nrow``."""
+    if type(e) is DatasetRef:
+        return type(parent) is not Call or parent.fname not in ("nrow", "number_of_records")
+    called = type(e) is Call and e.fname in ("ncol", "names")
+    return called or any(reads_frame(child, e) for child in children(e))
+
+
 def node_precedence(e: Expression) -> int:
     if isinstance(e, Binary):
         return _BINARY_PREC[e.op][0]

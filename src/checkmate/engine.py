@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import re as _re
 import warnings as _warnings
 from collections import Counter
 from datetime import datetime
 from functools import lru_cache, partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from . import dsl
 from .errors import DataError, EvalError
-from .frame import FILLERS, DataFrame, Value, fill, from_dict
+from .frame import FILLERS, DataFrame, Value, fill, from_dict, ingest_csv, read_csv
 from .record import Record
 from .rules import OptionSet, Rule, RuleSet, new_ruleset, select
 
@@ -117,7 +118,7 @@ def kleene_not(a):
     return None if a is None else not a
 
 
-def _kleene(op: str, fn, a: Value, b: Value, warnings: list) -> Value:
+def _kleene(op: str, fn, a: Value, b: Value, warn) -> Value:
     """``a & b`` (``fn`` is ``operator.and_``) or ``a | b`` over vectors: NA
     unless a present FALSE (for &) or TRUE (for |) settles the cell.
 
@@ -144,7 +145,7 @@ def _kleene(op: str, fn, a: Value, b: Value, warnings: list) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def _compare(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
+def _compare(op: str, fn, lhs: Value, rhs: Value, warn) -> Value:
     if lhs.kind == "frame" or rhs.kind == "frame":
         raise EvalError(f"cannot compare whole datasets with {op}")
     if lhs.kind != rhs.kind:
@@ -153,7 +154,7 @@ def _compare(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
     return Value("logical", fill(list(map(fn, va, vb)), na, False), na)
 
 
-def _member(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
+def _member(op: str, fn, lhs: Value, rhs: Value, warn) -> Value:
     if lhs.kind == "frame" or rhs.kind == "frame":
         raise EvalError("cannot apply %in% to a whole dataset")
     if lhs.kind != rhs.kind:
@@ -183,9 +184,9 @@ def _not_real(c) -> bool:
     return c != c or type(c) is complex
 
 
-def _arithmetic(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
+def _arithmetic(op: str, fn, lhs: Value, rhs: Value, warn) -> Value:
     """``fn`` cell by cell; a NaN or complex result from present cells is
-    missing, and adds the warning ``NaNs produced`` to ``warnings``.
+    missing, and gives the warning ``NaNs produced`` to ``warn``.
 
     Whatever the filled values at missing cells give is overwritten before
     the result is checked; for / and ^ they are 1.0 first, since a filled
@@ -204,7 +205,7 @@ def _arithmetic(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
     fill(out, na, 0.0)
     # NaN is the one float unequal to itself; complex comes only from ^
     if any(map(operator.ne, out, out)) or (fn is operator.pow and complex in map(type, out)):
-        warnings.append(RuntimeWarning("NaNs produced"))
+        warn(RuntimeWarning("NaNs produced"))
         bad = tuple(compress(range(len(out)), map(_not_real, out)))
         na = _union(na, bad)
         fill(out, bad, 0.0)
@@ -213,7 +214,7 @@ def _arithmetic(op: str, fn, lhs: Value, rhs: Value, warnings: list) -> Value:
 
 # binary operator -> (handler, the function it applies cell by cell); the keys
 # are those of dsl._BINARY_PREC, and a handler takes the operator, that
-# function, both operands and the list the evaluation's warnings go to
+# function, both operands and the function the evaluation's warnings go to
 _BINARY = {
     "|": (_kleene, operator.or_),
     "&": (_kleene, operator.and_),
@@ -267,7 +268,10 @@ class Evaluator:
         self.df = df
         # names -> frames, vectors or cell lists; or a frame, whose columns are the names
         self.ref = ref if isinstance(ref, DataFrame) else dict(ref or {})
-        self.warnings: list[Warning] = []  # what the evaluation warned of, in order
+        # what the evaluation warned of, in order, keyed by the number of nodes
+        # evaluated before the one that gave it: the same on any rows
+        self.warnings: dict[int, list[Warning]] = {}
+        self.evaluated = 0
 
     # -- scope --------------------------------------------------------------
 
@@ -293,7 +297,13 @@ class Evaluator:
         handler = _EVAL.get(type(e))
         if handler is None:
             raise EvalError(f"cannot evaluate {type(e).__name__}")
-        return handler(self, e)
+        value = handler(self, e)
+        self.evaluated += 1
+        return value
+
+    def warn(self, warning: Warning) -> None:
+        """Note a warning of the node being evaluated."""
+        self.warnings.setdefault(self.evaluated, []).append(warning)
 
     def eval_unary(self, e: dsl.Unary) -> Value:
         operand = self.eval(e.operand)
@@ -308,7 +318,7 @@ class Evaluator:
         if e.op not in _BINARY:
             raise EvalError(f"unknown operator {e.op!r}")
         handler, fn = _BINARY[e.op]
-        return handler(e.op, fn, lhs, rhs, self.warnings)
+        return handler(e.op, fn, lhs, rhs, self.warn)
 
     # -- function calls -----------------------------------------------------
 
@@ -374,7 +384,7 @@ class Evaluator:
             return Value("number", [float(fn(present))])
         if empty in (math.inf, -math.inf):
             returning = "Inf" if empty > 0 else "-Inf"
-            self.warnings.append(
+            self.warn(
                 RuntimeWarning(f"no non-missing arguments to {e.fname}; returning {returning}")
             )
         return _scalar("number", empty)
@@ -405,7 +415,8 @@ class Evaluator:
             rx, warnings = _compiled(pattern.values[0])
         except _re.error as err:
             raise EvalError(f"grepl: invalid pattern {pattern.values[0]!r}: {err}") from err
-        self.warnings.extend(warnings)
+        for w in warnings:
+            self.warn(w)
         return Value("logical", fill(list(map(bool, map(rx.search, v.values))), v.na, False), v.na)
 
     def _key_vectors(self, e: dsl.Call) -> list[Value]:
@@ -538,7 +549,7 @@ def eval_expr(e: dsl.Expression, df: DataFrame, ref=None) -> Value:
     try:
         return ev.eval(e)
     finally:
-        for w in ev.warnings:
+        for w in chain.from_iterable(ev.warnings.values()):
             _warnings.warn(w)
 
 
@@ -662,16 +673,54 @@ def _key_id(value: float) -> str:
     return sci if exp >= 15 or len(sci) < len(fixed) else fixed
 
 
-def confront(
-    df: DataFrame,
-    rs: RuleSet,
-    key: str | None = None,
-    ref=None,
-    opts: dict | None = None,
-    now: datetime | None = None,
-) -> Validation:
-    """Evaluate every rule of a rule set against one frame."""
-    resolved = rs.resolved_options(opts)
+class _Outcome:
+    """A rule's outcome, evaluated on blocks of rows in turn as on all of them
+    at once: their items in turn, the warnings of each node as in the first
+    block where it gives any, in evaluation order, and the first error."""
+
+    __slots__ = ("body", "ref", "raise_", "na_cell", "outcome", "values", "na", "warned")
+
+    def __init__(self, rule: Rule, resolved: OptionSet, ref=None):
+        self.body, self.ref, self.raise_ = prepare_rule(rule, resolved), ref, resolved.raise_
+        self.outcome = RuleOutcome(rule.name, dsl.render(self.body))
+        self.na_cell = resolved.na_value if resolved.na_value in (True, False) else None
+        self.values, self.na, self.warned = bytearray(), [], {}
+
+    def add(self, df: DataFrame) -> None:
+        if self.outcome.error is not None:
+            return
+        try:
+            evaluator = Evaluator(df, self.ref)
+            value = evaluator.eval(self.body)
+            if value.kind != "logical":
+                raise EvalError(f"rule {self.outcome.name!r} does not evaluate to a logical value")
+        except EvalError as err:
+            self.outcome.error = str(err)
+            return
+        start = len(self.values)
+        # a copy: a logical vector may hold TRUE at a missing cell
+        self.values += fill(bytearray(value.values), value.na, self.na_cell or False)
+        if self.na_cell is None and value.na:  # else na.value settles them
+            self.na += map(start.__add__, value.na) if start else value.na
+        for site, given in evaluator.warnings.items():  # as the first block to give any
+            self.warned.setdefault(site, [str(w) for w in given])
+
+    def done(self, df: DataFrame | None = None) -> RuleOutcome:
+        """The outcome, after the rows of ``df`` if given; its error (under
+        raise=all, its first warning) raised as the ``raise`` option says."""
+        if df is not None:
+            self.add(df)
+        o = self.outcome
+        if o.error is None:
+            o.values, o.na = bytes(self.values), tuple(self.na)
+            o.warnings = [w for site in sorted(self.warned) for w in self.warned[site]]
+        if self.raise_ != "none" and (o.error is not None or o.warnings and self.raise_ == "all"):
+            raise EvalError(o.warnings[0] if o.error is None else o.error)
+        return o
+
+
+def _validation(df: DataFrame, key: str | None, outcomes, now=None) -> Validation:
+    """The validation of ``df`` by ``outcomes``, made as asked for once the key is checked."""
     key_values = None
     if key is not None:
         if not df.has_column(key):
@@ -682,39 +731,51 @@ def confront(
         # ids as R's as.character writes the cells
         to_id = {"number": _key_id, "logical": ("FALSE", "TRUE").__getitem__}.get(col.kind, str)
         key_values = list(map(to_id, col.values))
+    return Validation(list(outcomes), key, key_values, now or datetime.now(), df.n)
 
-    outcomes = []
-    for rule in rs.rules:
-        body = prepare_rule(rule, resolved)
-        expression = dsl.render(body)
-        outcome = RuleOutcome(rule.name, expression)
-        try:
-            evaluator = Evaluator(df, ref)
-            value = evaluator.eval(body)
-            if value.kind != "logical":
-                raise EvalError(
-                    f"rule {rule.name!r} does not evaluate to a logical value"
-                )
-            na_cell = resolved.na_value if resolved.na_value in (True, False) else None
-            # a copy: a logical vector may hold TRUE at a missing cell
-            outcome.values = bytes(fill(bytearray(value.values), value.na, na_cell or False))
-            outcome.na = value.na if na_cell is None else ()  # else na.value settles them
-            outcome.warnings = [str(w) for w in evaluator.warnings]
-            if outcome.warnings and resolved.raise_ == "all":
-                raise EvalError(outcome.warnings[0])
-        except EvalError as err:
-            if resolved.raise_ in ("error", "all"):
-                raise
-            outcome.error = str(err)
-        outcomes.append(outcome)
 
-    return Validation(
-        outcomes,
-        key_name=key,
-        key_values=key_values,
-        created=now or datetime.now(),
-        n_records=df.n,
-    )
+def confront(
+    df: DataFrame,
+    rs: RuleSet,
+    key: str | None = None,
+    ref=None,
+    opts: dict | None = None,
+    now: datetime | None = None,
+) -> Validation:
+    """Evaluate every rule of a rule set against one frame, in rule order,
+    once the key is checked; under raise=error or all, the first rule that
+    fails raises. ``confront_csv`` gives the same for a CSV file."""
+    resolved = rs.resolved_options(opts)
+    return _validation(df, key, (_Outcome(rule, resolved, ref).done(df) for rule in rs.rules), now)
+
+
+def confront_csv(path: str, rs: RuleSet, key=None, opts=None) -> Validation:
+    """``confront(ingest_csv(path), rs, key=key, opts=opts)``; but once a full
+    block of rows is read, each ``dsl.row_local`` rule is evaluated on each
+    block as it is read. A column is then held whole only if another rule or
+    the key reads it, and every column is if a rule reads ``.`` beyond its row
+    count or the file cannot be read twice (a pipe). Should a column read block
+    by block change kind between blocks, the whole file is confronted after all."""
+    resolved, items, local, kinds, keep = rs.resolved_options(opts), [], [], set(), None
+
+    def plan():
+        nonlocal keep
+        items.extend(_Outcome(rule, resolved) for rule in rs.rules)
+        local.extend(dsl.row_local(i.body) for i in items)
+        whole = [i.body for i, row in zip(items, local) if not row]
+        if os.path.isfile(path) and not any(map(dsl.reads_frame, whole)):
+            keep = {key, *chain.from_iterable(map(dsl.variables, whole))}
+        return keep, {n for i in compress(items, local) for n in dsl.variables(i.body)}, on_block
+
+    def on_block(block: DataFrame) -> None:
+        kinds.update((column.name, column.kind) for column in block.columns)
+        for i in compress(items, local):
+            i.add(block)
+
+    df = read_csv(path, plan)
+    if len(items) < len(rs.rules) or len(kinds) > len(dict(kinds)):  # unplanned, or a kind changed
+        return confront(df if keep is None else ingest_csv(path), rs, key=key, opts=opts)
+    return _validation(df, key, (i.done(None if row else df) for i, row in zip(items, local)))
 
 
 def check_that(df: DataFrame, *sources: str, key=None, ref=None, opts=None) -> Validation:

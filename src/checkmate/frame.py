@@ -3,15 +3,20 @@
 A vector (``Value``) has a kind, ``number``, ``text`` or ``logical``, and
 stores its values with missing cells filled (``0.0``, ``""`` or ``False``)
 next to the sorted indices of its missing cells. A frame holds named
-equal-length columns, each a vector with a name. A number column keeps its
-cells in an ``array('d')``, 8 bytes a cell; every other vector keeps a list.
+equal-length columns, each a vector with a name, and its row count, given
+when it has no column. A number column keeps its cells in an ``array('d')``,
+8 bytes a cell; every other vector keeps a list. A CSV file is read a block
+of rows at a time, and ``read_csv`` may pass some columns on block by block
+instead of holding them.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import re
 from array import array
+from bisect import bisect_left
 from itertools import chain, compress, islice
 from operator import lt
 
@@ -100,9 +105,9 @@ class Column(Value):
 
 class DataFrame(Record):
     _fields = ("columns",)
-    __slots__ = (*_fields, "_by_name")
+    __slots__ = (*_fields, "_by_name", "n")
 
-    def __init__(self, columns: list[Column] | None = None):
+    def __init__(self, columns: list[Column] | None = None, n: int = 0):
         self.columns = [] if columns is None else columns
         self._by_name = {c.name: c for c in self.columns}
         if len(self._by_name) != len(self.columns):
@@ -112,10 +117,7 @@ class DataFrame(Record):
         lengths = {len(c.values) for c in self.columns}
         if len(lengths) > 1:
             raise DataError("columns differ in length")
-
-    @property
-    def n(self) -> int:
-        return len(self.columns[0].values) if self.columns else 0
+        self.n = lengths.pop() if lengths else n
 
     @property
     def names(self) -> list[str]:
@@ -176,6 +178,8 @@ _BOOL_CELLS = {"true": True, "TRUE": True, "false": False, "FALSE": False,
                **dict.fromkeys(_MISSING_TOKENS, False)}
 _BLOCK_ROWS = 1024  # rows read and converted at a time; only one block is held as strings
 _DISTINCT_CAP = 2048  # distinct texts past which a mostly-distinct column keeps no dict
+_DIGITS = re.compile("[-0-9\0]*")  # cells of digits and signs, joined by NUL
+_LEADING_ZERO = re.compile("\x000[0-9]")  # a cell that starts with 0 and goes on
 
 
 def beyond_r_numbers(text: str) -> bool:
@@ -189,22 +193,27 @@ class _ColumnReader:
 
     A column is a number column until a cell that is not missing fails to
     parse as a decimal or is ``beyond_r_numbers``. Until then it keeps each block's cells joined by NUL,
-    which no decimal holds; from those it becomes a text column, whose cells
+    which no decimal holds, or only their count when ``str(int(v))`` gives
+    them back; from those it becomes a text column, whose cells
     go through ``distinct`` so that each distinct text is one object. A column
     with more than ``_DISTINCT_CAP`` distinct texts, more than half its cells,
-    drops ``distinct`` and keeps later cells as read. At the end a text column
-    whose cells are all true/false or missing is boolean.
+    drops ``distinct`` and keeps later cells as read. A text column whose
+    cells are all true/false or missing is boolean. Unless ``held``, it keeps
+    only the last block's cells.
     """
 
-    __slots__ = ("na", "values", "joined", "distinct")
+    __slots__ = ("na", "values", "joined", "distinct", "held")
 
     def __init__(self):
         self.na: list[int] = []
         self.values = array("d")  # the numbers; a list of texts once the column is text
-        self.joined: list[str] | None = []  # a number column's cells, a string per block
+        self.joined: list[str | int] | None = []  # a number column's cells, an entry per block
         self.distinct: dict[str, str] | None = {}  # None once the column is mostly distinct
+        self.held = True
 
     def add(self, raw: tuple[str, ...]) -> None:
+        if not self.held:  # the last block's cells go; a number column stays one
+            self.na, self.values, self.joined = [], self.values[:0], self.joined and []
         start = len(self.values)
         missing = list(compress(range(len(raw)), map(_MISSING_TOKENS.__contains__, raw)))
         self.na += map(start.__add__, missing)
@@ -215,12 +224,21 @@ class _ColumnReader:
                     raise ValueError
                 numbers = list(map(float, fill(list(raw), missing, "0") if missing else raw))
             except ValueError:  # a text column from here on, its cells so far rebuilt
-                cells = list(chain.from_iterable(s.split("\0") for s in self.joined))
+                cells = []
+                for part in self.joined:  # a missing cell of an integer block comes back "0"
+                    at = len(cells)
+                    cells += part.split("\0") if type(part) is str else map(
+                        str, map(int, self.values[at:at + part]))
                 self.joined = None
                 self.values = list(map(self.distinct.setdefault, cells, cells))
             else:
                 self.values.fromlist(numbers)
-                self.joined.append(joined)
+                # canonical integers: 0, or up to 15 digits after an optional -, not led by 0
+                canonical = (self.held and len(missing) < len(raw)
+                             and _DIGITS.fullmatch(text := "\0" + joined.replace("NA", ""))
+                             and "-0" not in text and not _LEADING_ZERO.search(text)
+                             and -1e15 < min(numbers) and max(numbers) < 1e15)
+                self.joined.append(len(raw) if canonical else joined)
                 return
         if self.distinct is None:
             self.values += raw
@@ -229,15 +247,18 @@ class _ColumnReader:
         if len(self.distinct) > _DISTINCT_CAP and 2 * len(self.distinct) > len(self.values):
             self.distinct = None
 
-    def column(self, name: str) -> Column:
-        """The column read, typed now that every cell is known."""
-        na = tuple(self.na)
+    def column(self, name: str, start: int | None = None) -> Column:
+        """The column read, typed as the cells so far type it: all of it, or a
+        copy of its cells from row ``start`` on."""
+        values, na = self.values, self.na
+        if start is not None:
+            values, na = values[start:], [i - start for i in na[bisect_left(na, start):]]
         if self.joined is not None:
-            return Column(name, "number", self.values, na)
+            return Column(name, "number", values, na)
         # true/false never parses as a decimal; a column past the cap has too many texts
         if self.distinct is not None and self.distinct.keys() <= _BOOL_CELLS.keys():
-            return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, self.values)), na)
-        return Column(name, "text", fill(self.values, na, ""), na)
+            return Column(name, "boolean", list(map(_BOOL_CELLS.__getitem__, values)), na)
+        return Column(name, "text", fill(values, na, ""), na)
 
 
 def _line_after(records: list[list[str]]) -> int:
@@ -249,6 +270,11 @@ def _line_after(records: list[list[str]]) -> int:
 
 
 def ingest_csv(path: str) -> DataFrame:
+    """Read an RFC-4180 CSV with a header row, inferring column types: ``read_csv`` with no plan."""
+    return read_csv(path)
+
+
+def read_csv(path: str, plan=None) -> DataFrame:
     """Read an RFC-4180 CSV with a header row, inferring column types.
 
     Empty cells and the literal NA are missing. A column is boolean when its
@@ -257,6 +283,12 @@ def ingest_csv(path: str) -> DataFrame:
     ``from_dict``), text otherwise. A leading UTF-8 byte-order mark is
     skipped. The file is read once, front to back, ``_BLOCK_ROWS`` rows at a
     time, so it may be a pipe.
+
+    Once a block of ``_BLOCK_ROWS`` rows is read, ``plan()``, if given, names
+    the columns to hold (all when None) and those to pass on, block by block,
+    to the function it gives last, as frames typed as the file so far types
+    them; the frame returned holds the former, with every row. A file whose
+    header names a column twice is not planned.
     """
     # the blocks and columns hold only strings and floats, so the cyclic
     # collector's passes over them find nothing; it is paused while they grow
@@ -269,7 +301,9 @@ def ingest_csv(path: str) -> DataFrame:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            width = len(header)
+            if len(set(header)) < len(header):
+                plan = None
+            width, rows, blocked, on_block = len(header), 0, (), None
             columns = [_ColumnReader() for _ in header]
             while True:
                 start = reader.line_num  # the physical lines before the block
@@ -282,11 +316,21 @@ def ingest_csv(path: str) -> DataFrame:
                     for _ in reader:  # an unreadable cell further on is reported instead
                         pass
                     raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+                if len(block) == _BLOCK_ROWS and plan is not None:  # more may follow
+                    keep, blocked, on_block = plan()
+                    plan = None
+                    for c, name in zip(columns, header):
+                        c.held = keep is None or name in keep
                 for column, raw in zip(columns, zip(*block)):
                     column.add(raw)
+                if on_block is not None:
+                    on_block(DataFrame([c.column(name, len(c.values) - len(block))
+                                        for c, name in zip(columns, header) if name in blocked]))
+                rows += len(block)
                 del block  # freed before the next block is read, not after
         try:
-            return DataFrame([c.column(name) for c, name in zip(columns, header)])
+            held = [c.column(name) for c, name in zip(columns, header) if c.held]
+            return DataFrame(held, rows if width else 0)  # no record under an empty header
         except DataError as err:  # a header that names a column twice
             raise DataError(f"{path}: {err}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as err:

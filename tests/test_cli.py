@@ -1161,7 +1161,7 @@ class TestInternalError:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(cli, "confront", broken)
+        monkeypatch.setattr(cli, "confront_csv", broken)
         assert cli.main(["check", SAMPLE_DATA, "--rules", SAMPLE_RULES]) == 4
         assert capsys.readouterr() == (
             "", "error: internal: ZeroDivisionError: float division by zero\n"
