@@ -355,33 +355,33 @@ _CELLWISE_NODES = {Identifier, Paren, Unary, Binary, Implication, Call, *_LITERA
 _CELLWISE_CALLS = {"is.na", "is_na", "abs", "grepl"}  # grepl of a literal pattern
 
 
-def _cellwise(e: Expression) -> bool:
-    if type(e) is Binary and e.op == "%in%":  # literal members right of it are one set
-        rhs = e.rhs
-        listed = type(rhs) is Call and rhs.fname == "c" and not rhs.named_args
-        members = rhs.args if listed else [rhs]
-        return all(type(m) in _LITERAL_NODES for m in members) and _cellwise(e.lhs)
-    if type(e) is Call and (e.fname not in _CELLWISE_CALLS or e.fname == "grepl" and (
-            not e.args or type(e.args[0]) is not StringLit)):
-        return False
-    return type(e) in _CELLWISE_NODES and all(map(_cellwise, children(e)))
-
-
-def row_local(e: Expression) -> bool:
-    """Whether ``e`` names a column and each block of rows gets from it what
-    those rows get from the whole columns: it is built from literals, names,
-    cell-wise operators, ``if``, ``is.na``, ``abs`` and ``grepl`` of a literal
-    pattern, with a vector literal, which R would recycle, only right of ``%in%``."""
-    return bool(variables(e)) and _cellwise(e)
-
-
-def reads_frame(e: Expression, parent: Expression | None = None) -> bool:
-    """Whether ``e`` reads its dataset beyond the row count: ``ncol``, ``names``,
-    or ``.`` other than as the argument of ``nrow``."""
-    if type(e) is DatasetRef:
-        return type(parent) is not Call or parent.fname not in ("nrow", "number_of_records")
-    called = type(e) is Call and e.fname in ("ncol", "names")
-    return called or any(reads_frame(child, e) for child in children(e))
+def reach(e: Expression) -> str:
+    """What of its dataset ``e`` reads, in one walk: ``"frame"`` when it reads
+    the dataset beyond the row count (``ncol``, ``names``, or ``.`` other than
+    as the argument of ``nrow``); else ``"rows"`` when it names a column and
+    each block of rows gets from it what those rows get from the whole
+    columns, as it is built from literals, names, cell-wise operators, ``if``,
+    ``is.na``, ``abs`` and ``grepl`` of a literal pattern, with a vector
+    literal, which R would recycle, only right of ``%in%``; else ``"columns"``."""
+    named, cellwise, stack = False, True, [(e, None)]
+    while stack:
+        node, parent = stack.pop()
+        kind, below = type(node), children(node)
+        if kind is Call and node.fname in ("ncol", "names") or kind is DatasetRef and (
+                type(parent) is not Call or parent.fname not in ("nrow", "number_of_records")):
+            return "frame"
+        if kind is Binary and node.op == "%in%":  # literal members right of it are one set
+            listed = type(rhs := node.rhs) is Call and rhs.fname == "c" and not rhs.named_args
+            if all(type(m) in _LITERAL_NODES for m in (rhs.args if listed else [rhs])):
+                below = [node.lhs]
+            else:
+                cellwise = False
+        elif kind not in _CELLWISE_NODES or kind is Call and (node.fname not in _CELLWISE_CALLS
+                or node.fname == "grepl" and (not node.args or type(node.args[0]) is not StringLit)):
+            cellwise = False
+        named = named or kind is Identifier
+        stack += [(child, node) for child in below]
+    return "rows" if named and cellwise else "columns"
 
 
 def node_precedence(e: Expression) -> int:

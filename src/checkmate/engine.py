@@ -261,6 +261,17 @@ def _statistics():
     return statistics
 
 
+def _mean(xs: list) -> float:
+    """``statistics.fmean`` as R's mean gives it: NaN where infinities of both
+    signs meet, and the mean of doubles whose sum no double holds."""
+    try:
+        return _statistics().fmean(xs)
+    except ValueError:  # inf + -inf
+        return math.nan
+    except OverflowError:  # the sum, not the mean, is beyond the doubles
+        return 2 * _mean([x / 2 for x in xs])
+
+
 class Evaluator:
     """Evaluates a rewritten expression in the scope of one data frame."""
 
@@ -502,7 +513,7 @@ BUILTINS = {
     "abs": Evaluator._abs,
     "all": lambda ev, e: ev._logical_reduce(e, True, False),
     "any": lambda ev, e: ev._logical_reduce(e, False, True),
-    "mean": lambda ev, e: ev._numeric_aggregate(e, _statistics().fmean),
+    "mean": lambda ev, e: ev._numeric_aggregate(e, _mean),
     "sum": lambda ev, e: ev._numeric_aggregate(e, sum, 0.0),
     "min": lambda ev, e: ev._numeric_aggregate(e, min, math.inf),
     "max": lambda ev, e: ev._numeric_aggregate(e, max, -math.inf),
@@ -751,19 +762,20 @@ def confront(
 
 def confront_csv(path: str, rs: RuleSet, key=None, opts=None) -> Validation:
     """``confront(ingest_csv(path), rs, key=key, opts=opts)``; but once a full
-    block of rows is read, each ``dsl.row_local`` rule is evaluated on each
-    block as it is read. A column is then held whole only if another rule or
-    the key reads it, and every column is if a rule reads ``.`` beyond its row
-    count or the file cannot be read twice (a pipe). Should a column read block
-    by block change kind between blocks, the whole file is confronted after all."""
+    block of rows is read, each rule whose ``dsl.reach`` is rows is evaluated
+    on each block as it is read. A column is then held whole only if another
+    rule or the key reads it, and every column is if a rule's reach is frame
+    or the file cannot be read twice (a pipe). Should a column read block by
+    block change kind between blocks, the whole file is confronted after all."""
     resolved, items, local, kinds, keep = rs.resolved_options(opts), [], [], set(), None
 
     def plan():
         nonlocal keep
         items.extend(_Outcome(rule, resolved) for rule in rs.rules)
-        local.extend(dsl.row_local(i.body) for i in items)
+        reaches = [dsl.reach(i.body) for i in items]
+        local.extend(r == "rows" for r in reaches)
         whole = [i.body for i, row in zip(items, local) if not row]
-        if os.path.isfile(path) and not any(map(dsl.reads_frame, whole)):
+        if os.path.isfile(path) and "frame" not in reaches:
             keep = {key, *chain.from_iterable(map(dsl.variables, whole))}
         return keep, {n for i in compress(items, local) for n in dsl.variables(i.body)}, on_block
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import re
 from array import array
 from bisect import bisect_left
 from itertools import chain, compress, islice
@@ -178,8 +177,6 @@ _BOOL_CELLS = {"true": True, "TRUE": True, "false": False, "FALSE": False,
                **dict.fromkeys(_MISSING_TOKENS, False)}
 _BLOCK_ROWS = 1024  # rows read and converted at a time; only one block is held as strings
 _DISTINCT_CAP = 2048  # distinct texts past which a mostly-distinct column keeps no dict
-_DIGITS = re.compile("[-0-9\0]*")  # cells of digits and signs, joined by NUL
-_LEADING_ZERO = re.compile("\x000[0-9]")  # a cell that starts with 0 and goes on
 
 
 def beyond_r_numbers(text: str) -> bool:
@@ -192,14 +189,13 @@ class _ColumnReader:
     """One CSV column, converted a block of cells at a time.
 
     A column is a number column until a cell that is not missing fails to
-    parse as a decimal or is ``beyond_r_numbers``. Until then it keeps each block's cells joined by NUL,
-    which no decimal holds, or only their count when ``str(int(v))`` gives
-    them back; from those it becomes a text column, whose cells
-    go through ``distinct`` so that each distinct text is one object. A column
-    with more than ``_DISTINCT_CAP`` distinct texts, more than half its cells,
-    drops ``distinct`` and keeps later cells as read. A text column whose
-    cells are all true/false or missing is boolean. Unless ``held``, it keeps
-    only the last block's cells.
+    parse as a decimal or is ``beyond_r_numbers``. Until then it keeps each
+    block's cells joined by NUL, which no decimal holds; from those it becomes
+    a text column, whose cells go through ``distinct`` so that each distinct
+    text is one object. A column with more than ``_DISTINCT_CAP`` distinct
+    texts, more than half its cells, drops ``distinct`` and keeps later cells
+    as read. A text column whose cells are all true/false or missing is
+    boolean. Unless ``held``, it keeps only the last block's cells.
     """
 
     __slots__ = ("na", "values", "joined", "distinct", "held")
@@ -207,7 +203,7 @@ class _ColumnReader:
     def __init__(self):
         self.na: list[int] = []
         self.values = array("d")  # the numbers; a list of texts once the column is text
-        self.joined: list[str | int] | None = []  # a number column's cells, an entry per block
+        self.joined: list[str] | None = []  # a number column's cells, a string per block
         self.distinct: dict[str, str] | None = {}  # None once the column is mostly distinct
         self.held = True
 
@@ -224,21 +220,12 @@ class _ColumnReader:
                     raise ValueError
                 numbers = list(map(float, fill(list(raw), missing, "0") if missing else raw))
             except ValueError:  # a text column from here on, its cells so far rebuilt
-                cells = []
-                for part in self.joined:  # a missing cell of an integer block comes back "0"
-                    at = len(cells)
-                    cells += part.split("\0") if type(part) is str else map(
-                        str, map(int, self.values[at:at + part]))
+                cells = list(chain.from_iterable(s.split("\0") for s in self.joined))
                 self.joined = None
                 self.values = list(map(self.distinct.setdefault, cells, cells))
             else:
                 self.values.fromlist(numbers)
-                # canonical integers: 0, or up to 15 digits after an optional -, not led by 0
-                canonical = (self.held and len(missing) < len(raw)
-                             and _DIGITS.fullmatch(text := "\0" + joined.replace("NA", ""))
-                             and "-0" not in text and not _LEADING_ZERO.search(text)
-                             and -1e15 < min(numbers) and max(numbers) < 1e15)
-                self.joined.append(len(raw) if canonical else joined)
+                self.joined.append(joined)
                 return
         if self.distinct is None:
             self.values += raw

@@ -3,12 +3,14 @@ as the reference for ``test_evaluator_differential.py``.
 
 It stores a vector as one list of cells with None for missing ones and
 computes missingness again in every operation. It is kept as it was, with
-three changes: a zero base to a negative power gives Inf, as in R, where it
+four changes: a zero base to a negative power gives Inf, as in R, where it
 used to take the division rule's NA for 0/0; every NaN is one key value
 in ``duplicated``, ``is_unique``, ``%in%`` and functional dependencies, as in
 R, where two NaN cells used to be one key only when they were one object;
-and ``sum``, ``min`` and ``max`` of no present value give R's 0, Inf (with
-R's warning) and -Inf (likewise), where they used to give NA.
+``sum``, ``min`` and ``max`` of no present value give R's 0, Inf (with
+R's warning) and -Inf (likewise), where they used to give NA; and ``mean``
+gives R's NaN of both infinities and R's finite mean of doubles whose sum
+overflows, where it used to raise.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ class Value:
 
     def __len__(self):
         return len(self.cells)
+
+
+def _mean(cells):
+    """R's mean: NaN of inf and -inf; of cells whose sum no double holds, the
+    mean of cells scaled by a power of two, scaled back."""
+    try:
+        return statistics.fmean(cells)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        scale = 2.0 ** len(cells).bit_length()
+        return _mean([c / scale for c in cells]) * scale
 
 
 def _logical(cells):
@@ -328,7 +342,7 @@ class Evaluator:
         return _number([float(fn(cells))])
 
     def _fn_mean(self, e):
-        return self._numeric_aggregate(e, statistics.fmean)
+        return self._numeric_aggregate(e, _mean)
 
     def _fn_sum(self, e):
         return self._numeric_aggregate(e, sum, 0.0)

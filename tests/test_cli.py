@@ -1367,7 +1367,8 @@ def _python(*args, env=None, **streams):
 
 class TestPackaging:
     def test_module_entry_point_runs_without_warnings(self):
-        proc = _python("-W", "error::RuntimeWarning", "-m", "checkmate.cli", "--help")
+        # the CLI is imported once, by runpy, which would warn had the package imported it first
+        proc = _python("-W", "error", "-m", "checkmate.cli", "--help")
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_leaves_yaml_unloaded(self):
@@ -1376,6 +1377,16 @@ class TestPackaging:
 
     def test_package_import_leaves_cli_unloaded(self):
         proc = _python("-c", "import sys, checkmate; print('checkmate.cli' in sys.modules)")
+        assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_no_public_name_imports_the_cli(self):
+        proc = _python(
+            "-c",
+            "import sys, checkmate\n"
+            "for name in checkmate.__all__:\n"
+            "    getattr(checkmate, name)\n"
+            "print('checkmate.cli' in sys.modules)",
+        )
         assert proc.stdout.strip() == "False", proc.stderr
 
     def test_cli_import_leaves_unused_modules_unloaded(self):

@@ -264,6 +264,22 @@ class TestBuiltins:
         # R's NaN, which compares NA as a missing value does
         assert self.of_no_values("mean(x) > 0", tmp_path) == [([None], [])] * 2
 
+    @pytest.mark.parametrize("xs", [[math.inf, -math.inf], [math.inf, -math.inf, 1e308, 1e308]])
+    def test_mean_of_both_infinities_is_nan(self, xs):
+        # R's NaN, as sum and median give here; not an error
+        df = from_dict({"x": xs})
+        v = eval_expr(expr("mean(x)"), df)
+        assert math.isnan(v.values[0]) and v.na == ()
+        assert check_that(df, "mean(x) > 0").outcomes[0].error is None
+
+    @pytest.mark.parametrize("xs, mean", [
+        ([1e308, 1e308], 1e308), ([-1e308, -1e308, 1e308], -1e308 / 3),
+        ([1.7976931348623157e308] * 3, 1.7976931348623157e308), ([math.inf, 1e308, 1e308], math.inf),
+    ])
+    def test_mean_of_values_whose_sum_no_double_holds(self, xs, mean):
+        # R sums in a wider type: mean(c(1e308, 1e308)) is 1e308
+        assert cells("mean(x)", from_dict({"x": xs})) == [mean]
+
     def test_median_of_no_values_is_missing(self, tmp_path):
         assert self.of_no_values("median(x) > 0", tmp_path) == [([None], [])] * 2
 

@@ -30,7 +30,7 @@ SAMPLE_V3 = os.path.join(GOLDEN, "retailers_v3.csv")
 
 def _outcome_of(run):
     """What ``run()`` gives, its creation time masked; or its error's type and
-    message, a defect's too (``mean`` of ``inf`` and ``-inf`` raises ValueError)."""
+    message, a defect's too."""
     try:
         v = run()
     except Exception as err:
@@ -81,12 +81,12 @@ WHOLE_COLUMN = [
 
 @pytest.mark.parametrize("source", ROW_LOCAL)
 def test_a_row_local_rule(source):
-    assert dsl.row_local(dsl.parse_expression(source))
+    assert dsl.reach(dsl.parse_expression(source)) == "rows"
 
 
 @pytest.mark.parametrize("source", WHOLE_COLUMN)
 def test_a_rule_that_is_not_row_local(source):
-    assert not dsl.row_local(dsl.parse_expression(source))
+    assert dsl.reach(dsl.parse_expression(source)) in ("columns", "frame")
 
 
 @pytest.mark.parametrize("source, reads", [
@@ -95,7 +95,7 @@ def test_a_rule_that_is_not_row_local(source):
     ("is_unique(.)", True), ("x > 0", False), ("mean(x) > nrow(.)", False),
 ])
 def test_a_rule_that_reads_the_dataset_beyond_its_row_count(source, reads):
-    assert dsl.reads_frame(dsl.parse_expression(source)) is reads
+    assert (dsl.reach(dsl.parse_expression(source)) == "frame") is reads
 
 
 # ---------------------------------------------------------------------------
@@ -389,31 +389,14 @@ def test_a_column_only_row_local_rules_read_is_never_built_whole(tmp_path, monke
 
 
 # ---------------------------------------------------------------------------
-# Raw text: a block of canonical integers keeps none
+# Raw text: a number column turned to text reads as written
 # ---------------------------------------------------------------------------
-
-
-def test_a_block_of_canonical_integers_keeps_only_its_length():
-    reader = frame._ColumnReader()
-    reader.add(("1", "-20", "NA", "0", "", "999999999999999", "-999999999999999"))
-    reader.add(("12", "-3"))
-    assert reader.joined == [7, 2]
-
-
-@pytest.mark.parametrize(
-    "cell", ["007", "-0", "-01", "+5", "1.0", "1e3", "1234567890123456", " 7", "NAN", "inf"]
-)
-def test_a_cell_that_is_not_a_canonical_integer_keeps_its_block_text(cell):
-    reader = frame._ColumnReader()
-    reader.add(("1", "2"))
-    reader.add(("3", cell, "NA"))
-    assert reader.joined == [2, f"3\0{cell}\0NA"]
 
 
 @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
 def test_canonical_integers_turned_to_text_are_read_as_written(tmp_path, block_rows):
-    cells = ["1", "-2", "NA", "0", "", "30", "999999999999999", "-12", "007", "-0", "+5", "1.0",
-             "1e3", "1234567890123456", "NAN", "7", "abc"]
+    cells = ["1", "-2", "NA", "0", "", "30", "999999999999999", "-12", "007", "-0", "-01", "+5",
+             "1.0", "1e3", "1234567890123456", " 7", "NAN", "inf", "7", "abc"]
     path = _write(tmp_path, "x\n" + "".join((c or '""') + "\n" for c in cells))
     with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
         column = ingest_csv(path).column("x")
