@@ -19,18 +19,17 @@ from itertools import islice, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import rule_io
-from .engine import Validation, confront_csv
 from .errors import CheckmateError, DataError, ParseError, RuleIOError, RuleSetError
 from .frame import fill, ingest_csv
-from .rules import RuleSet, parse_option
 
 if TYPE_CHECKING:
     from .diffs import StatusTable
+    from .engine import Validation
+    from .rules import RuleSet
 
-# Each command imports what only it uses (json, diffs, results, the charts)
-# where it uses it: a command is a process of its own, and start-up is a
-# large part of its time.
+# Each command imports what only it uses where it uses it (the rule modules,
+# json, diffs, results, the charts): a command is a process of its own, and
+# start-up, compiling each module anew where no bytecode is cached, is much of it.
 
 RULES_PATH_ENV = "CHECKMATE_RULES_PATH"
 
@@ -145,6 +144,8 @@ def emit(payload, fmt: str, out) -> None:
     summary and every rule item, csv every rule item, both streamed rule by
     rule.
     """
+    from .engine import Validation
+
     if isinstance(payload, Validation):
         if fmt == "json":
             _write_json(payload, out)
@@ -193,6 +194,8 @@ def _rules_path(args: argparse.Namespace) -> str:
 
 def _load_rules(args: argparse.Namespace) -> RuleSet:
     """The --rules file's rule set; its warnings go to stderr."""
+    from . import rule_io
+
     rs, warnings = rule_io.read_rules(_rules_path(args))
     for w in warnings:
         _say(w)
@@ -255,8 +258,9 @@ def banner(v: Validation) -> str:
 def _confront_single(args: argparse.Namespace) -> Validation:
     if len(args.data) != 1:
         raise DataError(f"{args.command} needs exactly one data file")
-    rs = _load_rules(args)
-    return confront_csv(args.data[0], rs, key=args.key, opts=args.options)
+    from .engine import confront_csv
+
+    return confront_csv(args.data[0], _load_rules(args), key=args.key, opts=args.options)
 
 
 def _usable_cpus() -> int:
@@ -290,7 +294,7 @@ def _forked(fn, paths: list[str], workers: int):
     """``fn`` of each path, in order, the paths dealt out in turn to ``workers``
     processes: this one does the first of each round as it is asked for, and a
     forked child each other one, sending a pickle of each result (or of its
-    first error) through a pipe as it has it, unpickled here as asked for."""
+    first error) into a pipe as it makes it, unpickled here as asked for."""
     import pickle
     import signal
 
@@ -307,10 +311,10 @@ def _forked(fn, paths: list[str], workers: int):
                     with open(w, "wb") as pipe:
                         try:  # sent as made: the write waits for the parent to read it
                             for path in paths[first::workers]:
-                                pipe.write(pickle.dumps(fn(path)))
+                                pickle.dump(fn(path), pipe)
                                 pipe.flush()
                         except Exception as err:  # the parent raises it after the files before it
-                            pipe.write(pickle.dumps(err))
+                            pickle.dump(err, pipe)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -343,12 +347,12 @@ def _forked(fn, paths: list[str], workers: int):
 
 
 def _compare_validations(args: argparse.Namespace) -> StatusTable:
-    from . import diffs
+    from . import diffs, engine
 
     rs = _load_rules(args)
 
-    def confront_file(path):
-        return diffs.confront_version(ingest_csv(path), rs, args.options)
+    def confront_file(path):  # read as check reads its file
+        return diffs.version(*engine.read_confronting(path, rs, opts=args.options))
 
     return diffs.tally_validations(_per_version(confront_file, args.data), how=args.how)
 
@@ -380,6 +384,8 @@ def _summary(args: argparse.Namespace) -> int:
 
 def _lint(args: argparse.Namespace) -> int:
     """Exit 2 for a rule file that does not load or that loads with warnings."""
+    from . import rule_io
+
     path = _rules_path(args)
     try:
         rs, warnings = rule_io.read_rules(path)
@@ -394,6 +400,8 @@ def _lint(args: argparse.Namespace) -> int:
 
 
 def _export(args: argparse.Namespace) -> int:
+    from . import rule_io
+
     rs = _load_rules(args)
     if not args.out:
         raise DataError("export needs --out")
@@ -461,6 +469,8 @@ _ASCII_SPACE = " \t\n\r\f\v"
 
 
 def _parse_option(text: str) -> tuple[str, object]:
+    from .rules import parse_option
+
     if "=" not in text:
         raise DataError(f"--set expects option=value, got {text!r}")
     name, raw = text.split("=", 1)

@@ -16,12 +16,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import compress
 from operator import itemgetter, ne
+from typing import TYPE_CHECKING
 
-from .engine import confront
 from .errors import CheckmateError, DataError
 from .frame import DataFrame, fill
 from .record import Record
-from .rules import RuleSet
+
+if TYPE_CHECKING:
+    from .rules import RuleSet
 
 VALIDATION_STATUSES = (
     "validations",
@@ -103,21 +105,24 @@ def _bitsets(values: bytes, na: tuple) -> list[int]:
     return [passes, every ^ passes ^ nas, nas]
 
 
-def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tuple:
-    """One version as ``tally_validations`` takes it: its (rows, column names)
-    and, per rule outcome, its name, error, item count and ``_bitsets``.
-
-    An error of the confrontation takes the place of the outcomes, to be raised
-    in its turn by ``tally_validations``, after a mismatch with a later version.
-    """
+def version(shape: tuple, validation) -> tuple:
+    """One version as ``tally_validations`` takes it: ``shape``, (rows, column names), and
+    per outcome of ``validation()`` its name, error, item count and ``_bitsets``, or its error."""
     try:
         outcomes = [
             (o.name, o.error, o.tally()[0], _bitsets(o.values or b"", o.na))
-            for o in confront(df, rs, opts=opts).outcomes
+            for o in validation().outcomes
         ]
     except CheckmateError as err:
         outcomes = err
-    return (df.n, df.names), outcomes
+    return shape, outcomes
+
+
+def confront_version(df: DataFrame, rs: RuleSet, opts: dict | None = None) -> tuple:
+    """``version`` of ``df`` confronted with ``rs``; ``opts`` as for ``confront``."""
+    from .engine import confront
+
+    return version((df.n, df.names), lambda: confront(df, rs, opts=opts))
 
 
 def _validation_tally(name: str, version: tuple, ref: tuple) -> dict[str, int]:

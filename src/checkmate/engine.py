@@ -97,11 +97,11 @@ def _spread(v: Value, n: int) -> Value:
 
 
 def _pair(a: Value, b: Value):
-    """Both operands' values at their common length, and the union of their
-    missing indices."""
+    """Both operands' values at their common length, a one-cell operand's as an
+    iterator that repeats its cell, and the union of their missing indices."""
     n = _length(a, b)
-    a, b = _spread(a, n), _spread(b, n)
-    return a.values, b.values, _union(a.na, b.na)
+    va, vb = (v.values if len(v) == n else repeat(v.values[0], n) for v in (a, b))
+    return va, vb, _union(*(v.na if len(v) == n or not v.na else tuple(range(n)) for v in (a, b)))
 
 
 def _require(v: Value, kind: str, what: str):
@@ -199,8 +199,8 @@ def _arithmetic(op: str, fn, lhs: Value, rhs: Value, warn) -> Value:
         va, vb = fill(list(va), na, 1.0), fill(list(vb), na, 1.0)
     try:
         out = list(map(fn, va, vb))
-    except (ZeroDivisionError, OverflowError):
-        out = list(map(partial(_as_r, fn), va, vb))
+    except (ZeroDivisionError, OverflowError):  # paired again: a repeated cell's iterator is spent
+        out = list(map(partial(_as_r, fn), *_pair(lhs, rhs)[:2]))
         na = _union(na, tuple(compress(range(len(out)), map(operator.is_, out, repeat(None)))))
     fill(out, na, 0.0)
     # NaN is the one float unequal to itself; complex comes only from ^
@@ -254,22 +254,21 @@ def _compiled(pattern: str) -> tuple[_re.Pattern, tuple[Warning, ...]]:
     return rx, tuple(w.message for w in caught)
 
 
-def _statistics():
-    """The ``statistics`` module, imported on first use: with fractions and decimal, 3 ms."""
-    import statistics
-
-    return statistics
-
-
 def _mean(xs: list) -> float:
-    """``statistics.fmean`` as R's mean gives it: NaN where infinities of both
-    signs meet, and the mean of doubles whose sum no double holds."""
+    """R's mean of present cells: NaN where infinities of both signs meet, and
+    the mean of doubles whose sum no double holds."""
     try:
-        return _statistics().fmean(xs)
+        return math.fsum(xs) / len(xs)
     except ValueError:  # inf + -inf
         return math.nan
     except OverflowError:  # the sum, not the mean, is beyond the doubles
         return 2 * _mean([x / 2 for x in xs])
+
+
+def _median(xs: list) -> float:
+    """R's median: of an even count, ``_mean`` of the two middle cells."""
+    xs, half = sorted(xs), len(xs) // 2
+    return xs[half] if len(xs) % 2 else _mean(xs[half - 1 : half + 1])
 
 
 class Evaluator:
@@ -410,7 +409,8 @@ class Evaluator:
         xs, ys = _present(x.values, na), _present(y.values, na)
         if len(xs) < 2:
             return _scalar("number", None)
-        statistics = _statistics()
+        import statistics  # with fractions and decimal, 3 ms: imported on first use
+
         try:
             r = statistics.correlation(xs, ys)
         except statistics.StatisticsError:
@@ -517,7 +517,7 @@ BUILTINS = {
     "sum": lambda ev, e: ev._numeric_aggregate(e, sum, 0.0),
     "min": lambda ev, e: ev._numeric_aggregate(e, min, math.inf),
     "max": lambda ev, e: ev._numeric_aggregate(e, max, -math.inf),
-    "median": lambda ev, e: ev._numeric_aggregate(e, _statistics().median),
+    "median": lambda ev, e: ev._numeric_aggregate(e, _median),
     "cor": Evaluator._cor,
     "grepl": Evaluator._grepl,
     "duplicated": Evaluator._duplicated,
@@ -689,10 +689,11 @@ class _Outcome:
     at once: their items in turn, the warnings of each node as in the first
     block where it gives any, in evaluation order, and the first error."""
 
-    __slots__ = ("body", "ref", "raise_", "na_cell", "outcome", "values", "na", "warned")
+    __slots__ = ("body", "evaluator", "raise_", "na_cell", "outcome", "values", "na", "warned")
 
     def __init__(self, rule: Rule, resolved: OptionSet, ref=None):
-        self.body, self.ref, self.raise_ = prepare_rule(rule, resolved), ref, resolved.raise_
+        self.body, self.raise_ = prepare_rule(rule, resolved), resolved.raise_
+        self.evaluator = Evaluator(None, ref)  # one for every block
         self.outcome = RuleOutcome(rule.name, dsl.render(self.body))
         self.na_cell = resolved.na_value if resolved.na_value in (True, False) else None
         self.values, self.na, self.warned = bytearray(), [], {}
@@ -701,7 +702,8 @@ class _Outcome:
         if self.outcome.error is not None:
             return
         try:
-            evaluator = Evaluator(df, self.ref)
+            evaluator = self.evaluator
+            evaluator.df, evaluator.warnings, evaluator.evaluated = df, {}, 0
             value = evaluator.eval(self.body)
             if value.kind != "logical":
                 raise EvalError(f"rule {self.outcome.name!r} does not evaluate to a logical value")
@@ -767,10 +769,17 @@ def confront_csv(path: str, rs: RuleSet, key=None, opts=None) -> Validation:
     rule or the key reads it, and every column is if a rule's reach is frame
     or the file cannot be read twice (a pipe). Should a column read block by
     block change kind between blocks, the whole file is confronted after all."""
-    resolved, items, local, kinds, keep = rs.resolved_options(opts), [], [], set(), None
+    return read_confronting(path, rs, key, opts)[1]()
 
-    def plan():
+
+def read_confronting(path: str, rs: RuleSet, key=None, opts=None) -> tuple:
+    """``path`` read as ``confront_csv`` reads it: (rows, every header name), and a function
+    giving ``confront_csv``'s validation, which raises any error of confronting, not of reading."""
+    resolved, items, local, kinds, keep, names = rs.resolved_options(opts), [], [], set(), None, []
+
+    def plan(header: list[str]):
         nonlocal keep
+        names.extend(header)
         items.extend(_Outcome(rule, resolved) for rule in rs.rules)
         reaches = [dsl.reach(i.body) for i in items]
         local.extend(r == "rows" for r in reaches)
@@ -785,9 +794,11 @@ def confront_csv(path: str, rs: RuleSet, key=None, opts=None) -> Validation:
             i.add(block)
 
     df = read_csv(path, plan)
+    shape = (df.n, names or df.names)  # unplanned, every column is held
     if len(items) < len(rs.rules) or len(kinds) > len(dict(kinds)):  # unplanned, or a kind changed
-        return confront(df if keep is None else ingest_csv(path), rs, key=key, opts=opts)
-    return _validation(df, key, (i.done(None if row else df) for i, row in zip(items, local)))
+        return shape, partial(confront, df if keep is None else ingest_csv(path), rs, key, opts=opts)
+    outcomes = (i.done(None if row else df) for i, row in zip(items, local))
+    return shape, partial(_validation, df, key, outcomes)
 
 
 def check_that(df: DataFrame, *sources: str, key=None, ref=None, opts=None) -> Validation:

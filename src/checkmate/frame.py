@@ -271,11 +271,11 @@ def read_csv(path: str, plan=None) -> DataFrame:
     skipped. The file is read once, front to back, ``_BLOCK_ROWS`` rows at a
     time, so it may be a pipe.
 
-    Once a block of ``_BLOCK_ROWS`` rows is read, ``plan()``, if given, names
-    the columns to hold (all when None) and those to pass on, block by block,
-    to the function it gives last, as frames typed as the file so far types
-    them; the frame returned holds the former, with every row. A file whose
-    header names a column twice is not planned.
+    Once a block of ``_BLOCK_ROWS`` rows is read, ``plan(header)``, if given,
+    names the columns to hold (all when None) and those to pass on, block by
+    block, to the function it gives last, as frames typed as the file so far
+    types them; the frame returned holds the former, with every row. A file
+    whose header names a column twice is not planned.
     """
     # the blocks and columns hold only strings and floats, so the cyclic
     # collector's passes over them find nothing; it is paused while they grow
@@ -304,7 +304,7 @@ def read_csv(path: str, plan=None) -> DataFrame:
                         pass
                     raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
                 if len(block) == _BLOCK_ROWS and plan is not None:  # more may follow
-                    keep, blocked, on_block = plan()
+                    keep, blocked, on_block = plan(header)
                     plan = None
                     for c, name in zip(columns, header):
                         c.held = keep is None or name in keep

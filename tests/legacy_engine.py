@@ -3,14 +3,15 @@ as the reference for ``test_evaluator_differential.py``.
 
 It stores a vector as one list of cells with None for missing ones and
 computes missingness again in every operation. It is kept as it was, with
-four changes: a zero base to a negative power gives Inf, as in R, where it
+five changes: a zero base to a negative power gives Inf, as in R, where it
 used to take the division rule's NA for 0/0; every NaN is one key value
 in ``duplicated``, ``is_unique``, ``%in%`` and functional dependencies, as in
 R, where two NaN cells used to be one key only when they were one object;
 ``sum``, ``min`` and ``max`` of no present value give R's 0, Inf (with
-R's warning) and -Inf (likewise), where they used to give NA; and ``mean``
+R's warning) and -Inf (likewise), where they used to give NA; ``mean``
 gives R's NaN of both infinities and R's finite mean of doubles whose sum
-overflows, where it used to raise.
+overflows, where it used to raise; and ``median`` of an even count is that
+``mean`` of the two middle cells, as in R, where it used to overflow.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ def _mean(cells):
     except OverflowError:
         scale = 2.0 ** len(cells).bit_length()
         return _mean([c / scale for c in cells]) * scale
+
+
+def _median(cells):
+    """R's median: of an even count, ``_mean`` of the two middle cells."""
+    cells = sorted(cells)
+    half = len(cells) // 2
+    return cells[half] if len(cells) % 2 else _mean(cells[half - 1 : half + 1])
 
 
 def _logical(cells):
@@ -354,7 +362,7 @@ class Evaluator:
         return self._numeric_aggregate(e, max, -math.inf)
 
     def _fn_median(self, e):
-        return self._numeric_aggregate(e, statistics.median)
+        return self._numeric_aggregate(e, _median)
 
     def _fn_cor(self, e):
         x, y = self._positional(e, 2)

@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import checkmate
-from checkmate import cli, diffs, from_dict, results
+from checkmate import cli, diffs, engine, frame, from_dict, results
 from checkmate.charts import _BAR_COLORS
 from checkmate.engine import RuleOutcome, check_that, confront
 from checkmate.errors import DataError
@@ -1161,7 +1162,7 @@ class TestInternalError:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(cli, "confront_csv", broken)
+        monkeypatch.setattr(engine, "confront_csv", broken)
         assert cli.main(["check", SAMPLE_DATA, "--rules", SAMPLE_RULES]) == 4
         assert capsys.readouterr() == (
             "", "error: internal: ZeroDivisionError: float division by zero\n"
@@ -1365,6 +1366,10 @@ def _python(*args, env=None, **streams):
     return subprocess.run([sys.executable, *args], env=env, text=True, timeout=60, **streams)
 
 
+# the modules that read or apply rules, which a command that reads none need not load
+RULE_MODULES = ("checkmate.engine", "checkmate.dsl", "checkmate.rules", "checkmate.rule_io")
+
+
 class TestPackaging:
     def test_module_entry_point_runs_without_warnings(self):
         # the CLI is imported once, by runpy, which would warn had the package imported it first
@@ -1392,11 +1397,30 @@ class TestPackaging:
     def test_cli_import_leaves_unused_modules_unloaded(self):
         # each costs start-up that a command which does not use it would pay
         unused = ("dataclasses", "inspect", "statistics", "json", "checkmate.diffs",
-                  "checkmate.results", "checkmate.charts")
+                  "checkmate.results", "checkmate.charts", *RULE_MODULES)
         proc = _python(
             "-c", f"import sys, checkmate.cli; print([m for m in {unused!r} if m in sys.modules])"
         )
         assert proc.stdout.strip() == "[]", proc.stderr
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    def test_cells_loads_no_rule_module(self, tmp_path, cpus):
+        # cells reads no rule, so it pays the start-up of none of the rule modules
+        paths = []
+        for i in range(1, 3):
+            paths.append(str(tmp_path / f"v{i}.csv"))
+            with open(paths[-1], "w") as fh:
+                fh.write("x,y\n1,a\n2,NA\n")
+        proc = _python(
+            "-c",
+            "import os, sys\n"
+            "from checkmate import cli\n"
+            f"cli._usable_cpus = lambda: {cpus}\n"
+            "code = cli.main(['cells', *sys.argv[1:], '--out', os.devnull])\n"
+            f"print(code, [m for m in {RULE_MODULES!r} if m in sys.modules])",
+            *paths,
+        )
+        assert proc.stdout.strip() == "0 []", proc.stderr
 
     def test_package_import_loads_no_submodule(self):
         proc = _python(
@@ -1431,20 +1455,21 @@ class TestPackaging:
             checkmate.nope
 
 
+@pytest.fixture
+def four_files(tmp_path):
+    paths = []
+    for i, text in enumerate(["x\n1\n", "x\n1\n2,3\n", "x\n2\n", "x\n4,5\n"], start=1):
+        path = tmp_path / f"v{i}.csv"
+        path.write_text(text)
+        paths.append(str(path))
+    rules = tmp_path / "r.txt"
+    rules.write_text("x >= 0\n")
+    return paths, str(rules)
+
+
 class TestPerVersionWorkers:
     """``compare``, ``cells`` and multi-version ``plot`` read (and confront) the
     versions in worker processes when there is more than one usable CPU."""
-
-    @pytest.fixture
-    def four_files(self, tmp_path):
-        paths = []
-        for i, text in enumerate(["x\n1\n", "x\n1\n2,3\n", "x\n2\n", "x\n4,5\n"], start=1):
-            path = tmp_path / f"v{i}.csv"
-            path.write_text(text)
-            paths.append(str(path))
-        rules = tmp_path / "r.txt"
-        rules.write_text("x >= 0\n")
-        return paths, str(rules)
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
     @pytest.mark.parametrize("command", ["compare", "cells", "plot"])
@@ -1464,10 +1489,13 @@ class TestPerVersionWorkers:
                                                    capsys, command):
         pools = usable_cpus(2)
         # this process takes a share of the files too; only the forked child dies
-        test_pid, ingest = os.getpid(), cli.ingest_csv
-        monkeypatch.setattr(
-            cli, "ingest_csv", lambda path: ingest(path) if os.getpid() == test_pid else os._exit(1)
-        )
+        module, name = (engine, "read_confronting") if command == "compare" else (cli, "ingest_csv")
+        test_pid, read = os.getpid(), getattr(module, name)
+
+        def dies_in_a_child(path, *args, **kwargs):
+            return read(path, *args, **kwargs) if os.getpid() == test_pid else os._exit(1)
+
+        monkeypatch.setattr(module, name, dies_in_a_child)
         paths, rules = four_files
         assert cli.main([command, paths[0], paths[2], *_rules_args(command, rules)]) == 4
         out, err = capsys.readouterr()
@@ -1484,16 +1512,37 @@ class TestPerVersionWorkers:
         # the forked child pickles its results, writes half of them and exits 0
         test_pid, dumps = os.getpid(), pickle.dumps
 
-        def half_in_a_child(obj):
+        def half_in_a_child(obj, file):
             data = dumps(obj)
-            return data if os.getpid() == test_pid else data[: len(data) // 2]
+            file.write(data if os.getpid() == test_pid else data[: len(data) // 2])
 
-        monkeypatch.setattr(pickle, "dumps", half_in_a_child)
+        monkeypatch.setattr(pickle, "dump", half_in_a_child)
         paths, rules = four_files
         assert cli.main([command, paths[0], paths[2], *_rules_args(command, rules)]) == 4
         assert capsys.readouterr() == (
             "", "error: internal: RuntimeError: a worker process exited with code 0 and no result\n"
         )
+
+    @pytest.mark.parametrize("cells", [1, 100_000], ids=["nothing-sent", "part-sent"])
+    def test_worker_whose_result_does_not_pickle_is_an_internal_error(
+        self, four_files, monkeypatch, usable_cpus, capsys, cells
+    ):
+        usable_cpus(2)
+        # the child's result ends in a lock, after more than a pipe holds in the second case:
+        # the pickle written as it is made fails once part of it is sent
+        test_pid, ingest = os.getpid(), cli.ingest_csv
+
+        def unpicklable_in_a_child(path):
+            if os.getpid() == test_pid:
+                return ingest(path)
+            return [*map(str, range(cells)), threading.Lock()]
+
+        monkeypatch.setattr(cli, "ingest_csv", unpicklable_in_a_child)
+        paths, _ = four_files
+        assert cli.main(["cells", paths[0], paths[2]]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("bad", [(1, 3), (3, 5), (2, 4, 5), (5,)])
@@ -1540,10 +1589,10 @@ class TestPerVersionWorkers:
         )
         assert proc.stdout.splitlines()[-1] == "0 [2] []", proc.stderr
 
-    def test_confront_error_comes_after_every_read(self, four_files, usable_cpus, capsys):
+    def test_confront_error_comes_after_every_read(self, four_files, usable_cpus, capsys, cpus=2):
         # with raise=error the first version's confrontation fails, yet a file
         # that cannot be read is reported first, as when all are read before
-        usable_cpus(2)
+        usable_cpus(cpus)
         paths, _ = four_files
         rules = os.path.join(os.path.dirname(paths[0]), "y.txt")
         with open(rules, "w") as fh:
@@ -1658,6 +1707,52 @@ class TestVersionFold:
         cells = "if cli.main(['cells', *sys.argv[1:], '--out', os.devnull]): os._exit(1)"
         two, eight = peak_kb(cells, *copies[:2]), peak_kb(cells, *copies)
         assert eight - two < frame / 2, (two, eight, frame)
+
+
+class TestVersionFoldBlockByBlock(TestVersionFold):
+    """The folds again, on versions read in blocks of one or two rows, so that
+    ``compare`` evaluates its rule on each block as it reads, as ``check`` does
+    a file longer than a block: a file error and a mismatch still come first."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["blocks-of-1", "blocks-of-2"])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(frame, "_BLOCK_ROWS", request.param)  # forked workers inherit it
+
+    # these read no rule, so they read as with whole blocks
+    test_pairs_closed_after_the_first_leave_no_child_or_pipe = None
+    test_peak_memory_does_not_grow_with_the_number_of_files = None
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    def test_confront_error_comes_after_every_read(self, four_files, usable_cpus, capsys, cpus):
+        TestPerVersionWorkers.test_confront_error_comes_after_every_read(
+            self, four_files, usable_cpus, capsys, cpus
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    def test_a_version_read_from_a_pipe(self, tmp_path, usable_cpus, capsys, cpus):
+        # a pipe cannot be read twice, so its header comes from the one reading
+        usable_cpus(cpus)
+        texts = ["x,y\n1,a\n-2,b\nNA,c\n", "x,y\n1,a\n2,b\n3,NA\n", "x,y\n-1,a\n2,b\n3,c\n"]
+        paths, rules = self.write(tmp_path, texts)
+        argv = ["compare", *paths, "--rules", rules, "--format", "csv"]
+        assert cli.main(argv) == 0
+        from_files = capsys.readouterr()
+        fifo = str(tmp_path / "v2.csv")
+        os.replace(paths[1], str(tmp_path / "v2.txt"))
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as pipe:  # waits until the reader opens it
+                pipe.write(texts[1])
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        assert cli.main(argv) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr() == from_files
+        assert from_files.out.startswith("status,v1,v2,v3\nvalidations,3,3,3\n")
 
 
 class TestRulesBeforeData:

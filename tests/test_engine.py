@@ -280,6 +280,19 @@ class TestBuiltins:
         # R sums in a wider type: mean(c(1e308, 1e308)) is 1e308
         assert cells("mean(x)", from_dict({"x": xs})) == [mean]
 
+    @pytest.mark.parametrize("xs, median", [
+        ([1e308, 1e308], 1e308), ([-1e308, 1e308, 1e308, 1e308], 1e308),
+        ([1.7976931348623157e308] * 2, 1.7976931348623157e308), ([8.0, 1.0, 4.0, 2.0], 3.0),
+        ([3.0, -1e308, 1e308], 3.0),
+    ])
+    def test_median_of_an_even_count_is_the_mean_of_the_middle_cells(self, xs, median):
+        # R's median.default: mean(sort(x, partial = half + 0L:1L)[half + 0L:1L]),
+        # which does not overflow; of an odd count, the middle cell
+        assert cells("median(x)", from_dict({"x": xs})) == [median]
+
+    def test_median_of_two_huge_cells_is_not_above_them(self):
+        assert cells("median(x) > 1e308", from_dict({"x": [1e308, 1e308]})) == [False]
+
     def test_median_of_no_values_is_missing(self, tmp_path):
         assert self.of_no_values("median(x) > 0", tmp_path) == [([None], [])] * 2
 
