@@ -11,6 +11,21 @@ if TYPE_CHECKING:
     from .engine import Validation
 
 
+def _text(x, y, body, size, anchor=None, fill=None) -> str:
+    """A sans-serif ``<text>`` of ``body``, its ``&``, ``<`` and ``>`` escaped."""
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    fill = f' fill="{fill}"' if fill else ""
+    attrs = f'x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{fill}'
+    return f"<text {attrs}>{body}</text>"
+
+
+def _svg(width, height, title_x, title, parts: list[str]) -> str:
+    """The SVG document of ``parts`` under ``title``, centred at ``title_x``."""
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">'
+    return "\n".join([head, _text(title_x, 24, title, 16, "middle"), *parts, "</svg>"])
+
+
 def svg_bar_chart(v: Validation) -> str:
     """Stacked per-rule bars of passes / fails / NA counts."""
     rows = [r for r in summarize(v) if not r.error]
@@ -18,17 +33,10 @@ def svg_bar_chart(v: Validation) -> str:
     plot_w = width - left - 30
     height = top + len(rows) * (bar_h + gap) + 40
     biggest = max((r.items for r in rows), default=1) or 1
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
-        f'<text x="{width / 2}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">validation results</text>',
-    ]
+    parts = []
     for i, row in enumerate(rows):
         y = top + i * (bar_h + gap)
-        parts.append(
-            f'<text x="{left - 8}" y="{y + bar_h - 8}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{row.name}</text>'
-        )
+        parts.append(_text(left - 8, y + bar_h - 8, row.name, 12, "end"))
         x = left
         for count, color in zip((row.passes, row.fails, row.nNA), _BAR_COLORS):
             if count == 0:
@@ -37,21 +45,15 @@ def svg_bar_chart(v: Validation) -> str:
             parts.append(
                 f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{bar_h}" fill="{color}"/>'
             )
-            parts.append(
-                f'<text x="{x + w / 2:.1f}" y="{y + bar_h - 8}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11" fill="white">{count}</text>'
-            )
+            parts.append(_text(f"{x + w / 2:.1f}", y + bar_h - 8, count, 11, "middle", "white"))
             x += w
     legend_y = height - 18
     x = left
     for label, color in zip(("pass", "fail", "NA"), _BAR_COLORS):
         parts.append(f'<rect x="{x}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
-        parts.append(
-            f'<text x="{x + 16}" y="{legend_y}" font-family="sans-serif" font-size="12">{label}</text>'
-        )
+        parts.append(_text(x + 16, legend_y, label, 12))
         x += 70
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg(width, height, width / 2, "validation results", parts)
 
 
 # bar and legend colours, in the order of the pass, fail and NA counts
@@ -77,19 +79,13 @@ def svg_line_chart(table: StatusTable) -> str:
         return x, y
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
-        f'<text x="{(left + width - right) / 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">status by version</text>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
         f'stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
     ]
     for i, version in enumerate(versions):
         x, _ = xy(i, 0)
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{version}</text>'
-        )
+        parts.append(_text(f"{x:.1f}", height - bottom + 20, version, 11, "middle"))
     for k, status in enumerate(table.statuses):
         color = _LINE_COLORS[k % len(_LINE_COLORS)]
         points = " ".join(
@@ -104,9 +100,5 @@ def svg_line_chart(table: StatusTable) -> str:
             f'<line x1="{width - right + 10}" y1="{ly}" x2="{width - right + 28}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{width - right + 34}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{status}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
+        parts.append(_text(width - right + 34, ly + 4, status, 11))
+    return _svg(width, height, (left + width - right) / 2, "status by version", parts)

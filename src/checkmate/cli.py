@@ -453,9 +453,9 @@ COMMANDS = {
     "check": (_check, "data --rules --key --format --out --set --strict"),
     "summary": (_summary, "data --rules --key --format --out --set --strict"),
     "lint": (_lint, "--rules --set"),
-    "export": (_export, "--rules --out --set"),
+    "export": (_export, "--rules --out"),
     "compare": (_status_command(_compare_validations), "data --rules --format --out --set --how"),
-    "cells": (_status_command(_compare_cells), "data --format --out --set --how"),
+    "cells": (_status_command(_compare_cells), "data --format --out --how"),
     "plot": (_plot, "data --rules --key --out --set --how"),
 }
 
@@ -532,7 +532,7 @@ def main(argv=None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(100_000, 50, 100)
     try:
-        args.options = dict(_parse_option(s) for s in args.set) or None
+        args.options = dict(_parse_option(s) for s in getattr(args, "set", ())) or None
         return COMMANDS[args.command][0](args)
     except CheckmateError as err:
         _say(f"error: {err}")

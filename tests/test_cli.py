@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -517,6 +518,12 @@ class TestCheckCommand:
         rules.write_text("y > 0\n")
         assert cli.main(["check", str(data), "--rules", str(rules)]) == 2
 
+    def test_a_misused_function_gives_exit_two(self, tmp_path, capsys):
+        rules = tmp_path / "r.txt"
+        rules.write_text("is.na(.)\n")
+        assert cli.main(["check", SAMPLE_DATA, "--rules", str(rules)]) == 2
+        assert "Errors        : 1\n" in capsys.readouterr().out
+
     def test_strict_flags_unverifiable_only(self, tmp_path, capsys):
         # every result is NA: x is present but its comparison partner is missing
         data = tmp_path / "d.csv"
@@ -1005,6 +1012,28 @@ class TestPlotCommand:
         assert code == 0
         assert "<polyline" in out.read_text()
 
+    def test_a_rule_name_is_escaped(self, tmp_path, capsys):
+        rules = tmp_path / "r.yml"
+        rules.write_text(
+            'rules:\n- expr: staff >= 0\n  name: "a<b & c"\n'
+            '- expr: turnover >= 0\n  name: "d>e"\n'
+        )
+        out = tmp_path / "chart.svg"
+        assert cli.main(["plot", SAMPLE_DATA, "--rules", str(rules), "--out", str(out)]) == 0
+        ElementTree.parse(out)
+        svg = out.read_text()
+        assert ">a&lt;b &amp; c</text>" in svg and ">d&gt;e</text>" in svg
+
+    def test_version_names_are_escaped(self, tmp_path, capsys):
+        data = [str(tmp_path / "R&D.csv"), str(tmp_path / "v<2.csv")]
+        for path in data:
+            shutil.copy(SAMPLE_DATA, path)
+        out = tmp_path / "chart.svg"
+        assert cli.main(["plot", *data, "--rules", SAMPLE_RULES, "--out", str(out)]) == 0
+        ElementTree.parse(out)
+        svg = out.read_text()
+        assert ">R&amp;D</text>" in svg and ">v&lt;2</text>" in svg
+
 
 CHECK = [SAMPLE_DATA, "--rules", SAMPLE_RULES]
 
@@ -1250,18 +1279,14 @@ class TestSetOption:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["lint", "--rules", SAMPLE_RULES],
-            ["export", "--rules", SAMPLE_RULES, "--out", "unused.yml"],
-            ["cells", SAMPLE_DATA, SAMPLE_DATA],
-        ],
-        ids=["lint", "export", "cells"],
+        [["lint", "--rules", SAMPLE_RULES]],
+        ids=["lint"],
     )
-    def test_invalid_value_exit_three_everywhere(self, tmp_path, monkeypatch, capsys, argv):
-        monkeypatch.chdir(tmp_path)
+    def test_invalid_value_exit_three_everywhere(self, argv, capsys):
+        # lint confronts no data but checks every value; the commands that
+        # apply no option refuse --set (TestFlags)
         assert cli.main([*argv, "--set", "lin.eq.eps=abc"]) == 3
         assert "error: lin.eq.eps must be a nonnegative number" in capsys.readouterr().err
-        assert not (tmp_path / "unused.yml").exists()
 
     def test_unknown_option_exit_three(self, capsys):
         assert cli.main(["lint", "--rules", SAMPLE_RULES, "--set", "no.such=1"]) == 3
@@ -1421,6 +1446,21 @@ class TestPackaging:
             *paths,
         )
         assert proc.stdout.strip() == "0 []", proc.stderr
+
+    def test_cells_refuses_set_before_loading_a_rule_module(self, tmp_path):
+        # cells applies no option, so a --set is a usage error, not a value to check
+        out = tmp_path / "out.txt"
+        proc = _python(
+            "-c",
+            "import sys\n"
+            "from checkmate import cli\n"
+            "code = cli.main(['cells', *sys.argv[1:]])\n"
+            f"print(code, [m for m in {RULE_MODULES!r} if m in sys.modules])",
+            SAMPLE_DATA, SAMPLE_V2, "--set", "raise=error", "--out", str(out),
+        )
+        assert proc.stdout.strip() == "3 []", proc.stderr
+        assert "error: unrecognized arguments: --set raise=error\n" in proc.stderr
+        assert not out.exists()
 
     def test_package_import_loads_no_submodule(self):
         proc = _python(

@@ -102,6 +102,21 @@ class TestParse:
         assert e.determinant == ["city", "street"]
         assert e.dependent == ["postal_code"]
 
+    @pytest.mark.parametrize(
+        "parse, source, message",
+        [
+            (dsl.parse, "G := var_group(x, 1)", "var_group members must be variable names"),
+            (dsl.parse, "G := var_group()", "var_group expects one or more variable names"),
+            (dsl.parse, "f(a = 1, a = 2)", "duplicate named argument 'a'"),
+            (dsl.parse, " \t", "empty rule"),
+            (dsl.parse_expression, "m := 1", "expected an expression, found a definition"),
+        ],
+    )
+    def test_error_message(self, parse, source, message):
+        with pytest.raises(ParseError) as caught:
+            parse(source)
+        assert str(caught.value) == message
+
     def test_group_definition(self):
         d = dsl.parse("G := var_group(x, y, z)")
         assert isinstance(d, dsl.GroupDef)

@@ -606,3 +606,37 @@ class TestPatternWarnings:
             assert [(w.category, str(w.message)) for w in caught] == [
                 (FutureWarning, self.NESTED), (RuntimeWarning, "NaNs produced"),
             ]
+
+
+class TestRuleErrors:
+    """Functions and operators given what they cannot take: each is a rule error,
+    recorded in the outcome, and raised as an EvalError under ``raise=error``."""
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("is.na(.)", "is.na expects a vector"),
+            ("nrow(x) > 0", "nrow expects the dataset '.'"),
+            ("is.na(c(x, .))", "c expects vectors"),
+            ("is.na(c(x, k = 1))", "c takes no named arguments"),
+            ("all(is_unique())", "is_unique expects at least one argument"),
+            ("all(is_unique(x, k = 1))", "is_unique takes no named arguments"),
+            ("all(is_unique(.))", "is_unique expects column vectors"),
+            (". == 1", "cannot compare whole datasets with =="),
+            (". %in% x", "cannot apply %in% to a whole dataset"),
+            ("x %in% .", "cannot apply %in% to a whole dataset"),
+        ],
+    )
+    def test_message(self, rule, message):
+        df = from_dict({"x": [1.0, 2.0]})
+        (outcome,) = check_that(df, rule).outcomes
+        assert (outcome.result, outcome.error) == (None, message)
+        with pytest.raises(EvalError) as caught:
+            check_that(df, rule, opts={"raise": "error"})
+        assert str(caught.value) == message
+
+    def test_cor_of_a_constant_vector_is_missing_without_a_warning(self):
+        # R gives NA too, warning "the standard deviation is zero"
+        df = from_dict({"x": [1.0, 2.0, 3.0], "y": [1.0, 1.0, 1.0]})
+        (outcome,) = check_that(df, "cor(x, y) > 0").outcomes
+        assert (outcome.result, outcome.error, outcome.warnings) == ([None], None, [])

@@ -52,6 +52,23 @@ class TestColumnIsAValue:
         assert (v.kind, v.values, v.na) == ("number", [2.0, 0.0], (1,))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Column("x", "number", [1.0, 2.0], (1, 0)),
+         "column 'x': missing-cell indices out of order or range"),
+        (lambda: DataFrame([Column("x", "number", [1.0]), Column("y", "number", [1.0, 2.0])]),
+         "columns differ in length"),
+        (lambda: from_dict({"x": [1.0]}).column("nope"), "no column named 'nope'"),
+    ],
+    ids=["na-out-of-order", "lengths-differ", "unknown-column"],
+)
+def test_error_message(make, message):
+    with pytest.raises(DataError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 def test_a_pickled_frame_comes_back_equal():
     # the cells command sends frames back from forked worker processes
     df = from_dict(

@@ -198,6 +198,28 @@ class TestCycles:
             rule_io.read_rules("a.txt")
 
 
+@pytest.mark.parametrize(
+    "file, text, message",
+    [
+        ("r.txt", "---\nbogus: 1\n---\nx > 0\n", "unknown front matter keys ['bogus']"),
+        ("r.yml", "- expr: x > 0\n", "expected a mapping at the top level"),
+        ("r.yml", "rules: [5]\n", "rule entry 1 is not a mapping"),
+    ],
+)
+def test_rule_file_error_message(tmp_path, file, text, message):
+    path = tmp_path / file
+    path.write_text(text)
+    with pytest.raises(RuleIOError) as caught:
+        rule_io.read_rules(str(path))
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_table_row_without_a_rule_error_message():
+    with pytest.raises(RuleIOError) as caught:
+        rule_io.table_to_rules([{"name": "a"}])
+    assert str(caught.value) == "row 1: missing 'rule' column"
+
+
 class TestYaml:
     def test_fig3_labels_and_options(self, tmp_path):
         p = tmp_path / "general_rules.yml"

@@ -196,6 +196,21 @@ class TestMetadata:
         with pytest.raises(RuleSetError):
             set_metadata(rs, "label", ["x", "y"])
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda rs: set_metadata(rs, "bogus", ["x"]), "unknown metadata field 'bogus'"),
+            (lambda rs: get_metadata(rs, "bogus"), "unknown metadata field 'bogus'"),
+            (lambda rs: meta_put(rs, "k", [1, 2]), "expected 1 values, got 2"),
+        ],
+        ids=["set_metadata", "get_metadata", "meta_put"],
+    )
+    def test_error_message(self, call, message):
+        rs, _ = make([("a", "x > 0")])
+        with pytest.raises(RuleSetError) as caught:
+            call(rs)
+        assert str(caught.value) == message
+
     def test_meta_put(self):
         rs, _ = make([("a", "x > 0"), ("b", "y > 0")])
         rs2 = meta_put(rs, "severity", ["warning", "error"])
