@@ -19,6 +19,7 @@ from itertools import islice, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
+from . import frame
 from .errors import CheckmateError, DataError, ParseError, RuleIOError, RuleSetError
 from .frame import fill, ingest_csv
 
@@ -260,13 +261,8 @@ def _confront_single(args: argparse.Namespace) -> Validation:
         raise DataError(f"{args.command} needs exactly one data file")
     from .engine import confront_csv
 
-    return confront_csv(args.data[0], _load_rules(args), key=args.key, opts=args.options)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    rs, workers = _load_rules(args), frame._usable_cpus()
+    return confront_csv(args.data[0], rs, key=args.key, opts=args.options, workers=workers)
 
 
 def _per_version(fn, paths: list[str]):
@@ -283,67 +279,12 @@ def _per_version(fn, paths: list[str]):
         if name in files:
             raise DataError(f"data files {files[name]} and {path} share the version name {name!r}")
         files[name] = path
-    workers = min(len(files), _usable_cpus())
+    workers = min(len(files), frame._usable_cpus())
     forked = workers > 1 and hasattr(os, "fork")
-    results = _forked(fn, list(files.values()), workers) if forked else map(fn, files.values())
+    results = (frame._forked(fn, list(files.values()), workers) if forked
+               else map(fn, files.values()))
     # a new pair each time: zip would hold the last result while it makes the next
     return ((name, next(results)) for name in files)
-
-
-def _forked(fn, paths: list[str], workers: int):
-    """``fn`` of each path, in order, the paths dealt out in turn to ``workers``
-    processes: this one does the first of each round as it is asked for, and a
-    forked child each other one, sending a pickle of each result (or of its
-    first error) into a pipe as it makes it, unpickled here as asked for."""
-    import pickle
-    import signal
-
-    # a child would write out again what is still buffered here
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids, pipes = [], {}  # the j-th child does paths[j::workers]; pid -> read end, until reaped
-    try:
-        for first in range(1, workers):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: it leaves only through os._exit
-                try:
-                    with open(w, "wb") as pipe:
-                        try:  # sent as made: the write waits for the parent to read it
-                            for path in paths[first::workers]:
-                                pickle.dump(fn(path), pipe)
-                                pipe.flush()
-                        except Exception as err:  # the parent raises it after the files before it
-                            pickle.dump(err, pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            pids.append(pid)
-            pipes[pid] = open(r, "rb")
-        for i, path in enumerate(paths):
-            if not i % workers:
-                yield fn(path)  # an error here comes before those of later files
-                continue
-            pid = pids[i % workers - 1]
-            try:
-                result = pickle.load(pipes[pid])
-            except (EOFError, pickle.UnpicklingError):  # nothing, or a cut stream
-                result = None
-            if i + workers >= len(paths) or result is None or isinstance(result, Exception):
-                pipes.pop(pid).close()  # the child's last, or it sends no more
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code or result is None:
-                    raise RuntimeError(f"a worker process exited with code {code} and no result")
-                if isinstance(result, Exception):
-                    raise result
-            yield result
-            del result  # else it is held while the next one is unpickled
-    finally:  # left early: stop the children still at work
-        for pid, pipe in pipes.items():
-            os.kill(pid, signal.SIGKILL)
-            pipe.close()
-            os.waitpid(pid, 0)
 
 
 def _compare_validations(args: argparse.Namespace) -> StatusTable:

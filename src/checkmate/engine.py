@@ -667,10 +667,20 @@ def prepare_rule(rule: Rule, opts: OptionSet) -> dsl.Expression:
 
 
 def _key_id(value: float) -> str:
-    """The id of a number key cell, as R's ``as.character`` writes it: 15
-    significant digits, in scientific notation when that is narrower (a tie
-    keeps fixed notation) or when the number has more than 15 integer digits,
-    and an exponent of at least two digits."""
+    """``_as_character(value)``, quicker for an integer below 1e15 in magnitude
+    with fewer than five trailing zeros: its digits, as no narrower form exists."""
+    if -1e15 < value < 1e15 and value.is_integer():
+        digits = str(int(value))
+        if not digits.endswith("00000"):
+            return digits
+    return _as_character(value)
+
+
+def _as_character(value: float) -> str:
+    """A number as R's ``as.character`` writes it: 15 significant digits, in
+    scientific notation when that is narrower (a tie keeps fixed notation) or
+    when the number has more than 15 integer digits, and an exponent of at
+    least two digits."""
     if value != value:
         return "NaN"
     if value in (math.inf, -math.inf):
@@ -762,39 +772,69 @@ def confront(
     return _validation(df, key, (_Outcome(rule, resolved, ref).done(df) for rule in rs.rules), now)
 
 
-def confront_csv(path: str, rs: RuleSet, key=None, opts=None) -> Validation:
+def confront_csv(path: str, rs: RuleSet, key=None, opts=None, workers: int = 1) -> Validation:
     """``confront(ingest_csv(path), rs, key=key, opts=opts)``; but once a full
     block of rows is read, each rule whose ``dsl.reach`` is rows is evaluated
     on each block as it is read. A column is then held whole only if another
     rule or the key reads it, and every column is if a rule's reach is frame
     or the file cannot be read twice (a pipe). Should a column read block by
-    block change kind between blocks, the whole file is confronted after all."""
-    return read_confronting(path, rs, key, opts)[1]()
+    block change kind between blocks, the whole file is confronted after all.
+    A plain file is read in up to ``workers`` byte ranges, each by a process
+    of its own that evaluates those rules on its blocks (see ``read_csv``)."""
+    return read_confronting(path, rs, key, opts, workers)[1]()
 
 
-def read_confronting(path: str, rs: RuleSet, key=None, opts=None) -> tuple:
-    """``path`` read as ``confront_csv`` reads it: (rows, every header name), and a function
-    giving ``confront_csv``'s validation, which raises any error of confronting, not of reading."""
-    resolved, items, local, kinds, keep, names = rs.resolved_options(opts), [], [], set(), None, []
+class _Blocks:
+    """The row-local rules' outcomes, evaluated on each block of rows as it is
+    read, and the (name, kind) of each column the blocks held."""
 
-    def plan(header: list[str]):
-        nonlocal keep
-        names.extend(header)
-        items.extend(_Outcome(rule, resolved) for rule in rs.rules)
+    def __init__(self, items: list):
+        self.items, self.kinds = items, set()
+
+    def __call__(self, block: DataFrame) -> None:
+        self.kinds.update((column.name, column.kind) for column in block.columns)
+        for i in self.items:
+            i.add(block)
+
+    def take(self) -> tuple:
+        """The kinds, and each rule's items, missing items, warnings and error."""
+        return self.kinds, [(i.values, i.na, i.warned, i.outcome.error) for i in self.items]
+
+    def join(self, taken: tuple) -> None:
+        """Add what ``take`` gave, as if its blocks came next."""
+        kinds, pieces = taken
+        self.kinds |= kinds
+        for i, (values, na, warned, error) in zip(self.items, pieces):
+            if i.outcome.error is None:
+                start = len(i.values)
+                i.values += values
+                i.na += map(start.__add__, na)
+                for site, given in warned.items():
+                    i.warned.setdefault(site, given)
+                i.outcome.error = error
+
+
+def read_confronting(path: str, rs: RuleSet, key=None, opts=None, workers: int = 1) -> tuple:
+    """``path`` read as ``confront_csv`` reads it, in up to ``workers`` ranges: (rows, every
+    header name), and a function giving ``confront_csv``'s validation, which raises any error
+    of confronting, not of reading."""
+    resolved, items, local, names = rs.resolved_options(opts), [], [], []
+    keep, blocks = None, _Blocks([])
+
+    def plan(header: list[str]):  # made again, from the start, if a plain read is abandoned
+        nonlocal keep, blocks
+        names[:] = header
+        items[:] = (_Outcome(rule, resolved) for rule in rs.rules)
         reaches = [dsl.reach(i.body) for i in items]
-        local.extend(r == "rows" for r in reaches)
+        local[:] = (r == "rows" for r in reaches)
         whole = [i.body for i, row in zip(items, local) if not row]
         if os.path.isfile(path) and "frame" not in reaches:
             keep = {key, *chain.from_iterable(map(dsl.variables, whole))}
-        return keep, {n for i in compress(items, local) for n in dsl.variables(i.body)}, on_block
+        blocks = _Blocks(list(compress(items, local)))
+        return keep, {n for i in blocks.items for n in dsl.variables(i.body)}, blocks
 
-    def on_block(block: DataFrame) -> None:
-        kinds.update((column.name, column.kind) for column in block.columns)
-        for i in compress(items, local):
-            i.add(block)
-
-    df = read_csv(path, plan)
-    shape = (df.n, names or df.names)  # unplanned, every column is held
+    df = read_csv(path, plan, workers)
+    shape, kinds = (df.n, names or df.names), blocks.kinds  # unplanned, every column is held
     if len(items) < len(rs.rules) or len(kinds) > len(dict(kinds)):  # unplanned, or a kind changed
         return shape, partial(confront, df if keep is None else ingest_csv(path), rs, key, opts=opts)
     outcomes = (i.done(None if row else df) for i, row in zip(items, local))

@@ -6,17 +6,21 @@ next to the sorted indices of its missing cells. A frame holds named
 equal-length columns, each a vector with a name, and its row count, given
 when it has no column. A number column keeps its cells in an ``array('d')``,
 8 bytes a cell; every other vector keeps a list. A CSV file is read a block
-of rows at a time, and ``read_csv`` may pass some columns on block by block
-instead of holding them.
+of rows at a time, a plain one in byte ranges that forked workers may share,
+and ``read_csv`` may pass some columns on block by block instead of holding
+them.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import os
+import sys
 from array import array
 from bisect import bisect_left
-from itertools import chain, compress, islice
+from functools import partial
+from itertools import chain, compress, islice, repeat
 from operator import lt
 
 from .errors import DataError
@@ -176,6 +180,7 @@ _MISSING_TOKENS = frozenset(("", "NA"))
 _BOOL_CELLS = {"true": True, "TRUE": True, "false": False, "FALSE": False,
                **dict.fromkeys(_MISSING_TOKENS, False)}
 _BLOCK_ROWS = 1024  # rows read and converted at a time; only one block is held as strings
+_SCAN_BYTES = 1 << 16  # bytes read at a time to tell whether a file is plain
 _DISTINCT_CAP = 2048  # distinct texts past which a mostly-distinct column keeps no dict
 
 
@@ -256,25 +261,127 @@ def _line_after(records: list[list[str]]) -> int:
     return 1 + len(records) + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in fields)
 
 
+class _Irregular(Exception):
+    """A plain read met a line that only ``csv.reader`` reads as it should."""
+
+
+def _plain(path: str, workers: int) -> tuple[bytes, int, list[tuple[int, int]]] | None:
+    """For a plain file, a regular one holding no quote, NUL or carriage
+    return but before a newline: its header line, its row count (or a count
+    past ``workers`` full blocks) and up to ``workers`` byte ranges of its
+    rows, one per full block, cut just after a newline. Else None."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        lines, last = 0, b"\n"
+        for chunk in chain([head], iter(partial(fh.read, _SCAN_BYTES), b"")):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)
+            if b'"' in chunk or b"\0" in chunk or b"\r" in chunk and (
+                    chunk.count(b"\r") != chunk.count(b"\r\n")):
+                return None
+            if lines <= workers * _BLOCK_ROWS:  # enough to tell how many ranges
+                lines += chunk.count(b"\n")
+            last = chunk[-1:]
+        rows, start, end = lines - 1 + (last != b"\n"), len(head), fh.tell()
+        n = max(1, min(workers, rows // _BLOCK_ROWS))
+        cuts = [start]
+        for k in range(1, n):  # just after the first newline from the k-th n-th on
+            fh.seek(start + (end - start) * k // n - 1)
+            fh.readline()
+            cuts.append(fh.tell())
+    spans = [(a, b) for a, b in zip(cuts, [*cuts[1:], end]) if a < b]
+    return head, rows, spans or [(start, end)]
+
+
+def _next_lines(fh, end: int, size: int) -> bytes:
+    """The next ``_BLOCK_ROWS`` lines of ``fh`` before byte ``end``: ``size``
+    bytes read, then cut or completed line by line."""
+    data = fh.read(min(size, end - fh.tell()))
+    extra = data.count(b"\n") - _BLOCK_ROWS
+    if extra < 0 and fh.tell() >= end:  # the last lines of the range
+        return data
+    if extra < 0:  # the lines to come; the first completes the last line read
+        lines = [data, *islice(fh, -extra)]
+        while fh.tell() > end:  # lines of the next range
+            fh.seek(fh.tell() - len(lines.pop()))
+        return b"".join(lines)
+    cut = data.rfind(b"\n")
+    for _ in range(extra):
+        cut = data.rfind(b"\n", 0, cut)
+    fh.seek(cut + 1 - len(data), 1)
+    return data[: cut + 1]
+
+
+def _cells(data: bytes, width: int) -> tuple[list[str], int]:
+    """The cells of plain lines ``data``, row after row, and the count of rows;
+    _Irregular unless each line has ``width`` fields as ``csv.reader`` reads
+    it, none past its size limit (and UnicodeDecodeError unless UTF-8)."""
+    text = data.decode().replace("\r", "")
+    if not text.endswith("\n"):  # the file's last line
+        text += "\n"
+    rows, limit = text.count("\n"), csv.field_size_limit()
+    cells = text.replace("\n", "\n,").split(",")  # a line's last cell keeps its newline
+    cells.pop()  # the nothing after the last newline
+    ends = "".join(cells[width - 1::width])
+    if (len(cells) != rows * width or ends.count("\n") != rows  # so every newline ends a line
+            or width == 1 and (text[0] == "\n" or "\n\n" in text)  # an empty line has no field
+            or len(text) >= limit and max(map(len, cells)) >= limit):
+        raise _Irregular
+    cells[width - 1::width] = ends.split("\n")[:-1]
+    return cells, rows
+
+
+def _planned(columns: list[_ColumnReader], header: list[str], keep, blocked) -> list:
+    """The (index, reader) of each column held or passed on; each reader told if it is held."""
+    for c, name in zip(columns, header):
+        c.held = keep is None or name in keep
+    return [(j, c) for j, (c, name) in enumerate(zip(columns, header)) if c.held or name in blocked]
+
+
+def _block(columns: list[_ColumnReader], header: list[str], blocked, rows: int) -> DataFrame:
+    """The last ``rows`` rows of the columns passed on."""
+    return DataFrame([c.column(name, len(c.values) - rows)
+                      for c, name in zip(columns, header) if name in blocked])
+
+
+def _frame(path: str, columns: list[Column], rows: int) -> DataFrame:
+    try:  # no record under an empty header
+        return DataFrame(columns, rows)
+    except DataError as err:  # a header that names a column twice
+        raise DataError(f"{path}: {err}") from None
+
+
 def ingest_csv(path: str) -> DataFrame:
     """Read an RFC-4180 CSV with a header row, inferring column types: ``read_csv`` with no plan."""
     return read_csv(path)
 
 
-def read_csv(path: str, plan=None) -> DataFrame:
+def read_csv(path: str, plan=None, workers: int = 1) -> DataFrame:
     """Read an RFC-4180 CSV with a header row, inferring column types.
 
     Empty cells and the literal NA are missing. A column is boolean when its
     other cells are true/false (either case) and there is one, number when
     they parse as decimals as R reads them (or there is none, as in
     ``from_dict``), text otherwise. A leading UTF-8 byte-order mark is
-    skipped. The file is read once, front to back, ``_BLOCK_ROWS`` rows at a
-    time, so it may be a pipe.
+    skipped. The file is read front to back, ``_BLOCK_ROWS`` rows at a time.
 
-    Once a block of ``_BLOCK_ROWS`` rows is read, ``plan(header)``, if given,
-    names the columns to hold (all when None) and those to pass on, block by
-    block, to the function it gives last, as frames typed as the file so far
-    types them; the frame returned holds the former, with every row. A file
+    A plain file (see ``_plain``) is read in up to ``workers`` byte ranges,
+    one per full block, each block split at its commas: this process reads
+    the first range, a forked child each other one. Anything else, a pipe
+    say, is read once by ``csv.reader``, and so is a plain file after all if
+    a range meets a line ``csv.reader`` would read otherwise or refuse, or a
+    held column's kind differs between ranges: the frame and errors are
+    the same either way.
+
+    Given a block's worth of rows, ``plan(header)``, if given, names the
+    columns to hold (all when None) and those to pass on, block by block, to
+    the function it gives last, as frames typed as the range so far types
+    them; the frame returned holds the former, with every row, and no other
+    column is converted. That function's ``take()`` gives what a child's
+    blocks gave, as ``pickle`` takes it, and ``join`` adds it in, in range
+    order. ``plan`` is called again if a plain read is abandoned. A file
     whose header names a column twice is not planned.
     """
     # the blocks and columns hold only strings and floats, so the cyclic
@@ -282,46 +389,169 @@ def read_csv(path: str, plan=None) -> DataFrame:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            if len(set(header)) < len(header):
-                plan = None
-            width, rows, blocked, on_block = len(header), 0, (), None
-            columns = [_ColumnReader() for _ in header]
-            while True:
-                start = reader.line_num  # the physical lines before the block
-                block = list(islice(reader, _BLOCK_ROWS))
-                if not block:
-                    break
-                if set(map(len, block)) - {width}:
-                    i, row = next((i, r) for i, r in enumerate(block) if len(r) != width)
-                    line = start + _line_after(block[:i])
-                    for _ in reader:  # an unreadable cell further on is reported instead
-                        pass
-                    raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
-                if len(block) == _BLOCK_ROWS and plan is not None:  # more may follow
-                    keep, blocked, on_block = plan(header)
-                    plan = None
-                    for c, name in zip(columns, header):
-                        c.held = keep is None or name in keep
-                for column, raw in zip(columns, zip(*block)):
-                    column.add(raw)
-                if on_block is not None:
-                    on_block(DataFrame([c.column(name, len(c.values) - len(block))
-                                        for c, name in zip(columns, header) if name in blocked]))
-                rows += len(block)
-                del block  # freed before the next block is read, not after
         try:
-            held = [c.column(name) for c, name in zip(columns, header) if c.held]
-            return DataFrame(held, rows if width else 0)  # no record under an empty header
-        except DataError as err:  # a header that names a column twice
-            raise DataError(f"{path}: {err}") from None
+            plain = _plain(path, workers if hasattr(os, "fork") else 1)
+            if plain is not None:
+                return _read_ranges(path, plan, *plain)
+        except (_Irregular, OSError, UnicodeDecodeError):
+            pass  # csv.reader reads it, or reports what it meets
+        return _read_rows(path, plan)
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     finally:
         if enabled:
             gc.enable()
+
+
+def _read_ranges(path: str, plan, head: bytes, rows: int, spans: list) -> DataFrame:
+    header = head.decode("utf-8-sig").removesuffix("\n").removesuffix("\r").split(",")
+    if header == [""] or len(head) >= csv.field_size_limit():
+        raise _Irregular
+    width = len(header)
+    keep, blocked, on_block, reader = None, (), None, os.getpid()
+    if plan is not None and rows >= _BLOCK_ROWS and len(set(header)) == width:
+        keep, blocked, on_block = plan(header)
+
+    def read(span: tuple[int, int]) -> tuple:
+        """A range's held columns, rows and, in a child, what ``on_block`` took."""
+        columns = [_ColumnReader() for _ in header]
+        fed, count, end = _planned(columns, header, keep, blocked), 0, span[1]
+        with open(path, "rb") as fh:
+            fh.seek(span[0])
+            size = len(head) * _BLOCK_ROWS  # bytes to read for a block: at first a guess
+            while data := _next_lines(fh, end, size):
+                size = len(data)
+                cells, got = _cells(data, width)
+                for j, c in fed:
+                    c.add(cells[j::width])
+                del cells
+                if on_block is not None:
+                    on_block(_block(columns, header, blocked, got))
+                count += got
+        held = [c.column(name) for c, name in zip(columns, header) if c.held]
+        return held, count, on_block.take() if on_block and os.getpid() != reader else None
+
+    parts = _forked(read, spans, len(spans)) if len(spans) > 1 else map(read, spans)
+    columns, count = None, 0
+    for part, n, taken in parts:
+        if columns is None:
+            columns = part
+        else:
+            for c in columns:  # each column of the range added, then dropped
+                more = part.pop(0)
+                if more.kind != c.kind:
+                    raise _Irregular
+                c.values += more.values
+                c.na += tuple(map(count.__add__, more.na))
+        if taken is not None:
+            on_block.join(taken)
+        count += n
+    return _frame(path, columns, count)
+
+
+def _read_rows(path: str, plan) -> DataFrame:
+    """``read_csv`` by ``csv.reader``, which reads any file once, so a pipe too."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(set(header)) < len(header):
+            plan = None
+        width, rows, blocked, on_block = len(header), 0, (), None
+        columns = [_ColumnReader() for _ in header]
+        fed = list(enumerate(columns))
+        while True:
+            start = reader.line_num  # the physical lines before the block
+            block = list(islice(reader, _BLOCK_ROWS))
+            if not block:
+                break
+            if set(map(len, block)) - {width}:
+                i, row = next((i, r) for i, r in enumerate(block) if len(r) != width)
+                line = start + _line_after(block[:i])
+                for _ in reader:  # an unreadable cell further on is reported instead
+                    pass
+                raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+            if len(block) == _BLOCK_ROWS and plan is not None:  # more may follow
+                keep, blocked, on_block = plan(header)
+                plan = None
+                fed = _planned(columns, header, keep, blocked)
+            raw = list(zip(*block))
+            for j, c in fed:
+                c.add(raw[j])
+            del raw
+            if on_block is not None:
+                on_block(_block(columns, header, blocked, len(block)))
+            rows += len(block)
+            del block  # freed before the next block is read, not after
+    held = [c.column(name) for c, name in zip(columns, header) if c.held]
+    return _frame(path, held, rows if width else 0)
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked(fn, items: list, workers: int):
+    """``fn`` of each item (a data file, or a byte range of one), in order, the
+    items dealt out in turn to ``workers`` processes: this one does the first
+    of each round as it is asked for, and a forked child each other one,
+    sending a pickle of each result (or of its first error) into a pipe as it
+    makes it, unpickled here as asked for."""
+    import pickle
+    import signal
+
+    # a child would write out again what is still buffered here
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, pipes = [], {}  # the j-th child does items[j::workers]; pid -> read end, until reaped
+    try:
+        for first in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: it leaves only through os._exit
+                try:
+                    with open(w, "wb") as pipe:
+                        try:  # sent as made: the write waits for the parent to read it
+                            for item in items[first::workers]:
+                                pickle.dump(fn(item), pipe)
+                                pipe.flush()
+                        except Exception as err:  # the parent raises it after the files before it
+                            pickle.dump(err, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            pids.append(pid)
+            pipes[pid] = open(r, "rb")
+        for i, item in enumerate(items):
+            if not i % workers:
+                yield fn(item)  # an error here comes before those of later files
+                continue
+            pid = pids[i % workers - 1]
+            try:
+                result = pickle.load(pipes[pid])
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a cut stream
+                result = None
+            if i + workers >= len(items) or result is None or isinstance(result, Exception):
+                pipes.pop(pid).close()  # the child's last, or it sends no more
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code or result is None:
+                    raise RuntimeError(f"a worker process exited with code {code} and no result")
+                if isinstance(result, Exception):
+                    raise result
+            yield result
+            del result  # else it is held while the next one is unpickled
+    finally:  # left early: stop the children still at work
+        for pid, pipe in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from checkmate import cli, new_ruleset, rules
+from checkmate import cli, frame, new_ruleset, rules
 
 SAMPLE_DIR = os.path.join(os.path.dirname(__file__), "..", "sample")
 SAMPLE_DATA = os.path.join(SAMPLE_DIR, "retailers_synthetic.csv")
@@ -41,22 +41,22 @@ def retailer_rules():
 
 @pytest.fixture
 def usable_cpus(monkeypatch):
-    """A setter of the CPU count ``cli._per_version`` sees; it returns the list of
-    batches of worker processes forked since. A count above 1 is skipped where
-    there is no fork."""
+    """A setter of the CPU count the CLI sees; it returns the list of batches of
+    worker processes forked since, for data files or for ranges of one. A count
+    above 1 is skipped where there is no fork."""
     made = []
-    forked = cli._forked
+    forked = frame._forked
 
     def recorded(fn, paths, workers):
         made.append(workers)
         return forked(fn, paths, workers)
 
-    monkeypatch.setattr(cli, "_forked", recorded)
+    monkeypatch.setattr(frame, "_forked", recorded)
 
     def set_count(n: int) -> list:
         if n > 1 and not hasattr(os, "fork"):
             pytest.skip("worker processes need fork")
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(frame, "_usable_cpus", lambda: n)
         return made
 
     return set_count

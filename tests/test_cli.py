@@ -1439,8 +1439,8 @@ class TestPackaging:
         proc = _python(
             "-c",
             "import os, sys\n"
-            "from checkmate import cli\n"
-            f"cli._usable_cpus = lambda: {cpus}\n"
+            "from checkmate import cli, frame\n"
+            f"frame._usable_cpus = lambda: {cpus}\n"
             "code = cli.main(['cells', *sys.argv[1:], '--out', os.devnull])\n"
             f"print(code, [m for m in {RULE_MODULES!r} if m in sys.modules])",
             *paths,
@@ -1620,9 +1620,9 @@ class TestPerVersionWorkers:
         proc = _python(
             "-c",
             "import sys\n"
-            "from checkmate import cli\n"
-            "cli._usable_cpus, forked, batches = (lambda: 2), cli._forked, []\n"
-            "cli._forked = lambda *args: batches.append(args[2]) or forked(*args)\n"
+            "from checkmate import cli, frame\n"
+            "frame._usable_cpus, forked, batches = (lambda: 2), frame._forked, []\n"
+            "frame._forked = lambda *args: batches.append(args[2]) or forked(*args)\n"
             f"code = cli.main({argv!r})\n"
             "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
             "print(code, batches, loaded)",
@@ -1727,8 +1727,8 @@ class TestVersionFold:
             proc = _python(
                 "-c",
                 "import os, sys\n"
-                "from checkmate import cli\n"
-                f"cli._usable_cpus = lambda: {cpus}\n"
+                "from checkmate import cli, frame\n"
+                f"frame._usable_cpus = lambda: {cpus}\n"
                 "pid = os.fork()\n"
                 "if pid == 0:\n"
                 f"    {statement}\n"

@@ -6,8 +6,10 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from checkmate import dsl, from_dict, ingest_csv
+from checkmate import dsl, engine, from_dict, ingest_csv
 from checkmate.engine import (
     check_that,
     confront,
@@ -640,3 +642,26 @@ class TestRuleErrors:
         df = from_dict({"x": [1.0, 2.0, 3.0], "y": [1.0, 1.0, 1.0]})
         (outcome,) = check_that(df, "cor(x, y) > 0").outcomes
         assert (outcome.result, outcome.error, outcome.warnings) == ([None], None, [])
+
+
+class TestKeyId:
+    """A number key cell's id, as R's ``as.character`` writes it: the quick path
+    for integers gives what the general formula gives."""
+
+    @pytest.mark.parametrize("value, text", [
+        (1.0, "1"), (-0.0, "0"), (30.0, "30"), (2.5, "2.5"), (100000.0, "1e+05"),
+        (-100000.0, "-1e+05"), (120000.0, "120000"), (1200000.0, "1200000"),
+        (100001.0, "100001"), (123456.0, "123456"), (999999999999999.0, "999999999999999"),
+        (1e15, "1e+15"), (1.2345678901234568e17, "1.23456789012346e+17"), (0.0001, "1e-04"),
+        (math.inf, "Inf"), (-math.inf, "-Inf"), (math.nan, "NaN"),
+    ])
+    def test_examples(self, value, text):
+        assert engine._key_id(value) == engine._as_character(value) == text
+
+    @settings(derandomize=True, max_examples=2000, database=None)
+    @given(st.one_of(
+        st.integers(-10**15, 10**15),
+        st.builds(lambda m, e: m * 10**e, st.integers(-999, 999), st.integers(0, 16)),
+    ))
+    def test_the_quick_path_agrees_with_the_formula(self, n):
+        assert engine._key_id(float(n)) == engine._as_character(float(n))

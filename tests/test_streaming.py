@@ -40,12 +40,16 @@ def _outcome_of(run):
 
 
 def _assert_streams_as_whole(path, rs, block_rows, key=None, opts=None):
-    """The result of ``confront_csv`` with ``block_rows`` rows to a block,
-    asserted equal to that of ``confront`` on the whole file."""
-    whole = _outcome_of(lambda: confront(ingest_csv(path), rs, key=key, opts=opts))
-    with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
-        streamed = _outcome_of(lambda: confront_csv(path, rs, key=key, opts=opts))
-    assert streamed == whole
+    """The result of ``confront_csv`` with ``block_rows`` rows to a block, in
+    one range and, where ``fork`` is, in two, asserted equal to that of
+    ``confront`` on the whole file as ``csv.reader`` reads it."""
+    with mock.patch.object(frame, "_plain", lambda path, workers: None):
+        whole = _outcome_of(lambda: confront(ingest_csv(path), rs, key=key, opts=opts))
+    for workers in [1, 2] if hasattr(os, "fork") else [1]:
+        with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
+            streamed = _outcome_of(lambda: confront_csv(path, rs, key=key, opts=opts,
+                                                        workers=workers))
+        assert streamed == whole
     return streamed
 
 
@@ -368,7 +372,9 @@ def test_a_pipe_whose_column_turns_to_text_late(tmp_path, block_rows):
 # ---------------------------------------------------------------------------
 
 
-def test_a_column_only_row_local_rules_read_is_never_built_whole(tmp_path, monkeypatch, capsys):
+def test_a_column_only_row_local_rules_read_is_never_built_whole(tmp_path, monkeypatch, capsys,
+                                                                 usable_cpus):
+    usable_cpus(1)  # one range: a held column is built whole, not joined from ranges
     rows = [f"r{i},{i},{i % 7 - 1},{i * 3},{'ax'[i % 2]}{i}" for i in range(40)]
     data = _write(tmp_path, _rows(*rows, header="id,a,b,c,s"))
     rules = _write(tmp_path, "a >= 0\nif (a > 1) b > 0\ngrepl('x', s)\nmean(c) > 0\n"
