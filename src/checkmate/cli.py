@@ -269,9 +269,9 @@ def _per_version(fn, paths: list[str]):
     """(version name, ``fn(path)``) of each data file, the name being the file's
     base name, made one at a time as they are asked for.
 
-    With more than one usable CPU and file and with ``fork``, ``_forked`` shares
-    the files out; otherwise they are done here in turn. Either way the first
-    failing file, in the order given, raises its error.
+    ``_forked`` shares the files out over the usable CPUs, or with one usable
+    CPU or file does them here in turn. Either way the first failing file, in
+    the order given, raises its error.
     """
     files: dict[str, str] = {}  # version name -> data file
     for path in paths:
@@ -279,10 +279,7 @@ def _per_version(fn, paths: list[str]):
         if name in files:
             raise DataError(f"data files {files[name]} and {path} share the version name {name!r}")
         files[name] = path
-    workers = min(len(files), frame._usable_cpus())
-    forked = workers > 1 and hasattr(os, "fork")
-    results = (frame._forked(fn, list(files.values()), workers) if forked
-               else map(fn, files.values()))
+    results = frame._forked(fn, list(files.values()), min(len(files), frame._usable_cpus()))
     # a new pair each time: zip would hold the last result while it makes the next
     return ((name, next(results)) for name in files)
 

@@ -6,9 +6,9 @@ next to the sorted indices of its missing cells. A frame holds named
 equal-length columns, each a vector with a name, and its row count, given
 when it has no column. A number column keeps its cells in an ``array('d')``,
 8 bytes a cell; every other vector keeps a list. A CSV file is read a block
-of rows at a time, a plain one in byte ranges that forked workers may share,
-and ``read_csv`` may pass some columns on block by block instead of holding
-them.
+of rows at a time, a large plain one in byte ranges that forked workers may
+share, and ``read_csv`` may pass some columns on block by block instead of
+holding them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import os
 import sys
 from array import array
 from bisect import bisect_left
-from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import lt
 
@@ -180,7 +179,7 @@ _MISSING_TOKENS = frozenset(("", "NA"))
 _BOOL_CELLS = {"true": True, "TRUE": True, "false": False, "FALSE": False,
                **dict.fromkeys(_MISSING_TOKENS, False)}
 _BLOCK_ROWS = 1024  # rows read and converted at a time; only one block is held as strings
-_SCAN_BYTES = 1 << 16  # bytes read at a time to tell whether a file is plain
+_RANGE_BYTES = 8 << 20  # bytes of rows per byte range: a smaller file is read in one
 _DISTINCT_CAP = 2048  # distinct texts past which a mostly-distinct column keeps no dict
 
 
@@ -265,34 +264,24 @@ class _Irregular(Exception):
     """A plain read met a line that only ``csv.reader`` reads as it should."""
 
 
-def _plain(path: str, workers: int) -> tuple[bytes, int, list[tuple[int, int]]] | None:
-    """For a plain file, a regular one holding no quote, NUL or carriage
-    return but before a newline: its header line, its row count (or a count
-    past ``workers`` full blocks) and up to ``workers`` byte ranges of its
-    rows, one per full block, cut just after a newline. Else None."""
+def _plain(path: str, workers: int) -> tuple[bytes, list[tuple[int, int]]] | None:
+    """For a regular file, which is read as plain until a block shows it is
+    not: its header line and up to ``workers`` byte ranges of its rows, one
+    per ``_RANGE_BYTES`` or part of it, cut just after a newline. Else (a
+    pipe, say) None."""
     if not os.path.isfile(path):
         return None
     with open(path, "rb") as fh:
         head = fh.readline()
-        lines, last = 0, b"\n"
-        for chunk in chain([head], iter(partial(fh.read, _SCAN_BYTES), b"")):
-            if chunk.endswith(b"\r"):
-                chunk += fh.read(1)
-            if b'"' in chunk or b"\0" in chunk or b"\r" in chunk and (
-                    chunk.count(b"\r") != chunk.count(b"\r\n")):
-                return None
-            if lines <= workers * _BLOCK_ROWS:  # enough to tell how many ranges
-                lines += chunk.count(b"\n")
-            last = chunk[-1:]
-        rows, start, end = lines - 1 + (last != b"\n"), len(head), fh.tell()
-        n = max(1, min(workers, rows // _BLOCK_ROWS))
+        start, end = len(head), os.fstat(fh.fileno()).st_size
+        n = max(1, min(workers, -((start - end) // _RANGE_BYTES)))
         cuts = [start]
         for k in range(1, n):  # just after the first newline from the k-th n-th on
             fh.seek(start + (end - start) * k // n - 1)
             fh.readline()
             cuts.append(fh.tell())
     spans = [(a, b) for a, b in zip(cuts, [*cuts[1:], end]) if a < b]
-    return head, rows, spans or [(start, end)]
+    return head, spans or [(start, end)]
 
 
 def _next_lines(fh, end: int, size: int) -> bytes:
@@ -315,9 +304,12 @@ def _next_lines(fh, end: int, size: int) -> bytes:
 
 
 def _cells(data: bytes, width: int) -> tuple[list[str], int]:
-    """The cells of plain lines ``data``, row after row, and the count of rows;
-    _Irregular unless each line has ``width`` fields as ``csv.reader`` reads
+    """The cells of lines ``data``, row after row, and the count of rows;
+    _Irregular unless they are plain (no quote, NUL or carriage return but
+    before a newline) and each has ``width`` fields as ``csv.reader`` reads
     it, none past its size limit (and UnicodeDecodeError unless UTF-8)."""
+    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        raise _Irregular
     text = data.decode().replace("\r", "")
     if not text.endswith("\n"):  # the file's last line
         text += "\n"
@@ -333,17 +325,59 @@ def _cells(data: bytes, width: int) -> tuple[list[str], int]:
     return cells, rows
 
 
-def _planned(columns: list[_ColumnReader], header: list[str], keep, blocked) -> list:
-    """The (index, reader) of each column held or passed on; each reader told if it is held."""
+def _range_blocks(path: str, span: tuple[int, int], width: int, size: int):
+    """The blocks of a byte range of a plain file, each its cells and its
+    count of rows; ``size`` is a first guess of a block's bytes."""
+    with open(path, "rb") as fh:
+        fh.seek(span[0])
+        while data := _next_lines(fh, span[1], size):
+            size = len(data)
+            yield _cells(data, width)
+
+
+def _row_blocks(path: str, reader, width: int):
+    """The blocks of the rows ``csv.reader`` reads, each its cells and its
+    count of rows; a row of other than ``width`` fields is a DataError."""
+    start = reader.line_num  # the physical lines before the block
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        if set(map(len, block)) - {width}:
+            i, row = next((i, r) for i, r in enumerate(block) if len(r) != width)
+            line = start + _line_after(block[:i])
+            for _ in reader:  # an unreadable cell further on is reported instead
+                pass
+            raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
+        yield list(chain.from_iterable(block)), len(block)
+        del block  # freed before the next block is read, not after
+        start = reader.line_num
+
+
+def _planned(plan, header: list[str], blocks) -> tuple:
+    """What ``plan(header)`` gives once the first of ``blocks`` is read, if that
+    block is full and the header names no column twice, else a plan of
+    nothing; and the blocks from the first, let go once the next is asked for."""
+    first = list(islice(blocks, 1))
+    full = first and first[0][1] == _BLOCK_ROWS and len(set(header)) == len(header)
+    return plan(header) if plan and full else (None, (), None), chain(iter(first), blocks)
+
+
+def _read_blocks(blocks, header: list[str], keep, blocked, on_block) -> tuple[list[Column], int]:
+    """The columns ``keep`` names (all when None) and the count of rows of
+    ``blocks``; each column ``blocked`` names goes to ``on_block`` block by
+    block, as the last rows of a frame, and no other column is converted."""
+    width, count = len(header), 0
+    columns = [_ColumnReader() for _ in header]
     for c, name in zip(columns, header):
         c.held = keep is None or name in keep
-    return [(j, c) for j, (c, name) in enumerate(zip(columns, header)) if c.held or name in blocked]
-
-
-def _block(columns: list[_ColumnReader], header: list[str], blocked, rows: int) -> DataFrame:
-    """The last ``rows`` rows of the columns passed on."""
-    return DataFrame([c.column(name, len(c.values) - rows)
-                      for c, name in zip(columns, header) if name in blocked])
+    fed = [(j, c) for j, (c, name) in enumerate(zip(columns, header)) if c.held or name in blocked]
+    for cells, rows in blocks:
+        for j, c in fed:
+            c.add(cells[j::width])
+        del cells
+        if on_block is not None:
+            on_block(DataFrame([c.column(name, len(c.values) - rows)
+                                for c, name in zip(columns, header) if name in blocked]))
+        count += rows
+    return [c.column(name) for c, name in zip(columns, header) if c.held], count
 
 
 def _frame(path: str, columns: list[Column], rows: int) -> DataFrame:
@@ -367,15 +401,15 @@ def read_csv(path: str, plan=None, workers: int = 1) -> DataFrame:
     ``from_dict``), text otherwise. A leading UTF-8 byte-order mark is
     skipped. The file is read front to back, ``_BLOCK_ROWS`` rows at a time.
 
-    A plain file (see ``_plain``) is read in up to ``workers`` byte ranges,
-    one per full block, each block split at its commas: this process reads
-    the first range, a forked child each other one. Anything else, a pipe
-    say, is read once by ``csv.reader``, and so is a plain file after all if
-    a range meets a line ``csv.reader`` would read otherwise or refuse, or a
-    held column's kind differs between ranges: the frame and errors are
-    the same either way.
+    A regular file is read as plain, each block split at its commas, in up
+    to ``workers`` byte ranges, one per ``_RANGE_BYTES`` of rows or part: this
+    process reads the first range, a forked child each other one. Anything
+    else, a pipe say, is read by ``csv.reader``, and so is the whole file
+    after all if a block is not plain or has a line ``csv.reader`` would
+    read otherwise or refuse (see ``_cells``), or a held column's kind
+    differs between ranges: the frame and errors are the same either way.
 
-    Given a block's worth of rows, ``plan(header)``, if given, names the
+    Once a full first block is read, ``plan(header)``, if given, names the
     columns to hold (all when None) and those to pass on, block by block, to
     the function it gives last, as frames typed as the range so far types
     them; the frame returned holds the former, with every row, and no other
@@ -390,7 +424,7 @@ def read_csv(path: str, plan=None, workers: int = 1) -> DataFrame:
     gc.disable()
     try:
         try:
-            plain = _plain(path, workers if hasattr(os, "fork") else 1)
+            plain = _plain(path, workers)
             if plain is not None:
                 return _read_ranges(path, plan, *plain)
         except (_Irregular, OSError, UnicodeDecodeError):
@@ -403,37 +437,22 @@ def read_csv(path: str, plan=None, workers: int = 1) -> DataFrame:
             gc.enable()
 
 
-def _read_ranges(path: str, plan, head: bytes, rows: int, spans: list) -> DataFrame:
-    header = head.decode("utf-8-sig").removesuffix("\n").removesuffix("\r").split(",")
-    if header == [""] or len(head) >= csv.field_size_limit():
+def _read_ranges(path: str, plan, head: bytes, spans: list) -> DataFrame:
+    width, reader = head.count(b",") + 1, os.getpid()
+    header = _cells(head, width)[0]
+    header[0] = header[0].removeprefix("\ufeff")
+    if header == [""]:
         raise _Irregular
-    width = len(header)
-    keep, blocked, on_block, reader = None, (), None, os.getpid()
-    if plan is not None and rows >= _BLOCK_ROWS and len(set(header)) == width:
-        keep, blocked, on_block = plan(header)
+    sources = [_range_blocks(path, span, width, len(head) * _BLOCK_ROWS) for span in spans]
+    (keep, blocked, on_block), sources[0] = _planned(plan, header, sources[0])
 
-    def read(span: tuple[int, int]) -> tuple:
+    def read(blocks) -> tuple:
         """A range's held columns, rows and, in a child, what ``on_block`` took."""
-        columns = [_ColumnReader() for _ in header]
-        fed, count, end = _planned(columns, header, keep, blocked), 0, span[1]
-        with open(path, "rb") as fh:
-            fh.seek(span[0])
-            size = len(head) * _BLOCK_ROWS  # bytes to read for a block: at first a guess
-            while data := _next_lines(fh, end, size):
-                size = len(data)
-                cells, got = _cells(data, width)
-                for j, c in fed:
-                    c.add(cells[j::width])
-                del cells
-                if on_block is not None:
-                    on_block(_block(columns, header, blocked, got))
-                count += got
-        held = [c.column(name) for c, name in zip(columns, header) if c.held]
+        held, count = _read_blocks(blocks, header, keep, blocked, on_block)
         return held, count, on_block.take() if on_block and os.getpid() != reader else None
 
-    parts = _forked(read, spans, len(spans)) if len(spans) > 1 else map(read, spans)
     columns, count = None, 0
-    for part, n, taken in parts:
+    for part, n, taken in _forked(read, sources, len(sources)):
         if columns is None:
             columns = part
         else:
@@ -457,36 +476,9 @@ def _read_rows(path: str, plan) -> DataFrame:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if len(set(header)) < len(header):
-            plan = None
-        width, rows, blocked, on_block = len(header), 0, (), None
-        columns = [_ColumnReader() for _ in header]
-        fed = list(enumerate(columns))
-        while True:
-            start = reader.line_num  # the physical lines before the block
-            block = list(islice(reader, _BLOCK_ROWS))
-            if not block:
-                break
-            if set(map(len, block)) - {width}:
-                i, row = next((i, r) for i, r in enumerate(block) if len(r) != width)
-                line = start + _line_after(block[:i])
-                for _ in reader:  # an unreadable cell further on is reported instead
-                    pass
-                raise DataError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
-            if len(block) == _BLOCK_ROWS and plan is not None:  # more may follow
-                keep, blocked, on_block = plan(header)
-                plan = None
-                fed = _planned(columns, header, keep, blocked)
-            raw = list(zip(*block))
-            for j, c in fed:
-                c.add(raw[j])
-            del raw
-            if on_block is not None:
-                on_block(_block(columns, header, blocked, len(block)))
-            rows += len(block)
-            del block  # freed before the next block is read, not after
-    held = [c.column(name) for c, name in zip(columns, header) if c.held]
-    return _frame(path, held, rows if width else 0)
+        planned, blocks = _planned(plan, header, _row_blocks(path, reader, len(header)))
+        held, rows = _read_blocks(blocks, header, *planned)
+    return _frame(path, held, rows if header else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +493,15 @@ def _usable_cpus() -> int:
 
 
 def _forked(fn, items: list, workers: int):
-    """``fn`` of each item (a data file, or a byte range of one), in order, the
-    items dealt out in turn to ``workers`` processes: this one does the first
-    of each round as it is asked for, and a forked child each other one,
-    sending a pickle of each result (or of its first error) into a pipe as it
-    makes it, unpickled here as asked for."""
+    """``fn`` of each item (a data file, or the blocks of a byte range of one),
+    in order, as asked for: all made here with fewer than two ``workers`` or
+    no ``os.fork``, else dealt out in turn to ``workers`` processes. This one
+    does the first of each round, and a forked child each other one, sending
+    a pickle of each result (or of its first error) into a pipe as it makes
+    it, unpickled here."""
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(fn, items)
+        return
     import pickle
     import signal
 

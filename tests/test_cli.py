@@ -1622,7 +1622,7 @@ class TestPerVersionWorkers:
             "import sys\n"
             "from checkmate import cli, frame\n"
             "frame._usable_cpus, forked, batches = (lambda: 2), frame._forked, []\n"
-            "frame._forked = lambda *args: batches.append(args[2]) or forked(*args)\n"
+            "frame._forked = lambda *args: args[2] > 1 and batches.append(args[2]) or forked(*args)\n"
             f"code = cli.main({argv!r})\n"
             "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
             "print(code, batches, loaded)",

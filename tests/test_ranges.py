@@ -1,15 +1,17 @@
 """A plain CSV file read in byte ranges, each split at its commas.
 
-``frame.read_csv`` reads a plain file (a regular file with no quote, NUL or
-lone carriage return) by ranges, one per worker process and full block, and
-any other file, or a plain one whose ranges meet a line ``csv.reader`` would
-read otherwise, by ``csv.reader``. Either way the frame, the validation and
+``frame.read_csv`` reads a regular file as plain (no quote, NUL or lone
+carriage return) in byte ranges, one per worker process and
+``frame._RANGE_BYTES``, and any other file, or a regular one whose ranges
+meet a block that is not plain or a line ``csv.reader`` would read
+otherwise, by ``csv.reader``. Either way the frame, the validation and
 every error must be those of the ``csv.reader`` path.
 """
 
 import csv
 import os
 import signal
+import sys
 from unittest import mock
 
 import pytest
@@ -22,6 +24,7 @@ from checkmate.engine import confront, confront_csv
 from checkmate.frame import ingest_csv, read_csv
 from checkmate.rules import new_ruleset
 
+RANGE_BYTES = frame._RANGE_BYTES
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="ranges are read by forked workers")
 
 
@@ -56,14 +59,17 @@ def _by_csv_reader():
 
 @pytest.fixture
 def ranges(monkeypatch):
-    """The list of range counts read by forked workers since."""
+    """The list of range counts read by forked workers since, a file being
+    cut into as many ranges as there are workers."""
     made, forked = [], frame._forked
 
     def recorded(fn, items, workers):
-        made.append(workers)
+        if workers > 1:
+            made.append(workers)
         return forked(fn, items, workers)
 
     monkeypatch.setattr(frame, "_forked", recorded)
+    monkeypatch.setattr(frame, "_RANGE_BYTES", 1)
     return made
 
 
@@ -82,9 +88,10 @@ def _rows(*rows: str, header: str = "x,y") -> bytes:
 ], ids=["quote", "nul", "lone-cr", "cr-at-the-end", "cr-before-crlf", "quoted-header"])
 def test_a_file_that_is_not_plain_takes_the_csv_reader_path(tmp_path, data):
     path = _write(tmp_path, data)
-    assert frame._plain(path, 1) is None
-    assert _outcome_of(lambda: ingest_csv(path)) == _outcome_of(
-        lambda: legacy_ingest.ingest_csv(path))
+    with mock.patch.object(frame, "_read_rows", wraps=frame._read_rows) as read_rows:
+        got = _outcome_of(lambda: ingest_csv(path))
+    assert read_rows.call_count == 1
+    assert got == _outcome_of(lambda: legacy_ingest.ingest_csv(path))
 
 
 @pytest.mark.parametrize("data", [
@@ -106,14 +113,16 @@ def test_a_pipe_is_not_plain(tmp_path):
     assert frame._plain(str(fifo), 2) is None  # and it is not opened, so not drained
 
 
-def test_ranges_are_cut_just_after_a_newline_one_per_full_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(frame, "_BLOCK_ROWS", 2)
+def test_ranges_are_cut_just_after_a_newline_one_per_range_bytes(tmp_path, monkeypatch):
     path = _write(tmp_path, _rows(*(f"{i},{'y' * (i % 5)}" for i in range(9))))
     with open(path, "rb") as fh:
         data = fh.read()
-    for workers, count in [(1, 1), (2, 2), (4, 4), (9, 4)]:
-        head, rows, spans = frame._plain(path, workers)
-        assert (head, rows, len(spans)) == (b"x,y\n", 9, count)
+    rows = len(data) - len(b"x,y\n")  # 43 bytes
+    for range_bytes, workers, count in [(1, 1, 1), (1, 2, 2), (1, 4, 4), (10, 9, 5), (11, 9, 4),
+                                        (rows, 2, 1), (rows + 1, 2, 1), (rows - 1, 2, 2)]:
+        monkeypatch.setattr(frame, "_RANGE_BYTES", range_bytes)
+        head, spans = frame._plain(path, workers)
+        assert (head, len(spans)) == (b"x,y\n", count)
         assert spans[0][0] == len(head) and spans[-1][1] == len(data)
         assert all(a < b == c for (a, b), (c, _) in zip(spans, spans[1:]))
         assert all(data[b - 1:b] == b"\n" for _, b in spans)
@@ -160,7 +169,7 @@ def test_a_plain_file_in_ranges_reads_as_the_whole_file_reader(plain_path, data,
     with open(plain_path, "wb") as fh:
         fh.write(data)
     assert frame._plain(plain_path, workers) is not None
-    with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
+    with mock.patch.multiple(frame, _BLOCK_ROWS=block_rows, _RANGE_BYTES=1):
         got = _outcome_of(lambda: read_csv(plain_path, workers=workers))
     assert got == _outcome_of(lambda: legacy_ingest.ingest_csv(plain_path))
 
@@ -185,12 +194,18 @@ def _assert_ranges_read_as_csv_reader(tmp_path, ranges, data: bytes, rs, key=Non
     return got
 
 
+# each line and the error csv.reader reports, or None where it reads the file
 SECOND_RANGE_PROBLEMS = {
     "empty line": (EIGHT[:6] + ["", "r7,7"], "line 8: expected 2 fields, got 0"),
     "short row": (EIGHT[:6] + ["r6"] + EIGHT[7:], "line 8: expected 2 fields, got 1"),
     "long row": (EIGHT[:6] + ["r6,6,6"] + EIGHT[7:], "line 8: expected 2 fields, got 3"),
     "over-long field": (EIGHT[:6] + ["r6," + "9" * 200] + EIGHT[7:], "field larger than"),
     "bad UTF-8": (EIGHT[:6] + ["r6,\udcff"] + EIGHT[7:], "can't decode byte 0xff"),
+    "quote": (EIGHT[:6] + ['r6,"6"'] + EIGHT[7:], None),
+    "quoted comma": (EIGHT[:6] + ['r6,"6,5"'] + EIGHT[7:], None),
+    "NUL": (EIGHT[:6] + ["r6,6\0"] + EIGHT[7:],
+            None if sys.version_info >= (3, 11) else "line contains NUL"),
+    "lone CR": (EIGHT[:6] + ["r6,6\rr6b,5"] + EIGHT[7:], None),
 }
 
 
@@ -202,9 +217,12 @@ def test_a_problem_in_the_second_range_is_the_csv_reader_error(tmp_path, ranges,
     data = ("id,x\n" + "".join(line + "\n" for line in lines)).encode("utf-8", "surrogateescape")
     old = csv.field_size_limit(100)  # the forked workers inherit it
     request.addfinalizer(lambda: csv.field_size_limit(old))
-    err = _assert_ranges_read_as_csv_reader(tmp_path, ranges, data,
+    got = _assert_ranges_read_as_csv_reader(tmp_path, ranges, data,
                                             _rules("x >= 0"))
-    assert err[0] is frame.DataError and message in err[1]
+    if message is None:
+        assert got.n_records == len(lines) + ("\r" in "".join(lines))
+    else:
+        assert got[0] is frame.DataError and message in got[1]
 
 
 @needs_fork
@@ -306,6 +324,14 @@ def test_check_forks_one_worker_per_usable_cpu(survey, usable_cpus, monkeypatch,
     assert capsys.readouterr().out == out
 
 
+@needs_fork
+def test_a_file_under_range_bytes_forks_no_worker(survey, usable_cpus, monkeypatch):
+    pools = usable_cpus(2)
+    monkeypatch.setattr(frame, "_RANGE_BYTES", RANGE_BYTES)  # the fixture's 1 undone
+    assert cli.main(survey) == 1
+    assert pools == []
+
+
 # ---------------------------------------------------------------------------
 # A column no rule reads is never converted
 # ---------------------------------------------------------------------------
@@ -323,7 +349,6 @@ def test_a_column_no_rule_reads_is_never_converted(tmp_path, monkeypatch, usable
         text = text.replace("late", '"late')
         text = "\n".join(line + '"' if '"' in line else line for line in text.split("\n"))
     path = _write(tmp_path, text.encode())
-    assert (frame._plain(path, 1) is None) is quoted
     read, add = [], frame._ColumnReader.add
 
     def recording(self, raw):
@@ -332,10 +357,11 @@ def test_a_column_no_rule_reads_is_never_converted(tmp_path, monkeypatch, usable
 
     monkeypatch.setattr(frame, "_BLOCK_ROWS", 4)
     rs = _rules("x >= 0", "is_unique(id)")
-    whole = _outcome_of(lambda: confront(ingest_csv(path), rs, key="id"))
-    read.clear()
+    whole = _outcome_of(lambda: confront(legacy_ingest.ingest_csv(path), rs, key="id"))
     monkeypatch.setattr(frame._ColumnReader, "add", recording)
-    got = _outcome_of(lambda: confront_csv(path, rs, key="id", workers=cpus))
+    with mock.patch.object(frame, "_read_rows", wraps=frame._read_rows) as read_rows:
+        got = _outcome_of(lambda: confront_csv(path, rs, key="id", workers=cpus))
+    assert read_rows.call_count == quoted  # a quote sends the file to csv.reader, once
     assert got == whole
     assert "r39" in read or cpus > 1  # a child's reads are not seen here
     assert not {c for c in read if c.startswith(("10", "late"))}

@@ -46,7 +46,7 @@ def _assert_streams_as_whole(path, rs, block_rows, key=None, opts=None):
     with mock.patch.object(frame, "_plain", lambda path, workers: None):
         whole = _outcome_of(lambda: confront(ingest_csv(path), rs, key=key, opts=opts))
     for workers in [1, 2] if hasattr(os, "fork") else [1]:
-        with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
+        with mock.patch.multiple(frame, _BLOCK_ROWS=block_rows, _RANGE_BYTES=1):
             streamed = _outcome_of(lambda: confront_csv(path, rs, key=key, opts=opts,
                                                         workers=workers))
         assert streamed == whole
