@@ -779,8 +779,8 @@ def confront_csv(path: str, rs: RuleSet, key=None, opts=None, workers: int = 1) 
     rule or the key reads it, and every column is if a rule's reach is frame
     or the file cannot be read twice (a pipe). Should a column read block by
     block change kind between blocks, the whole file is confronted after all.
-    A regular file is read in up to ``workers`` byte ranges, one per 8 MiB of
-    rows or part of it, each by a process of its own that evaluates those
+    A regular file is read in up to ``workers`` byte ranges, at most one per
+    full block of rows, each by a process of its own that evaluates those
     rules on its blocks, unless a block is not plain (see ``read_csv``)."""
     return read_confronting(path, rs, key, opts, workers)[1]()
 
@@ -816,9 +816,9 @@ class _Blocks:
 
 
 def read_confronting(path: str, rs: RuleSet, key=None, opts=None, workers: int = 1) -> tuple:
-    """``path`` read as ``confront_csv`` reads it, in up to ``workers`` byte ranges, one per
-    ``frame._RANGE_BYTES``: (rows, every header name), and a function giving ``confront_csv``'s
-    validation, which raises any error of confronting, not of reading."""
+    """``path`` read as ``confront_csv`` reads it, in up to ``workers`` byte ranges, at most
+    one per full block of rows: (rows, every header name), and a function giving
+    ``confront_csv``'s validation, which raises any error of confronting, not of reading."""
     resolved, items, local, names = rs.resolved_options(opts), [], [], []
     keep, blocks = None, _Blocks([])
 

@@ -6,9 +6,9 @@ next to the sorted indices of its missing cells. A frame holds named
 equal-length columns, each a vector with a name, and its row count, given
 when it has no column. A number column keeps its cells in an ``array('d')``,
 8 bytes a cell; every other vector keeps a list. A CSV file is read a block
-of rows at a time, a large plain one in byte ranges that forked workers may
-share, and ``read_csv`` may pass some columns on block by block instead of
-holding them.
+of rows at a time, a plain one of two or more blocks in byte ranges that
+forked workers may share, and ``read_csv`` may pass some columns on block by
+block instead of holding them.
 """
 
 from __future__ import annotations
@@ -179,7 +179,6 @@ _MISSING_TOKENS = frozenset(("", "NA"))
 _BOOL_CELLS = {"true": True, "TRUE": True, "false": False, "FALSE": False,
                **dict.fromkeys(_MISSING_TOKENS, False)}
 _BLOCK_ROWS = 1024  # rows read and converted at a time; only one block is held as strings
-_RANGE_BYTES = 8 << 20  # bytes of rows per byte range: a smaller file is read in one
 _DISTINCT_CAP = 2048  # distinct texts past which a mostly-distinct column keeps no dict
 
 
@@ -264,43 +263,41 @@ class _Irregular(Exception):
     """A plain read met a line that only ``csv.reader`` reads as it should."""
 
 
-def _plain(path: str, workers: int) -> tuple[bytes, list[tuple[int, int]]] | None:
+def _plain(path: str, workers: int) -> tuple[list[str], list[tuple[int, int]]] | None:
     """For a regular file, which is read as plain until a block shows it is
-    not: its header line and up to ``workers`` byte ranges of its rows, one
-    per ``_RANGE_BYTES`` or part of it, cut just after a newline. Else (a
+    not: its header and up to ``workers`` byte ranges of its rows, at most
+    one per full block (as many bytes as its first block has), cut just
+    after a newline; _Irregular if the header line is not plain. Else (a
     pipe, say) None."""
     if not os.path.isfile(path):
         return None
     with open(path, "rb") as fh:
         head = fh.readline()
+        header = _cells(head, head.count(b",") + 1)[0]
+        header[0] = header[0].removeprefix("\ufeff")
+        if header == [""]:
+            raise _Irregular
         start, end = len(head), os.fstat(fh.fileno()).st_size
-        n = max(1, min(workers, -((start - end) // _RANGE_BYTES)))
+        block = len(_next_lines(fh, end)) or 1  # all the rows, if fewer than a block
+        n = max(1, min(workers, (end - start) // block))
         cuts = [start]
         for k in range(1, n):  # just after the first newline from the k-th n-th on
             fh.seek(start + (end - start) * k // n - 1)
             fh.readline()
             cuts.append(fh.tell())
     spans = [(a, b) for a, b in zip(cuts, [*cuts[1:], end]) if a < b]
-    return head, spans or [(start, end)]
+    return header, spans or [(start, end)]
 
 
-def _next_lines(fh, end: int, size: int) -> bytes:
-    """The next ``_BLOCK_ROWS`` lines of ``fh`` before byte ``end``: ``size``
-    bytes read, then cut or completed line by line."""
-    data = fh.read(min(size, end - fh.tell()))
-    extra = data.count(b"\n") - _BLOCK_ROWS
-    if extra < 0 and fh.tell() >= end:  # the last lines of the range
-        return data
-    if extra < 0:  # the lines to come; the first completes the last line read
-        lines = [data, *islice(fh, -extra)]
-        while fh.tell() > end:  # lines of the next range
-            fh.seek(fh.tell() - len(lines.pop()))
-        return b"".join(lines)
-    cut = data.rfind(b"\n")
-    for _ in range(extra):
-        cut = data.rfind(b"\n", 0, cut)
-    fh.seek(cut + 1 - len(data), 1)
-    return data[: cut + 1]
+def _next_lines(fh, end: int) -> bytes:
+    """The next ``_BLOCK_ROWS`` lines of ``fh`` before byte ``end``, which
+    follows a newline or ends the file."""
+    start = fh.tell()
+    data = b"".join(islice(fh, _BLOCK_ROWS))
+    if fh.tell() > end:  # lines of the next range
+        data = data[: end - start]
+        fh.seek(end)
+    return data
 
 
 def _cells(data: bytes, width: int) -> tuple[list[str], int]:
@@ -325,13 +322,12 @@ def _cells(data: bytes, width: int) -> tuple[list[str], int]:
     return cells, rows
 
 
-def _range_blocks(path: str, span: tuple[int, int], width: int, size: int):
+def _range_blocks(path: str, span: tuple[int, int], width: int):
     """The blocks of a byte range of a plain file, each its cells and its
-    count of rows; ``size`` is a first guess of a block's bytes."""
+    count of rows."""
     with open(path, "rb") as fh:
         fh.seek(span[0])
-        while data := _next_lines(fh, span[1], size):
-            size = len(data)
+        while data := _next_lines(fh, span[1]):
             yield _cells(data, width)
 
 
@@ -380,13 +376,6 @@ def _read_blocks(blocks, header: list[str], keep, blocked, on_block) -> tuple[li
     return [c.column(name) for c, name in zip(columns, header) if c.held], count
 
 
-def _frame(path: str, columns: list[Column], rows: int) -> DataFrame:
-    try:  # no record under an empty header
-        return DataFrame(columns, rows)
-    except DataError as err:  # a header that names a column twice
-        raise DataError(f"{path}: {err}") from None
-
-
 def ingest_csv(path: str) -> DataFrame:
     """Read an RFC-4180 CSV with a header row, inferring column types: ``read_csv`` with no plan."""
     return read_csv(path)
@@ -402,12 +391,14 @@ def read_csv(path: str, plan=None, workers: int = 1) -> DataFrame:
     skipped. The file is read front to back, ``_BLOCK_ROWS`` rows at a time.
 
     A regular file is read as plain, each block split at its commas, in up
-    to ``workers`` byte ranges, one per ``_RANGE_BYTES`` of rows or part: this
-    process reads the first range, a forked child each other one. Anything
-    else, a pipe say, is read by ``csv.reader``, and so is the whole file
-    after all if a block is not plain or has a line ``csv.reader`` would
-    read otherwise or refuse (see ``_cells``), or a held column's kind
-    differs between ranges: the frame and errors are the same either way.
+    to ``workers`` byte ranges, at most one per full block of rows (one for a
+    file of fewer than two blocks): this process reads the first range, a
+    forked child each other one. Anything else, a pipe say, is read by
+    ``csv.reader``, and so is the whole file after all if a block is not
+    plain or has a line ``csv.reader`` would read otherwise or refuse (see
+    ``_cells``), or a held column is of another kind in another range and
+    neither range has it all missing: the frame and errors are the same
+    either way.
 
     Once a full first block is read, ``plan(header)``, if given, names the
     columns to hold (all when None) and those to pass on, block by block, to
@@ -426,10 +417,18 @@ def read_csv(path: str, plan=None, workers: int = 1) -> DataFrame:
         try:
             plain = _plain(path, workers)
             if plain is not None:
-                return _read_ranges(path, plan, *plain)
+                header, spans = plain
+                sources = [_range_blocks(path, span, len(header)) for span in spans]
+                return _read_sources(path, plan, header, sources)
         except (_Irregular, OSError, UnicodeDecodeError):
             pass  # csv.reader reads it, or reports what it meets
-        return _read_rows(path, plan)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)  # reads any file once, so a pipe too
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            return _read_sources(path, plan, header, [_row_blocks(path, reader, len(header))])
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     finally:
@@ -437,17 +436,15 @@ def read_csv(path: str, plan=None, workers: int = 1) -> DataFrame:
             gc.enable()
 
 
-def _read_ranges(path: str, plan, head: bytes, spans: list) -> DataFrame:
-    width, reader = head.count(b",") + 1, os.getpid()
-    header = _cells(head, width)[0]
-    header[0] = header[0].removeprefix("\ufeff")
-    if header == [""]:
-        raise _Irregular
-    sources = [_range_blocks(path, span, width, len(head) * _BLOCK_ROWS) for span in spans]
+def _read_sources(path: str, plan, header: list[str], sources: list) -> DataFrame:
+    """The frame of the blocks of ``sources``, under ``header``, as ``read_csv``
+    reads it: this process reads the first source, a forked child each other
+    one, and each source's columns are added in order to those before."""
     (keep, blocked, on_block), sources[0] = _planned(plan, header, sources[0])
+    reader = os.getpid()
 
     def read(blocks) -> tuple:
-        """A range's held columns, rows and, in a child, what ``on_block`` took."""
+        """A source's held columns, rows and, in a child, what ``on_block`` took."""
         held, count = _read_blocks(blocks, header, keep, blocked, on_block)
         return held, count, on_block.take() if on_block and os.getpid() != reader else None
 
@@ -456,29 +453,31 @@ def _read_ranges(path: str, plan, head: bytes, spans: list) -> DataFrame:
         if columns is None:
             columns = part
         else:
-            for c in columns:  # each column of the range added, then dropped
+            for j, c in enumerate(columns):  # each column of the range added, then dropped
                 more = part.pop(0)
                 if more.kind != c.kind:
-                    raise _Irregular
+                    c, more = _one_kind(c, more)
+                    columns[j] = c
                 c.values += more.values
                 c.na += tuple(map(count.__add__, more.na))
         if taken is not None:
             on_block.join(taken)
         count += n
-    return _frame(path, columns, count)
+    try:  # no record under an empty header
+        return DataFrame(columns, count if header else 0)
+    except DataError as err:  # a header that names a column twice
+        raise DataError(f"{path}: {err}") from None
 
 
-def _read_rows(path: str, plan) -> DataFrame:
-    """``read_csv`` by ``csv.reader``, which reads any file once, so a pipe too."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        planned, blocks = _planned(plan, header, _row_blocks(path, reader, len(header)))
-        held, rows = _read_blocks(blocks, header, *planned)
-    return _frame(path, held, rows if header else 0)
+def _one_kind(a: Column, b: Column) -> tuple[Column, Column]:
+    """Columns ``a`` and ``b`` of two kinds as one: the one all missing (read
+    as a number column) takes the other's kind, its cells filled as that kind
+    fills them; _Irregular if neither is all missing."""
+    if len(a.na) == len(a.values):
+        return Column(a.name, b.type, [FILLERS[b.kind]] * len(a.values), a.na), b
+    if len(b.na) == len(b.values):
+        return a, Column(b.name, a.type, [FILLERS[a.kind]] * len(b.values), b.na)
+    raise _Irregular
 
 
 # ---------------------------------------------------------------------------

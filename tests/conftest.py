@@ -43,8 +43,8 @@ def retailer_rules():
 def usable_cpus(monkeypatch):
     """A setter of the CPU count the CLI sees; it returns the list of batches of
     worker processes forked since, for data files or for ranges of one, a file
-    being cut into as many ranges as there are CPUs. A count above 1 is
-    skipped where there is no fork."""
+    of two or more blocks being cut into up to as many ranges as there are
+    CPUs. A count above 1 is skipped where there is no fork."""
     made = []
     forked = frame._forked
 
@@ -54,7 +54,6 @@ def usable_cpus(monkeypatch):
         return forked(fn, items, workers)
 
     monkeypatch.setattr(frame, "_forked", recorded)
-    monkeypatch.setattr(frame, "_RANGE_BYTES", 1)
 
     def set_count(n: int) -> list:
         if n > 1 and not hasattr(os, "fork"):

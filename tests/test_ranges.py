@@ -1,11 +1,11 @@
 """A plain CSV file read in byte ranges, each split at its commas.
 
 ``frame.read_csv`` reads a regular file as plain (no quote, NUL or lone
-carriage return) in byte ranges, one per worker process and
-``frame._RANGE_BYTES``, and any other file, or a regular one whose ranges
-meet a block that is not plain or a line ``csv.reader`` would read
-otherwise, by ``csv.reader``. Either way the frame, the validation and
-every error must be those of the ``csv.reader`` path.
+carriage return) in byte ranges, one per worker process and at most one per
+full block of ``frame._BLOCK_ROWS`` rows, and any other file, or a regular
+one whose ranges meet a block that is not plain or a line ``csv.reader``
+would read otherwise, by ``csv.reader``. Either way the frame, the
+validation and every error must be those of the ``csv.reader`` path.
 """
 
 import csv
@@ -24,7 +24,6 @@ from checkmate.engine import confront, confront_csv
 from checkmate.frame import ingest_csv, read_csv
 from checkmate.rules import new_ruleset
 
-RANGE_BYTES = frame._RANGE_BYTES
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="ranges are read by forked workers")
 
 
@@ -59,8 +58,8 @@ def _by_csv_reader():
 
 @pytest.fixture
 def ranges(monkeypatch):
-    """The list of range counts read by forked workers since, a file being
-    cut into as many ranges as there are workers."""
+    """The list of range counts read by forked workers since, a file of two
+    or more blocks being cut into up to as many ranges as there are workers."""
     made, forked = [], frame._forked
 
     def recorded(fn, items, workers):
@@ -69,7 +68,6 @@ def ranges(monkeypatch):
         return forked(fn, items, workers)
 
     monkeypatch.setattr(frame, "_forked", recorded)
-    monkeypatch.setattr(frame, "_RANGE_BYTES", 1)
     return made
 
 
@@ -88,9 +86,9 @@ def _rows(*rows: str, header: str = "x,y") -> bytes:
 ], ids=["quote", "nul", "lone-cr", "cr-at-the-end", "cr-before-crlf", "quoted-header"])
 def test_a_file_that_is_not_plain_takes_the_csv_reader_path(tmp_path, data):
     path = _write(tmp_path, data)
-    with mock.patch.object(frame, "_read_rows", wraps=frame._read_rows) as read_rows:
+    with mock.patch.object(frame, "_row_blocks", wraps=frame._row_blocks) as by_csv_reader:
         got = _outcome_of(lambda: ingest_csv(path))
-    assert read_rows.call_count == 1
+    assert by_csv_reader.call_count == 1
     assert got == _outcome_of(lambda: legacy_ingest.ingest_csv(path))
 
 
@@ -101,7 +99,7 @@ def test_a_file_that_is_not_plain_takes_the_csv_reader_path(tmp_path, data):
 def test_a_plain_file_reads_as_the_csv_reader_reads_it(tmp_path, data):
     path = _write(tmp_path, data)
     assert frame._plain(path, 1) is not None
-    with mock.patch.object(frame, "_read_rows", side_effect=AssertionError("not plain")):
+    with mock.patch.object(frame, "_row_blocks", side_effect=AssertionError("not plain")):
         df = ingest_csv(path)
     assert df == legacy_ingest.ingest_csv(path)
 
@@ -113,19 +111,22 @@ def test_a_pipe_is_not_plain(tmp_path):
     assert frame._plain(str(fifo), 2) is None  # and it is not opened, so not drained
 
 
-def test_ranges_are_cut_just_after_a_newline_one_per_range_bytes(tmp_path, monkeypatch):
-    path = _write(tmp_path, _rows(*(f"{i},{'y' * (i % 5)}" for i in range(9))))
-    with open(path, "rb") as fh:
-        data = fh.read()
-    rows = len(data) - len(b"x,y\n")  # 43 bytes
-    for range_bytes, workers, count in [(1, 1, 1), (1, 2, 2), (1, 4, 4), (10, 9, 5), (11, 9, 4),
-                                        (rows, 2, 1), (rows + 1, 2, 1), (rows - 1, 2, 2)]:
-        monkeypatch.setattr(frame, "_RANGE_BYTES", range_bytes)
-        head, spans = frame._plain(path, workers)
-        assert (head, len(spans)) == (b"x,y\n", count)
-        assert spans[0][0] == len(head) and spans[-1][1] == len(data)
+def test_ranges_are_cut_just_after_a_newline_one_per_full_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(frame, "_BLOCK_ROWS", 2)  # two lines of 5 bytes: 10 bytes
+    for rows, end, workers, count in [
+        (3, "\n", 4, 1),  # fewer than two blocks
+        (4, "\n", 2, 2), (4, "\n", 1, 1),  # two blocks
+        (4, "", 2, 1),  # two blocks but for the last newline: 19 bytes
+        (40, "\n", 4, 4), (40, "", 4, 4), (9, "\n", 9, 4),  # more blocks than ranges
+        (0, "\n", 2, 1), (0, "", 2, 1),  # the header alone
+    ]:
+        data = "\n".join(["x,y", *(f"{i:02},y" for i in range(rows))]) + end
+        path = _write(tmp_path, data.encode())
+        header, spans = frame._plain(path, workers)
+        assert (header, len(spans)) == (["x", "y"], count)
+        assert spans[0][0] == min(len("x,y\n"), len(data)) and spans[-1][1] == len(data)
         assert all(a < b == c for (a, b), (c, _) in zip(spans, spans[1:]))
-        assert all(data[b - 1:b] == b"\n" for _, b in spans)
+        assert all(data[b - 1] == "\n" for _, b in spans[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_a_plain_file_in_ranges_reads_as_the_whole_file_reader(plain_path, data,
     with open(plain_path, "wb") as fh:
         fh.write(data)
     assert frame._plain(plain_path, workers) is not None
-    with mock.patch.multiple(frame, _BLOCK_ROWS=block_rows, _RANGE_BYTES=1):
+    with mock.patch.object(frame, "_BLOCK_ROWS", block_rows):
         got = _outcome_of(lambda: read_csv(plain_path, workers=workers))
     assert got == _outcome_of(lambda: legacy_ingest.ingest_csv(plain_path))
 
@@ -242,6 +243,21 @@ def test_a_kind_that_changes_between_ranges(tmp_path, ranges, rules, late):
     v = _assert_ranges_read_as_csv_reader(tmp_path, ranges,
                                           _rows(*rows, header="id,x"), _rules(*rules), key="id")
     assert v.n_records == 8
+
+
+@needs_fork
+@pytest.mark.parametrize("cell", ["text", "TRUE"])
+@pytest.mark.parametrize("missing_first", [False, True], ids=["missing-last", "missing-first"])
+def test_a_column_all_missing_in_one_range_takes_the_kind_of_the_other(tmp_path, ranges, cell,
+                                                                      missing_first):
+    cells = [cell] * 4 + ["NA"] * 4
+    rows = [f"r{i},{c}" for i, c in enumerate(cells[::-1] if missing_first else cells)]
+    path = _write(tmp_path, _rows(*rows, header="id,note"))
+    with mock.patch.object(frame, "_BLOCK_ROWS", 2), \
+            mock.patch.object(frame, "_row_blocks", wraps=frame._row_blocks) as by_csv_reader:
+        df = read_csv(path, workers=2)
+    assert ranges == [2] and by_csv_reader.call_count == 0  # read once, in two ranges
+    assert df == legacy_ingest.ingest_csv(path)
 
 
 @needs_fork
@@ -325,11 +341,15 @@ def test_check_forks_one_worker_per_usable_cpu(survey, usable_cpus, monkeypatch,
 
 
 @needs_fork
-def test_a_file_under_range_bytes_forks_no_worker(survey, usable_cpus, monkeypatch):
+def test_a_file_forks_a_worker_from_two_full_blocks(tmp_path, usable_cpus, monkeypatch):
     pools = usable_cpus(2)
-    monkeypatch.setattr(frame, "_RANGE_BYTES", RANGE_BYTES)  # the fixture's 1 undone
-    assert cli.main(survey) == 1
-    assert pools == []
+    monkeypatch.setattr(frame, "_BLOCK_ROWS", 8)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("x >= 0\n")
+    for rows, forked in [(15, []), (16, [2])]:  # lines of one length
+        data = _write(tmp_path, _rows(*(f"r{i:02},{i % 7}" for i in range(rows)), header="id,x"))
+        assert cli.main(["check", data, "--rules", str(rules), "--out", os.devnull]) == 0
+        assert pools == forked
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +379,9 @@ def test_a_column_no_rule_reads_is_never_converted(tmp_path, monkeypatch, usable
     rs = _rules("x >= 0", "is_unique(id)")
     whole = _outcome_of(lambda: confront(legacy_ingest.ingest_csv(path), rs, key="id"))
     monkeypatch.setattr(frame._ColumnReader, "add", recording)
-    with mock.patch.object(frame, "_read_rows", wraps=frame._read_rows) as read_rows:
+    with mock.patch.object(frame, "_row_blocks", wraps=frame._row_blocks) as by_csv_reader:
         got = _outcome_of(lambda: confront_csv(path, rs, key="id", workers=cpus))
-    assert read_rows.call_count == quoted  # a quote sends the file to csv.reader, once
+    assert by_csv_reader.call_count == quoted  # a quote sends the file to csv.reader, once
     assert got == whole
     assert "r39" in read or cpus > 1  # a child's reads are not seen here
     assert not {c for c in read if c.startswith(("10", "late"))}
